@@ -14,7 +14,6 @@
  *              [--out DIR] [--resume] [--list] [--quiet]
  */
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -23,6 +22,7 @@
 
 #include "arena/bakeoff.hpp"
 #include "arena/report.hpp"
+#include "common/cli.hpp"
 #include "common/log.hpp"
 
 namespace
@@ -38,165 +38,79 @@ struct CliConfig
     bool quiet = false;
 };
 
-void
-usage()
+CliError
+parseSuites(const std::string &text, std::vector<Suite> &suites)
 {
-    std::cout
-        << "usage: asdbakeoff [options]\n"
-           "  --suites LIST       comma list of spec,nas,commercial "
-           "(default all three)\n"
-           "  --bench NAME        extra benchmark by name "
-           "(repeatable; with --suites none,\n"
-           "                      these are the whole grid)\n"
-           "  --prefetchers LIST  contender registry names "
-           "(default: every registered one;\n"
-           "                      see --list)\n"
-           "  --vm                also run every workload with 4 KiB "
-           "random-placement VM\n"
-           "  --os                also run every workload under the "
-           "OS memory model\n"
-           "                      (demand paging, finite frames, "
-           "CLOCK reclaim)\n"
-           "  --accesses N        per-benchmark trace-length "
-           "override\n"
-           "  --warm-start CYCLES warm-up cycles shared across "
-           "contenders per workload\n"
-           "                      (default 20000; 0 disables "
-           "snapshot sharing)\n"
-           "  --threads N         worker threads (default hardware)\n"
-           "  --out DIR           report + per-job records + warm-up "
-           "snapshots\n"
-           "                      (default results/bakeoff)\n"
-           "  --resume            adopt ok per-job records already "
-           "under --out\n"
-           "  --list              print the prefetcher registry and "
-           "exit\n"
-           "  --quiet             no progress line\n";
-}
-
-std::vector<std::string>
-splitCommas(const std::string &text)
-{
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (start <= text.size()) {
-        const std::size_t comma = text.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? text.size() : comma;
-        if (end > start)
-            parts.push_back(text.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return parts;
-}
-
-std::uint64_t
-parseU64(const std::string &text, const std::string &flag)
-{
-    try {
-        std::size_t pos = 0;
-        const unsigned long long v = std::stoull(text, &pos);
-        if (pos != text.size())
-            throw std::invalid_argument(text);
-        return v;
-    } catch (const std::exception &) {
-        fatal("invalid value for " + flag + ": " + text);
-    }
-}
-
-std::vector<Suite>
-parseSuites(const std::string &text)
-{
-    std::vector<Suite> suites;
-    for (const std::string &name : splitCommas(text)) {
+    std::vector<std::string> names;
+    if (CliError error = splitList(text, names))
+        return error;
+    suites.clear();
+    for (const std::string &name : names) {
         if (name == "spec")
             suites.push_back(Suite::Spec2006fp);
         else if (name == "nas")
             suites.push_back(Suite::Nas);
         else if (name == "commercial")
             suites.push_back(Suite::Commercial);
-        else if (name == "none")
-            ; // suites cleared; grid comes from --bench
-        else
-            fatal("unknown suite (use spec|nas|commercial|none): " +
-                  name);
+        else if (name != "none") // none: the grid comes from --bench
+            return "unknown suite (use spec|nas|commercial|none): " +
+                   name;
     }
-    return suites;
+    return std::nullopt;
 }
 
 CliConfig
 parseArgs(int argc, char **argv)
 {
     CliConfig cli;
-    const auto next = [&](int &i, const std::string &flag) {
-        if (i + 1 >= argc)
-            fatal("missing value for " + flag);
-        return std::string(argv[++i]);
+    BakeoffOptions &b = cli.bakeoff;
+    const std::vector<CliFlag> flags = {
+        {"--suites", "LIST",
+         "comma list of spec,nas,commercial (default all three)",
+         [&b](const std::string &text) {
+             return parseSuites(text, b.suites);
+         }},
+        {"--bench", "NAME",
+         "extra benchmark by name (repeatable; with --suites none, "
+         "these are the whole grid)",
+         [&b](const std::string &name) {
+             b.benchmarks.push_back(name);
+             return std::nullopt;
+         }},
+        {"--prefetchers", "LIST",
+         "contender registry names (default: every registered one; "
+         "see --list)",
+         [&b](const std::string &text) {
+             return splitList(text, b.prefetchers);
+         }},
+        switchFlag("--vm",
+                   "also run every workload with 4 KiB random-placement "
+                   "VM",
+                   b.vm_axis),
+        switchFlag("--os",
+                   "also run every workload under the OS memory model "
+                   "(demand paging, finite frames, CLOCK reclaim)",
+                   b.os_axis),
+        numberFlag("--accesses", "per-benchmark trace-length override",
+                   b.accesses),
+        numberFlag("--warm-start",
+                   "warm-up cycles shared across contenders per workload "
+                   "(default 20000; 0 disables snapshot sharing)",
+                   b.warmup_cycles),
+        numberFlag("--threads", "worker threads (default hardware)",
+                   b.threads, 0u, 4096u),
+        textFlag("--out", "DIR",
+                 "report + per-job records + warm-up snapshots (default "
+                 "results/bakeoff)",
+                 cli.out_dir),
+        switchFlag("--resume", "adopt ok per-job records already under "
+                   "--out", b.resume),
+        switchFlag("--list", "print the prefetcher registry and exit",
+                   cli.list),
+        switchFlag("--quiet", "no progress line", cli.quiet),
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            std::exit(0);
-        } else if (arg == "--suites") {
-            cli.bakeoff.suites = parseSuites(next(i, arg));
-        } else if (arg == "--bench") {
-            cli.bakeoff.benchmarks.push_back(next(i, arg));
-        } else if (arg == "--prefetchers") {
-            cli.bakeoff.prefetchers = splitCommas(next(i, arg));
-        } else if (arg == "--vm") {
-            cli.bakeoff.vm_axis = true;
-        } else if (arg == "--os") {
-            cli.bakeoff.os_axis = true;
-        } else if (arg == "--accesses") {
-            cli.bakeoff.accesses = parseU64(next(i, arg), arg);
-        } else if (arg == "--warm-start") {
-            cli.bakeoff.warmup_cycles = parseU64(next(i, arg), arg);
-        } else if (arg == "--threads") {
-            cli.bakeoff.threads = static_cast<unsigned>(
-                parseU64(next(i, arg), arg));
-        } else if (arg == "--out") {
-            cli.out_dir = next(i, arg);
-        } else if (arg == "--resume") {
-            cli.bakeoff.resume = true;
-        } else if (arg == "--list") {
-            cli.list = true;
-        } else if (arg == "--quiet") {
-            cli.quiet = true;
-        } else {
-            usage();
-            fatal("unknown argument: " + arg);
-        }
-    }
+    parseCliOrDie(argc, argv, flags, "usage: asdbakeoff [options]\n");
     return cli;
-}
-
-void
-printRegistry()
-{
-    for (const PrefetcherInfo &info :
-         PrefetcherRegistry::instance().all()) {
-        std::printf("%-12s %-9s %s\n", info.name.c_str(),
-                    toString(info.side).c_str(),
-                    info.description.c_str());
-    }
-}
-
-void
-printProgress(const SweepProgress &p)
-{
-    std::fprintf(stderr,
-                 "\r[%zu/%zu] %5.1f%%  eta %6.1fs  last %s (%.0f ms)"
-                 "\033[K",
-                 p.done, p.total,
-                 100.0 * static_cast<double>(p.done) /
-                     static_cast<double>(p.total),
-                 p.eta_ms / 1000.0, p.last_id.c_str(),
-                 p.last_wall_ms);
-    if (p.done == p.total)
-        std::fprintf(stderr, "\n");
 }
 
 void
@@ -215,7 +129,7 @@ main(int argc, char **argv)
 {
     CliConfig cli = parseArgs(argc, argv);
     if (cli.list) {
-        printRegistry();
+        PrefetcherRegistry::instance().print();
         return 0;
     }
     cli.bakeoff.out_dir = cli.out_dir;

@@ -13,14 +13,15 @@
  *   asdsim_cli --bench milc --scheduler frfcfs --policy 3 --buffer 32
  */
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arena/registry.hpp"
+#include "common/cli.hpp"
 #include "common/log.hpp"
 #include "common/table.hpp"
 #include "sim/experiment.hpp"
@@ -55,391 +56,77 @@ struct CliArgs
     std::string tuner_json;      //!< per-decision JSON path
 };
 
-[[noreturn]] void
-usage()
+/** The RunOptions flags from the field table, plus the tool's own. */
+std::vector<CliFlag>
+cliFlags(CliArgs &args)
 {
-    std::cout <<
-        "usage: asdsim_cli [options]\n"
-        "  --list                 list benchmarks and exit\n"
-        "  --list-prefetchers     list the prefetcher registry and "
-        "exit\n"
-        "  --bench NAME           benchmark to run (default GemsFDTD)\n"
-        "  --mode NP|PS|MS|PMS    prefetch configuration (default PMS)\n"
-        "  --ps power5|asd        processor-side prefetcher kind\n"
-        "  --mc-prefetcher asd|nextline|p5|ghb|stride|dspatch|"
-        "perceptron\n"
-        "                         memory-side prefetcher kind\n"
-        "  --scheduler ahb|memoryless|inorder|frfcfs\n"
-        "  --policy N             pin the LPQ policy (1..5)\n"
-        "  --buffer N             prefetch buffer lines (default 16)\n"
-        "  --slots N              stream filter slots (default 8)\n"
-        "  --degree N             max prefetch degree (default 1)\n"
-        "  --saturate             keep prefetching streams beyond Lm\n"
-        "  --ps-oracle            idealized (instant, free) PS fills\n"
-        "  --vm-policy identity|seq|random|huge\n"
-        "                         enable virtual memory with this\n"
-        "                         frame-allocation policy\n"
-        "  --vm-page-bytes N      base page size (default 4096)\n"
-        "  --vm-phys-mb N         physical memory size (default 4096)\n"
-        "  --vm-tlb-entries N     TLB entries (default 64)\n"
-        "  --vm-tlb-ways N        TLB associativity (default 4)\n"
-        "  --vm-walk-cycles N     page-walk stall (default 60)\n"
-        "  --vm-seed N            frame-shuffle seed\n"
-        "  --os                   enable the OS memory model (demand\n"
-        "                         paging over a finite frame pool with\n"
-        "                         CLOCK reclaim; excludes --vm-policy)\n"
-        "  --os-frames N          physical frames in the pool\n"
-        "                         (default 16384)\n"
-        "  --os-minor-cycles N    minor page-fault stall (default 800)\n"
-        "  --os-major-cycles N    major page-fault stall\n"
-        "                         (default 20000)\n"
-        "  --os-major-frac F      fraction of faults that are major\n"
-        "                         (default 0.02)\n"
-        "  --os-reclaim-cycles N  CLOCK reclaim stall (default 300)\n"
-        "  --os-writeback-cycles N\n"
-        "                         dirty-victim writeback stall\n"
-        "                         (default 2000)\n"
-        "  --os-walker radix|hashed\n"
-        "                         page-table walker style (default\n"
-        "                         radix)\n"
-        "  --os-probe-cycles N    hashed-walker per-probe stall\n"
-        "                         (default 20)\n"
-        "  --os-seed N            fault/frame-shuffle seed\n"
-        "  --tenants N            interleave N tenants of the chosen\n"
-        "                         benchmark (multi-tenant scenario\n"
-        "                         engine; incompatible with --smt)\n"
-        "  --tenants-zipf F       Zipf exponent of the per-tenant\n"
-        "                         intensity skew (default 1.0)\n"
-        "  --tenants-lifetime N   mean tenant lifetime in accesses\n"
-        "                         before departure (0 = immortal;\n"
-        "                         default 50000)\n"
-        "  --tenants-seed N       slot/lifetime draw seed\n"
-        "  --accesses N           trace length override\n"
-        "  --smt                  co-run two copies (SMT pair)\n"
-        "  --csv                  emit one CSV row instead of a table\n"
-        "  --json PATH            also write RunMetrics JSON to PATH\n"
-        "  --telemetry            record per-epoch telemetry without\n"
-        "                         an output sink (for --save-snapshot)\n"
-        "  --telemetry-csv PATH   write per-epoch telemetry CSV\n"
-        "  --telemetry-json PATH  write per-epoch telemetry JSON\n"
-        "  --telemetry-trace PATH write chrome://tracing JSON\n"
-        "  --telemetry-max-epochs N\n"
-        "                         cap the recorded epochs (0 = all)\n"
-        "  --telemetry-no-slh     omit per-thread SLH snapshots\n"
-        "  --warmup N             run N cycles before arming the\n"
-        "                         memory-side prefetcher\n"
-        "  --tune                 enable the phase-adaptive tuner\n"
-        "                         (requires MS/PMS with --mc-prefetcher\n"
-        "                         asd; incompatible with --smt)\n"
-        "  --tune-horizon N       shadow simulation length in cycles\n"
-        "                         (default 60000)\n"
-        "  --tune-min-epochs N    epochs between decisions (default 2)\n"
-        "  --tune-max-decisions N cap decisions per run (0 = all)\n"
-        "  --tune-threads N       shadow worker threads (default 1;\n"
-        "                         0 = hardware default)\n"
-        "  --tune-window N        phase detector window, epochs\n"
-        "                         (default 3)\n"
-        "  --tune-threshold N     phase change threshold, milli-pct\n"
-        "                         (default 40000)\n"
-        "  --tune-degrees LIST    comma-separated degree axis\n"
-        "  --tune-slots LIST      comma-separated filter-slot axis\n"
-        "  --tune-buffers LIST    comma-separated buffer-line axis\n"
-        "  --tune-epochs LIST     comma-separated epoch-length axis\n"
-        "  --tune-policies LIST   comma-separated policy axis\n"
-        "                         (0 = adaptive walk, 1..5 = pinned)\n"
-        "  --tuner-csv PATH       write the per-decision CSV log\n"
-        "  --tuner-json PATH      write the per-decision JSON log\n"
-        "  --save-snapshot PATH@CYCLE\n"
-        "                         run to CYCLE, write a checkpoint to\n"
-        "                         PATH, and exit (no report)\n"
-        "  --load-snapshot PATH   restore a checkpoint and run it to\n"
-        "                         completion; the machine config comes\n"
-        "                         from the snapshot, only output flags\n"
-        "                         (--csv/--json/--telemetry-*) apply\n";
-    std::exit(0);
-}
-
-PrefetchMode
-parseMode(const std::string &text)
-{
-    if (text == "NP")
-        return PrefetchMode::NP;
-    if (text == "PS")
-        return PrefetchMode::PS;
-    if (text == "MS")
-        return PrefetchMode::MS;
-    if (text == "PMS")
-        return PrefetchMode::PMS;
-    fatal("unknown mode: " + text);
-}
-
-SchedulerKind
-parseScheduler(const std::string &text)
-{
-    if (text == "ahb")
-        return SchedulerKind::Ahb;
-    if (text == "memoryless")
-        return SchedulerKind::Memoryless;
-    if (text == "inorder")
-        return SchedulerKind::InOrder;
-    if (text == "frfcfs")
-        return SchedulerKind::FrFcfs;
-    fatal("unknown scheduler: " + text);
-}
-
-/** Parse "1,2,4" into {1,2,4}; fatal on anything non-numeric. */
-std::vector<std::uint32_t>
-parseU32List(const std::string &flag, const std::string &text)
-{
-    std::vector<std::uint32_t> out;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        const std::string item = text.substr(pos, comma - pos);
-        if (item.empty() ||
-            item.find_first_not_of("0123456789") != std::string::npos)
-            fatal(flag + " expects a comma-separated integer list, "
-                  "got: " + text);
-        out.push_back(static_cast<std::uint32_t>(
-            std::atoll(item.c_str())));
-        pos = comma + 1;
-    }
-    if (out.empty())
-        fatal(flag + " expects at least one value");
-    return out;
+    std::vector<CliFlag> flags = {
+        switchFlag("--list", "list benchmarks and exit", args.list),
+        switchFlag("--list-prefetchers",
+                   "list the prefetcher registry and exit",
+                   args.list_prefetchers),
+        textFlag("--bench", "NAME", "benchmark to run (default GemsFDTD)",
+                 args.bench),
+    };
+    for (CliFlag &flag : runOptionFlags(args.options))
+        flags.push_back(std::move(flag));
+    // Telemetry sinks also switch recording on.
+    const auto telemetry_sink = [&args](std::string name,
+                                        std::string help,
+                                        std::string &target) {
+        return CliFlag{std::move(name), "PATH", std::move(help),
+                       [&args, &target](const std::string &path) {
+                           target = path;
+                           args.options.telemetry.enabled = true;
+                           return std::nullopt;
+                       }};
+    };
+    const std::vector<CliFlag> own = {
+        switchFlag("--smt", "co-run two copies (SMT pair)", args.smt),
+        switchFlag("--csv", "emit one CSV row instead of a table",
+                   args.csv),
+        textFlag("--json", "PATH", "also write RunMetrics JSON to PATH",
+                 args.json_path),
+        telemetry_sink("--telemetry-csv", "write per-epoch telemetry CSV",
+                       args.telemetry_csv),
+        telemetry_sink("--telemetry-json",
+                       "write per-epoch telemetry JSON",
+                       args.telemetry_json),
+        telemetry_sink("--telemetry-trace",
+                       "write chrome://tracing JSON",
+                       args.telemetry_trace),
+        textFlag("--tuner-csv", "PATH", "write the per-decision CSV log",
+                 args.tuner_csv),
+        textFlag("--tuner-json", "PATH",
+                 "write the per-decision JSON log", args.tuner_json),
+        {"--save-snapshot", "PATH@CYCLE",
+         "run to CYCLE, write a checkpoint to PATH, and exit (no "
+         "report)",
+         [&args](const std::string &value) -> CliError {
+             const std::size_t at = value.rfind('@');
+             if (at == std::string::npos || at == 0)
+                 return "expected PATH@CYCLE, got '" + value + "'";
+             args.save_path = value.substr(0, at);
+             return parseNumber<Cycle>(std::string_view(value).substr(at + 1),
+                                       0, kNoCycle - 1, args.save_cycle);
+         }},
+        textFlag("--load-snapshot", "PATH",
+                 "restore a checkpoint and run it to completion; the "
+                 "machine config comes from the snapshot, only output "
+                 "flags (--csv/--json/--telemetry-*/--tuner-*) apply",
+                 args.load_path),
+    };
+    flags.insert(flags.end(), own.begin(), own.end());
+    return flags;
 }
 
 CliArgs
 parseArgs(int argc, char **argv)
 {
     CliArgs args;
-    std::vector<std::string> tokens(argv + 1, argv + argc);
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-        const std::string &tok = tokens[i];
-        auto next = [&]() -> std::string {
-            if (++i >= tokens.size())
-                fatal("missing value after " + tok);
-            return tokens[i];
-        };
-        if (tok == "--help" || tok == "-h") {
-            usage();
-        } else if (tok == "--list") {
-            args.list = true;
-        } else if (tok == "--list-prefetchers") {
-            args.list_prefetchers = true;
-        } else if (tok == "--bench") {
-            args.bench = next();
-        } else if (tok == "--mode") {
-            args.options.mode = parseMode(next());
-        } else if (tok == "--ps") {
-            const std::string v = next();
-            if (v == "asd")
-                args.options.ps_kind = PsKind::Asd;
-            else if (v != "power5")
-                fatal("unknown --ps kind: " + v);
-        } else if (tok == "--mc-prefetcher") {
-            const std::string v = next();
-            const auto kind = parseMcPrefetcherKind(v);
-            if (!kind)
-                fatal("unknown --mc-prefetcher kind: " + v);
-            args.options.mc_prefetcher = *kind;
-        } else if (tok == "--scheduler") {
-            args.options.scheduler = parseScheduler(next());
-        } else if (tok == "--policy") {
-            args.options.fixed_policy = std::atoi(next().c_str());
-        } else if (tok == "--buffer") {
-            args.options.buffer_lines =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--slots") {
-            args.options.filter_slots =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--degree") {
-            args.options.max_degree =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--saturate") {
-            args.options.saturate_long_streams = true;
-        } else if (tok == "--ps-oracle") {
-            args.options.ps_oracle = true;
-        } else if (tok == "--vm-policy") {
-            const std::string v = next();
-            const auto policy = parseFrameAllocPolicy(v);
-            if (!policy)
-                fatal("unknown --vm-policy (use "
-                      "identity|seq|random|huge): " + v);
-            args.options.vm.enabled = true;
-            args.options.vm.policy = *policy;
-        } else if (tok == "--vm-page-bytes") {
-            args.options.vm.page_bytes = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
-        } else if (tok == "--vm-phys-mb") {
-            args.options.vm.phys_bytes =
-                static_cast<std::uint64_t>(
-                    std::atoll(next().c_str())) << 20;
-        } else if (tok == "--vm-tlb-entries") {
-            args.options.vm.tlb.entries =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--vm-tlb-ways") {
-            args.options.vm.tlb.ways =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--vm-walk-cycles") {
-            args.options.vm.tlb.walk_cycles =
-                static_cast<Cycles>(std::atoll(next().c_str()));
-        } else if (tok == "--vm-seed") {
-            args.options.vm.seed = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
-        } else if (tok == "--os") {
-            args.options.os.enabled = true;
-        } else if (tok == "--os-frames") {
-            args.options.os.frames = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
-        } else if (tok == "--os-minor-cycles") {
-            args.options.os.minor_fault_cycles =
-                static_cast<Cycles>(std::atoll(next().c_str()));
-        } else if (tok == "--os-major-cycles") {
-            args.options.os.major_fault_cycles =
-                static_cast<Cycles>(std::atoll(next().c_str()));
-        } else if (tok == "--os-major-frac") {
-            args.options.os.major_fault_frac =
-                std::atof(next().c_str());
-        } else if (tok == "--os-reclaim-cycles") {
-            args.options.os.reclaim_cycles =
-                static_cast<Cycles>(std::atoll(next().c_str()));
-        } else if (tok == "--os-writeback-cycles") {
-            args.options.os.writeback_cycles =
-                static_cast<Cycles>(std::atoll(next().c_str()));
-        } else if (tok == "--os-walker") {
-            const std::string v = next();
-            const auto walker = parsePageWalkerKind(v);
-            if (!walker)
-                fatal("unknown --os-walker (use radix|hashed): " + v);
-            args.options.vm.walker = *walker;
-        } else if (tok == "--os-probe-cycles") {
-            args.options.os.hashed_probe_cycles =
-                static_cast<Cycles>(std::atoll(next().c_str()));
-        } else if (tok == "--os-seed") {
-            args.options.os.seed = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
-        } else if (tok == "--tenants") {
-            args.options.tenants.enabled = true;
-            args.options.tenants.slots =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-            if (args.options.tenants.slots == 0)
-                fatal("--tenants expects at least one slot");
-        } else if (tok == "--tenants-zipf") {
-            args.options.tenants.zipf_s = std::atof(next().c_str());
-        } else if (tok == "--tenants-lifetime") {
-            args.options.tenants.mean_lifetime =
-                static_cast<std::uint64_t>(std::atoll(next().c_str()));
-        } else if (tok == "--tenants-seed") {
-            args.options.tenants.seed = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
-        } else if (tok == "--accesses") {
-            args.options.accesses = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
-        } else if (tok == "--smt") {
-            args.smt = true;
-        } else if (tok == "--csv") {
-            args.csv = true;
-        } else if (tok == "--json") {
-            args.json_path = next();
-        } else if (tok == "--telemetry-csv") {
-            args.telemetry_csv = next();
-            args.options.telemetry.enabled = true;
-        } else if (tok == "--telemetry-json") {
-            args.telemetry_json = next();
-            args.options.telemetry.enabled = true;
-        } else if (tok == "--telemetry-trace") {
-            args.telemetry_trace = next();
-            args.options.telemetry.enabled = true;
-        } else if (tok == "--telemetry") {
-            // Enable recording with no output sink — useful with
-            // --save-snapshot so the checkpoint carries the recorder
-            // state and a later --load-snapshot can emit the full
-            // time series.
-            args.options.telemetry.enabled = true;
-        } else if (tok == "--telemetry-max-epochs") {
-            args.options.telemetry.max_epochs =
-                static_cast<std::size_t>(std::atoll(next().c_str()));
-        } else if (tok == "--telemetry-no-slh") {
-            args.options.telemetry.capture_slh = false;
-        } else if (tok == "--tune") {
-            args.options.tuner.enabled = true;
-        } else if (tok == "--tune-horizon") {
-            args.options.tuner.shadow_horizon =
-                static_cast<Cycle>(std::atoll(next().c_str()));
-        } else if (tok == "--tune-min-epochs") {
-            args.options.tuner.min_epochs_between =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--tune-max-decisions") {
-            args.options.tuner.max_decisions =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--tune-threads") {
-            args.options.tuner.shadow_threads =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--tune-window") {
-            args.options.tuner.phase_window =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--tune-threshold") {
-            args.options.tuner.phase_threshold_milli_pct =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--tune-degrees") {
-            args.options.tuner.space.degrees =
-                parseU32List(tok, next());
-        } else if (tok == "--tune-slots") {
-            args.options.tuner.space.filter_slots =
-                parseU32List(tok, next());
-        } else if (tok == "--tune-buffers") {
-            args.options.tuner.space.buffer_lines =
-                parseU32List(tok, next());
-        } else if (tok == "--tune-epochs") {
-            args.options.tuner.space.epoch_reads =
-                parseU32List(tok, next());
-        } else if (tok == "--tune-policies") {
-            args.options.tuner.space.policies =
-                parseU32List(tok, next());
-        } else if (tok == "--tuner-csv") {
-            args.tuner_csv = next();
-        } else if (tok == "--tuner-json") {
-            args.tuner_json = next();
-        } else if (tok == "--warmup") {
-            args.options.warmup_cycles =
-                static_cast<Cycle>(std::atoll(next().c_str()));
-        } else if (tok == "--save-snapshot") {
-            const std::string v = next();
-            const std::size_t at = v.rfind('@');
-            if (at == std::string::npos || at == 0 ||
-                at + 1 >= v.size()) {
-                fatal("--save-snapshot expects PATH@CYCLE, got: " + v);
-            }
-            args.save_path = v.substr(0, at);
-            args.save_cycle = static_cast<Cycle>(
-                std::atoll(v.c_str() + at + 1));
-        } else if (tok == "--load-snapshot") {
-            args.load_path = next();
-        } else {
-            fatal("unknown argument: " + tok + " (try --help)");
-        }
-    }
+    const std::vector<CliFlag> flags = cliFlags(args);
+    parseCliOrDie(argc, argv, flags, "usage: asdsim_cli [options]\n");
     return args;
-}
-
-/**
- * Wire the mix's arrival/departure counters into the telemetry
- * recorder. Every path that builds a tenant System must do this
- * before running (or restoring), or its epoch records would disagree
- * with an uninterrupted run's.
- */
-void
-installTenantProbe(System &system, const TenantMixSource &mix)
-{
-    system.setTenantProbe([&mix]() {
-        TenantTelemetrySample sample;
-        sample.arrivals = mix.arrivals();
-        sample.departures = mix.departures();
-        return sample;
-    });
 }
 
 void
@@ -455,6 +142,90 @@ listBenchmarks()
 }
 
 /**
+ * The machine of one (non-SMT) run: a TunedRun when tuning (its "tun"
+ * snapshot section rides along), else a System over the benchmark's
+ * trace or tenant mix.
+ */
+class Machine
+{
+  public:
+    Machine(const Benchmark &bench, const RunOptions &options,
+            std::uint64_t accesses)
+    {
+        if (options.tuner.enabled) {
+            tuned_ = std::make_unique<TunedRun>(bench, options, accesses);
+            return;
+        }
+        SyntheticConfig trace_config = bench.trace;
+        trace_config.total_accesses = accesses;
+        if (options.tenants.enabled) {
+            auto mix = std::make_unique<TenantMixSource>(
+                options.tenants, trace_config, accesses);
+            mix_ = mix.get();
+            trace_ = std::move(mix);
+        } else {
+            trace_ = std::make_unique<SyntheticTraceGenerator>(trace_config);
+        }
+        system_ = std::make_unique<System>(
+            makeSystemConfig(options),
+            std::vector<TraceSource *>{trace_.get()});
+        // The tenant probe must be wired before running or restoring,
+        // or epoch records would disagree with an uninterrupted run's.
+        if (mix_)
+            system_->setTenantProbe([mix = mix_]() {
+                TenantTelemetrySample sample;
+                sample.arrivals = mix->arrivals();
+                sample.departures = mix->departures();
+                return sample;
+            });
+    }
+
+    System &system() { return tuned_ ? tuned_->system() : *system_; }
+
+    void
+    save(SnapshotWriter &w)
+    {
+        tuned_ ? tuned_->saveSnapshot(w) : system_->saveSnapshot(w);
+    }
+
+    void
+    load(SnapshotReader &r)
+    {
+        tuned_ ? tuned_->loadSnapshot(r) : system_->loadSnapshot(r);
+    }
+
+    /** Run to completion; epochs and tuner decisions go to the outs. */
+    RunMetrics
+    finish(std::vector<EpochRecord> &epochs,
+           std::vector<TunerDecision> &decisions)
+    {
+        system().runUntil(kNoCycle);
+        if (tuned_) {
+            TunedRunResult res = tuned_->result();
+            epochs = std::move(res.epochs);
+            decisions = std::move(res.decisions);
+            return res.metrics;
+        }
+        if (system_->telemetry())
+            epochs = system_->telemetry()->records();
+        RunMetrics m = system_->collectMetrics();
+        if (mix_) {
+            m.tenants_enabled = true;
+            m.tenant_arrivals = mix_->arrivals();
+            m.tenant_departures = mix_->departures();
+            m.tenant_active = mix_->activeTenants();
+        }
+        return m;
+    }
+
+  private:
+    std::unique_ptr<TunedRun> tuned_;
+    std::unique_ptr<TraceSource> trace_;
+    const TenantMixSource *mix_ = nullptr;
+    std::unique_ptr<System> system_;
+};
+
+/**
  * --save-snapshot: run to the requested cycle, write the checkpoint
  * (a "cli" metadata section followed by the machine sections), and
  * exit without printing a report. Informational output goes to
@@ -465,43 +236,12 @@ int
 saveSnapshotRun(const CliArgs &args)
 {
     const Benchmark &bench = findBenchmark(args.bench);
-    const std::uint64_t accesses =
-        scaledAccesses(bench, args.options);
-
+    const std::uint64_t accesses = scaledAccesses(bench, args.options);
     SnapshotWriter writer;
-    writer.beginSection("cli");
-    writer.str(bench.name);
-    writer.u64(accesses);
-    saveRunOptions(writer, args.options);
-    writer.endSection();
-
-    Cycle saved_at = 0;
-    if (args.options.tuner.enabled) {
-        // Tuned runs checkpoint through TunedRun so the controller
-        // state ("tun" section) rides along with the machine's.
-        TunedRun run(bench, args.options, accesses);
-        run.runUntil(args.save_cycle);
-        run.saveSnapshot(writer);
-        saved_at = run.system().nowCycle();
-    } else if (args.options.tenants.enabled) {
-        SyntheticConfig trace_config = bench.trace;
-        trace_config.total_accesses = accesses;
-        TenantMixSource mix(args.options.tenants, trace_config,
-                            accesses);
-        System system(makeSystemConfig(args.options), {&mix});
-        installTenantProbe(system, mix);
-        system.runUntil(args.save_cycle);
-        system.saveSnapshot(writer);
-        saved_at = system.nowCycle();
-    } else {
-        SyntheticConfig trace_config = bench.trace;
-        trace_config.total_accesses = accesses;
-        SyntheticTraceGenerator trace(trace_config);
-        System system(makeSystemConfig(args.options), {&trace});
-        system.runUntil(args.save_cycle);
-        system.saveSnapshot(writer);
-        saved_at = system.nowCycle();
-    }
+    saveCliSection(writer, {bench.name, accesses, args.options});
+    Machine machine(bench, args.options, accesses);
+    machine.system().runUntil(args.save_cycle);
+    machine.save(writer);
     try {
         writeSnapshotFile(args.save_path,
                           writer.finish(runConfigHash(
@@ -510,7 +250,8 @@ saveSnapshotRun(const CliArgs &args)
         fatal(std::string("snapshot save failed: ") + e.what());
     }
     std::cerr << "asdsim_cli: saved " << bench.name << " at cycle "
-              << saved_at << " to " << args.save_path << "\n";
+              << machine.system().nowCycle() << " to " << args.save_path
+              << "\n";
     return 0;
 }
 
@@ -522,75 +263,76 @@ saveSnapshotRun(const CliArgs &args)
 RunMetrics
 loadSnapshotRun(const CliArgs &args, std::string &bench_name,
                 std::vector<EpochRecord> &epochs, bool &telemetry_on,
-                std::vector<TunerDecision> &decisions,
-                bool &tuner_on)
+                std::vector<TunerDecision> &decisions, bool &tuner_on)
 {
     try {
         SnapshotReader reader(readSnapshotFile(args.load_path));
-        reader.openSection("cli");
-        bench_name = reader.str();
-        const std::uint64_t accesses = reader.u64();
-        const RunOptions options = loadRunOptions(reader);
-        reader.endSection();
+        const RunRecord run = loadCliSection(reader);
         reader.requireConfigHash(
-            runConfigHash(bench_name, accesses, options));
+            runConfigHash(run.bench, run.accesses, run.options));
         if (args.options.telemetry.enabled &&
-            !options.telemetry.enabled) {
+            !run.options.telemetry.enabled) {
             fatal("telemetry output requested but the snapshot was "
                   "taken without telemetry");
         }
-        telemetry_on = options.telemetry.enabled;
-        tuner_on = options.tuner.enabled;
-
-        const Benchmark &bench = findBenchmark(bench_name);
-        if (options.tuner.enabled) {
-            TunedRun run(bench, options, accesses);
-            run.loadSnapshot(reader);
-            std::cerr << "asdsim_cli: restored " << bench_name
-                      << " at cycle " << run.system().nowCycle()
-                      << " from " << args.load_path << "\n";
-            run.runUntil(kNoCycle);
-            const TunedRunResult res = run.result();
-            if (telemetry_on)
-                epochs = res.epochs;
-            decisions = res.decisions;
-            return res.metrics;
-        }
-
-        SyntheticConfig trace_config = bench.trace;
-        trace_config.total_accesses = accesses;
-        if (options.tenants.enabled) {
-            TenantMixSource mix(options.tenants, trace_config,
-                                accesses);
-            System system(makeSystemConfig(options), {&mix});
-            installTenantProbe(system, mix);
-            system.loadSnapshot(reader);
-            std::cerr << "asdsim_cli: restored " << bench_name
-                      << " at cycle " << system.nowCycle() << " from "
-                      << args.load_path << "\n";
-            system.runUntil(kNoCycle);
-            if (system.telemetry())
-                epochs = system.telemetry()->records();
-            RunMetrics m = system.collectMetrics();
-            m.tenants_enabled = true;
-            m.tenant_arrivals = mix.arrivals();
-            m.tenant_departures = mix.departures();
-            m.tenant_active = mix.activeTenants();
-            return m;
-        }
-        SyntheticTraceGenerator trace(trace_config);
-        System system(makeSystemConfig(options), {&trace});
-        system.loadSnapshot(reader);
-        std::cerr << "asdsim_cli: restored " << bench_name
-                  << " at cycle " << system.nowCycle() << " from "
+        bench_name = run.bench;
+        telemetry_on = run.options.telemetry.enabled;
+        tuner_on = run.options.tuner.enabled;
+        Machine machine(findBenchmark(run.bench), run.options,
+                        run.accesses);
+        machine.load(reader);
+        std::cerr << "asdsim_cli: restored " << run.bench << " at cycle "
+                  << machine.system().nowCycle() << " from "
                   << args.load_path << "\n";
-        system.runUntil(kNoCycle);
-        if (system.telemetry())
-            epochs = system.telemetry()->records();
-        return system.collectMetrics();
+        return machine.finish(epochs, decisions);
     } catch (const SnapshotError &e) {
         fatal(std::string("snapshot load failed: ") + e.what());
     }
+}
+
+/** The report rows: name and value, as the table and CSV print them. */
+std::vector<std::pair<std::string, std::string>>
+reportRows(const std::string &bench_name, const RunMetrics &m)
+{
+    const auto n = [](std::uint64_t v) { return std::to_string(v); };
+    std::vector<std::pair<std::string, std::string>> rows = {
+        {"benchmark", bench_name},
+        {"cycles", n(m.cycles)},
+        {"accesses", n(m.accesses)},
+        {"dram_watts", Table::num(m.dram_watts, 3)},
+        {"dram_energy_mj", Table::num(m.dram_energy_mj, 3)},
+        {"coverage_pct", Table::num(m.coverage_pct, 2)},
+        {"useful_prefetch_pct", Table::num(m.useful_prefetch_pct, 2)},
+        {"delayed_regular_pct", Table::num(m.delayed_regular_pct, 2)},
+        {"ms_prefetches_issued", n(m.ms_prefetches_issued)},
+        {"mc_reads", n(m.mc_reads)},
+        {"mc_writes", n(m.mc_writes)},
+    };
+    const auto add = [&rows](
+                         std::vector<std::pair<std::string, std::string>>
+                             more) {
+        rows.insert(rows.end(), more.begin(), more.end());
+    };
+    if (m.vm_enabled)
+        add({{"tlb_hits", n(m.tlb_hits)},
+             {"tlb_misses", n(m.tlb_misses)},
+             {"page_walk_cycles", n(m.page_walk_cycles)},
+             {"pages_mapped", n(m.pages_mapped)}});
+    if (m.os_enabled)
+        add({{"tlb_hits", n(m.tlb_hits)},
+             {"tlb_misses", n(m.tlb_misses)},
+             {"os_minor_faults", n(m.os_minor_faults)},
+             {"os_major_faults", n(m.os_major_faults)},
+             {"os_reclaims", n(m.os_reclaims)},
+             {"os_writebacks", n(m.os_writebacks)},
+             {"os_shootdowns", n(m.os_shootdowns)},
+             {"os_stall_cycles", n(m.os_stall_cycles)},
+             {"os_resident_pages", n(m.os_resident_pages)}});
+    if (m.tenants_enabled)
+        add({{"tenant_active", n(m.tenant_active)},
+             {"tenant_arrivals", n(m.tenant_arrivals)},
+             {"tenant_departures", n(m.tenant_departures)}});
+    return rows;
 }
 
 } // namespace
@@ -604,30 +346,16 @@ main(int argc, char **argv)
         return 0;
     }
     if (args.list_prefetchers) {
-        // The registry is the single source of truth for what can be
-        // fielded; anything listed here works as --mc-prefetcher
-        // (mem-side) or --ps (cpu-side, without the "ps-" prefix).
-        for (const PrefetcherInfo &info :
-             PrefetcherRegistry::instance().all()) {
-            std::printf("%-12s %-9s %s\n", info.name.c_str(),
-                        toString(info.side).c_str(),
-                        info.description.c_str());
-        }
+        // Anything listed works as --mc-prefetcher (mem-side) or --ps
+        // (cpu-side, without the "ps-" prefix).
+        PrefetcherRegistry::instance().print();
         return 0;
     }
 
-    if ((!args.save_path.empty() || !args.load_path.empty()) &&
-        args.smt) {
-        fatal("--smt cannot be combined with snapshot save/load");
-    }
-    if (args.options.tuner.enabled && args.smt)
-        fatal("--tune cannot be combined with --smt");
-    if (args.options.tenants.enabled && args.smt)
-        fatal("--tenants cannot be combined with --smt (the mix is "
-              "one interleaved trace)");
-    if (args.options.os.enabled && args.options.vm.enabled)
-        fatal("--os and --vm-policy are mutually exclusive (the OS "
-              "model replaces the VM layer's infinite allocators)");
+    const RunContext context{
+        args.smt, !args.save_path.empty() || !args.load_path.empty()};
+    if (const CliError error = validate(args.options, context))
+        fatal(*error);
     if (!args.save_path.empty() && !args.load_path.empty())
         fatal("--save-snapshot and --load-snapshot are mutually "
               "exclusive");
@@ -643,19 +371,14 @@ main(int argc, char **argv)
     if (!args.load_path.empty()) {
         m = loadSnapshotRun(args, bench_name, epochs, telemetry_on,
                             decisions, tuner_on);
-    } else if (args.options.tuner.enabled) {
+    } else if (args.smt) {
         const Benchmark &bench = findBenchmark(args.bench);
-        TunedRun run(bench, args.options);
-        const TunedRunResult res = run.run();
-        m = res.metrics;
-        if (telemetry_on)
-            epochs = res.epochs;
-        decisions = res.decisions;
+        m = runSmtPair(bench, bench, args.options, &epochs);
     } else {
         const Benchmark &bench = findBenchmark(args.bench);
-        m = args.smt
-                ? runSmtPair(bench, bench, args.options, &epochs)
-                : runBenchmark(bench, args.options, &epochs);
+        Machine machine(bench, args.options,
+                        scaledAccesses(bench, args.options));
+        m = machine.finish(epochs, decisions);
     }
 
     if (tuner_on) {
@@ -686,84 +409,16 @@ main(int argc, char **argv)
         out << toJson(m) << "\n";
     }
 
+    const auto rows = reportRows(bench_name, m);
     if (args.csv) {
-        std::cout << bench_name << "," << m.cycles << ","
-                  << m.accesses << "," << Table::num(m.dram_watts, 3)
-                  << "," << Table::num(m.dram_energy_mj, 3) << ","
-                  << Table::num(m.coverage_pct, 2) << ","
-                  << Table::num(m.useful_prefetch_pct, 2) << ","
-                  << Table::num(m.delayed_regular_pct, 2) << ","
-                  << m.ms_prefetches_issued << "," << m.mc_reads << ","
-                  << m.mc_writes;
-        if (m.vm_enabled) {
-            std::cout << "," << m.tlb_hits << "," << m.tlb_misses
-                      << "," << m.page_walk_cycles << ","
-                      << m.pages_mapped;
-        }
-        if (m.os_enabled) {
-            std::cout << "," << m.tlb_hits << "," << m.tlb_misses
-                      << "," << m.os_minor_faults << ","
-                      << m.os_major_faults << "," << m.os_reclaims
-                      << "," << m.os_writebacks << ","
-                      << m.os_shootdowns << "," << m.os_stall_cycles
-                      << "," << m.os_resident_pages;
-        }
-        if (m.tenants_enabled) {
-            std::cout << "," << m.tenant_active << ","
-                      << m.tenant_arrivals << ","
-                      << m.tenant_departures;
-        }
+        for (std::size_t i = 0; i < rows.size(); ++i)
+            std::cout << (i ? "," : "") << rows[i].second;
         std::cout << "\n";
         return 0;
     }
-
     Table table({"metric", "value"});
-    table.addRow({"benchmark", bench_name});
-    table.addRow({"cycles", std::to_string(m.cycles)});
-    table.addRow({"accesses", std::to_string(m.accesses)});
-    table.addRow({"dram_watts", Table::num(m.dram_watts, 3)});
-    table.addRow({"dram_energy_mj", Table::num(m.dram_energy_mj, 3)});
-    table.addRow({"coverage_pct", Table::num(m.coverage_pct, 2)});
-    table.addRow(
-        {"useful_prefetch_pct", Table::num(m.useful_prefetch_pct, 2)});
-    table.addRow({"delayed_regular_pct",
-                  Table::num(m.delayed_regular_pct, 2)});
-    table.addRow({"ms_prefetches_issued",
-                  std::to_string(m.ms_prefetches_issued)});
-    table.addRow({"mc_reads", std::to_string(m.mc_reads)});
-    table.addRow({"mc_writes", std::to_string(m.mc_writes)});
-    if (m.vm_enabled) {
-        table.addRow({"tlb_hits", std::to_string(m.tlb_hits)});
-        table.addRow({"tlb_misses", std::to_string(m.tlb_misses)});
-        table.addRow({"page_walk_cycles",
-                      std::to_string(m.page_walk_cycles)});
-        table.addRow({"pages_mapped", std::to_string(m.pages_mapped)});
-    }
-    if (m.os_enabled) {
-        table.addRow({"tlb_hits", std::to_string(m.tlb_hits)});
-        table.addRow({"tlb_misses", std::to_string(m.tlb_misses)});
-        table.addRow(
-            {"os_minor_faults", std::to_string(m.os_minor_faults)});
-        table.addRow(
-            {"os_major_faults", std::to_string(m.os_major_faults)});
-        table.addRow({"os_reclaims", std::to_string(m.os_reclaims)});
-        table.addRow(
-            {"os_writebacks", std::to_string(m.os_writebacks)});
-        table.addRow(
-            {"os_shootdowns", std::to_string(m.os_shootdowns)});
-        table.addRow(
-            {"os_stall_cycles", std::to_string(m.os_stall_cycles)});
-        table.addRow({"os_resident_pages",
-                      std::to_string(m.os_resident_pages)});
-    }
-    if (m.tenants_enabled) {
-        table.addRow(
-            {"tenant_active", std::to_string(m.tenant_active)});
-        table.addRow(
-            {"tenant_arrivals", std::to_string(m.tenant_arrivals)});
-        table.addRow({"tenant_departures",
-                      std::to_string(m.tenant_departures)});
-    }
+    for (const auto &[name, value] : rows)
+        table.addRow({name, value});
     table.print(std::cout);
     return 0;
 }

@@ -11,7 +11,8 @@
  *            [--bench NAME]...
  *            [--modes NP,PS,MS,PMS] [--prefetchers asd,nextline,...]
  *            [--buffer-lines 8,16,32] [--filter-slots 4,8,16]
- *            [--degrees 1,2] [--accesses N] [--seed N]
+ *            [--degrees 1,2] [--vm-policies ...] [--os-frames ...]
+ *            [--tenants ...] [--tune] [--accesses N] [--seed N]
  *            [--threads N] [--timeout-ms N]
  *            [--warm-start CYCLES] [--snapshot-dir DIR] [--resume]
  *            [--out DIR] [--csv] [--quiet]
@@ -27,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/log.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/sweep_runner.hpp"
@@ -44,28 +46,13 @@ struct CliConfig
 {
     std::vector<std::string> suites;
     std::vector<std::string> bench_names;
-    std::vector<PrefetchMode> modes;
-    std::vector<McPrefetcherKind> prefetchers;
-    std::vector<std::uint32_t> buffer_lines;
-    std::vector<std::uint32_t> filter_slots;
-    std::vector<std::uint32_t> degrees;
 
-    /** VM axis: nullopt = VM off for that grid point. */
-    std::vector<std::optional<FrameAllocPolicy>> vm_policies;
-    std::vector<std::uint64_t> vm_page_bytes;
-
-    /** OS axis: nullopt = OS model off, value = frame-pool size. */
-    std::vector<std::optional<std::uint64_t>> os_frames;
-
-    /** Walker axis; only expanded for OS-enabled grid points. */
-    std::vector<PageWalkerKind> os_walkers;
-
-    /** Tenant axis: nullopt = single tenant, value = mix slots. */
-    std::vector<std::optional<std::uint32_t>> tenant_slots;
+    /** Grid axes declared by the RunOptions field table. */
+    std::vector<SweepAxis> axes = sweepAxes();
     std::optional<std::uint64_t> accesses;
     std::optional<std::uint64_t> seed;
     unsigned threads = 0;
-    double timeout_ms = 0.0;
+    std::uint64_t timeout_ms = 0;
 
     /** Warm-up cycles per job; > 0 enables warm-start sharing. */
     std::uint64_t warm_start_cycles = 0;
@@ -80,272 +67,64 @@ struct CliConfig
     bool csv = false;
     bool quiet = false;
     bool telemetry = false;
-
-    /** Tuner axis: also field a phase-adaptive variant of every
-        eligible (ASD, MS/PMS) grid point. */
-    bool tune = false;
 };
-
-void
-usage()
-{
-    std::cout
-        << "usage: asdsweep [options]\n"
-           "  --suite NAME        spec|nas|commercial|detailed|all "
-           "(repeatable; default detailed)\n"
-           "  --bench NAME        single benchmark (repeatable)\n"
-           "  --modes LIST        comma list of NP,PS,MS,PMS "
-           "(default all four)\n"
-           "  --prefetchers LIST  asd,nextline,p5,ghb,stride "
-           "(default asd)\n"
-           "  --buffer-lines LIST Prefetch Buffer sizes "
-           "(default 16)\n"
-           "  --filter-slots LIST Stream Filter sizes (default 8)\n"
-           "  --degrees LIST      max prefetch degrees (default 1)\n"
-           "  --vm-policies LIST  off,identity,seq,random,huge "
-           "(default off)\n"
-           "  --vm-page-bytes LIST\n"
-           "                      base page sizes (default 4096; "
-           "ignored for off/huge)\n"
-           "  --os-frames LIST    off or frame-pool sizes; a size "
-           "enables the OS\n"
-           "                      memory model for that grid point "
-           "(default off)\n"
-           "  --os-walkers LIST   radix,hashed page-table walkers "
-           "(default radix;\n"
-           "                      expanded only for OS-enabled "
-           "points)\n"
-           "  --tenants LIST      off or tenant-mix slot counts "
-           "(default off)\n"
-           "  --accesses N        per-benchmark trace-length "
-           "override\n"
-           "  --seed N            trace-seed override for every job\n"
-           "  --threads N         worker threads (default "
-           "$ASD_SWEEP_THREADS or hardware)\n"
-           "  --timeout-ms N      soft per-job wall-clock limit\n"
-           "  --warm-start CYCLES warm every job up for CYCLES with "
-           "the memory\n"
-           "                      side disarmed; jobs sharing a "
-           "warm-up simulate\n"
-           "                      it once and fork the snapshot "
-           "(results stay\n"
-           "                      byte-identical to cold starts)\n"
-           "  --snapshot-dir DIR  persist warm-up snapshots to DIR "
-           "and reuse\n"
-           "                      them across sweeps (default: "
-           "in-memory only)\n"
-           "  --resume            skip jobs whose <out> record "
-           "already exists,\n"
-           "                      parses, and reports status ok\n"
-           "  --out DIR           result directory "
-           "(default results/sweep)\n"
-           "  --csv               also write <out>/sweep.csv\n"
-           "  --telemetry         per-epoch telemetry per job under\n"
-           "                      <out>/telemetry/ (ASD jobs only)\n"
-           "  --tune              also run a phase-adaptive tuner "
-           "variant of\n"
-           "                      every ASD MS/PMS grid point "
-           "(job id +.tune)\n"
-           "  --quiet             no progress line\n";
-}
-
-std::vector<std::string>
-splitCommas(const std::string &text)
-{
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (start <= text.size()) {
-        const std::size_t comma = text.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? text.size() : comma;
-        if (end > start)
-            parts.push_back(text.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return parts;
-}
-
-std::uint64_t
-parseU64(const std::string &text, const std::string &flag)
-{
-    try {
-        std::size_t pos = 0;
-        const unsigned long long v = std::stoull(text, &pos);
-        if (pos != text.size())
-            throw std::invalid_argument(text);
-        return v;
-    } catch (const std::exception &) {
-        fatal("invalid value for " + flag + ": " + text);
-    }
-}
-
-std::vector<std::uint32_t>
-parseU32List(const std::string &text, const std::string &flag)
-{
-    std::vector<std::uint32_t> values;
-    for (const std::string &part : splitCommas(text)) {
-        const std::uint64_t v = parseU64(part, flag);
-        if (v == 0 || v > 1u << 20)
-            fatal("out-of-range value for " + flag + ": " + part);
-        values.push_back(static_cast<std::uint32_t>(v));
-    }
-    if (values.empty())
-        fatal("empty list for " + flag);
-    return values;
-}
 
 CliConfig
 parseArgs(int argc, char **argv)
 {
     CliConfig cli;
-    const auto next = [&](int &i, const std::string &flag) {
-        if (i + 1 >= argc)
-            fatal("missing value for " + flag);
-        return std::string(argv[++i]);
+    std::vector<CliFlag> flags = {
+        {"--suite", "NAME",
+         "spec|nas|commercial|detailed|all (repeatable; default "
+         "detailed)",
+         [&cli](const std::string &name) {
+             cli.suites.push_back(name);
+             return std::nullopt;
+         }},
+        {"--bench", "NAME", "single benchmark (repeatable)",
+         [&cli](const std::string &name) {
+             cli.bench_names.push_back(name);
+             return std::nullopt;
+         }},
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            std::exit(0);
-        } else if (arg == "--suite") {
-            cli.suites.push_back(next(i, arg));
-        } else if (arg == "--bench") {
-            cli.bench_names.push_back(next(i, arg));
-        } else if (arg == "--modes") {
-            for (const std::string &m : splitCommas(next(i, arg))) {
-                const auto mode = parsePrefetchMode(m);
-                if (!mode)
-                    fatal("unknown mode (use NP|PS|MS|PMS): " + m);
-                cli.modes.push_back(*mode);
-            }
-        } else if (arg == "--prefetchers") {
-            for (const std::string &p : splitCommas(next(i, arg))) {
-                const auto kind = parseMcPrefetcherKind(p);
-                if (!kind)
-                    fatal("unknown prefetcher kind: " + p);
-                cli.prefetchers.push_back(*kind);
-            }
-        } else if (arg == "--buffer-lines") {
-            cli.buffer_lines = parseU32List(next(i, arg), arg);
-        } else if (arg == "--filter-slots") {
-            cli.filter_slots = parseU32List(next(i, arg), arg);
-        } else if (arg == "--degrees") {
-            cli.degrees = parseU32List(next(i, arg), arg);
-        } else if (arg == "--vm-policies") {
-            for (const std::string &p : splitCommas(next(i, arg))) {
-                if (p == "off") {
-                    cli.vm_policies.push_back(std::nullopt);
-                    continue;
-                }
-                const auto policy = parseFrameAllocPolicy(p);
-                if (!policy)
-                    fatal("unknown VM policy (use "
-                          "off|identity|seq|random|huge): " + p);
-                cli.vm_policies.push_back(*policy);
-            }
-        } else if (arg == "--vm-page-bytes") {
-            for (const std::string &p :
-                 splitCommas(next(i, arg))) {
-                const std::uint64_t v = parseU64(p, arg);
-                if (v < 128 || v > (1ULL << 30))
-                    fatal("out-of-range value for " + arg + ": " + p);
-                cli.vm_page_bytes.push_back(v);
-            }
-            if (cli.vm_page_bytes.empty())
-                fatal("empty list for " + arg);
-        } else if (arg == "--os-frames") {
-            for (const std::string &p : splitCommas(next(i, arg))) {
-                if (p == "off") {
-                    cli.os_frames.push_back(std::nullopt);
-                    continue;
-                }
-                const std::uint64_t v = parseU64(p, arg);
-                if (v == 0 || v > (1ULL << 32))
-                    fatal("out-of-range value for " + arg + ": " + p);
-                cli.os_frames.push_back(v);
-            }
-            if (cli.os_frames.empty())
-                fatal("empty list for " + arg);
-        } else if (arg == "--os-walkers") {
-            for (const std::string &p : splitCommas(next(i, arg))) {
-                const auto walker = parsePageWalkerKind(p);
-                if (!walker)
-                    fatal("unknown walker (use radix|hashed): " + p);
-                cli.os_walkers.push_back(*walker);
-            }
-            if (cli.os_walkers.empty())
-                fatal("empty list for " + arg);
-        } else if (arg == "--tenants") {
-            for (const std::string &p : splitCommas(next(i, arg))) {
-                if (p == "off") {
-                    cli.tenant_slots.push_back(std::nullopt);
-                    continue;
-                }
-                const std::uint64_t v = parseU64(p, arg);
-                if (v == 0 || v > 1024)
-                    fatal("out-of-range value for " + arg + ": " + p);
-                cli.tenant_slots.push_back(
-                    static_cast<std::uint32_t>(v));
-            }
-            if (cli.tenant_slots.empty())
-                fatal("empty list for " + arg);
-        } else if (arg == "--accesses") {
-            cli.accesses = parseU64(next(i, arg), arg);
-        } else if (arg == "--seed") {
-            cli.seed = parseU64(next(i, arg), arg);
-        } else if (arg == "--threads") {
-            cli.threads =
-                static_cast<unsigned>(parseU64(next(i, arg), arg));
-        } else if (arg == "--timeout-ms") {
-            cli.timeout_ms =
-                static_cast<double>(parseU64(next(i, arg), arg));
-        } else if (arg == "--warm-start") {
-            cli.warm_start_cycles = parseU64(next(i, arg), arg);
-            if (cli.warm_start_cycles == 0)
-                fatal("--warm-start needs a positive cycle count");
-        } else if (arg == "--snapshot-dir") {
-            cli.snapshot_dir = next(i, arg);
-        } else if (arg == "--resume") {
-            cli.resume = true;
-        } else if (arg == "--out") {
-            cli.out_dir = next(i, arg);
-        } else if (arg == "--csv") {
-            cli.csv = true;
-        } else if (arg == "--telemetry") {
-            cli.telemetry = true;
-        } else if (arg == "--tune") {
-            cli.tune = true;
-        } else if (arg == "--quiet") {
-            cli.quiet = true;
-        } else {
-            usage();
-            fatal("unknown argument: " + arg);
-        }
-    }
-    if (cli.modes.empty())
-        cli.modes = {PrefetchMode::NP, PrefetchMode::PS,
-                     PrefetchMode::MS, PrefetchMode::PMS};
-    if (cli.prefetchers.empty())
-        cli.prefetchers = {McPrefetcherKind::Asd};
-    if (cli.buffer_lines.empty())
-        cli.buffer_lines = {16};
-    if (cli.filter_slots.empty())
-        cli.filter_slots = {8};
-    if (cli.degrees.empty())
-        cli.degrees = {1};
-    if (cli.vm_policies.empty())
-        cli.vm_policies = {std::nullopt};
-    if (cli.vm_page_bytes.empty())
-        cli.vm_page_bytes = {4096};
-    if (cli.os_frames.empty())
-        cli.os_frames = {std::nullopt};
-    if (cli.os_walkers.empty())
-        cli.os_walkers = {PageWalkerKind::Radix};
-    if (cli.tenant_slots.empty())
-        cli.tenant_slots = {std::nullopt};
+    for (CliFlag &flag : sweepAxisFlags(cli.axes))
+        flags.push_back(std::move(flag));
+    const std::vector<CliFlag> own = {
+        numberFlag("--accesses", "per-benchmark trace-length override",
+                   cli.accesses),
+        numberFlag("--seed", "trace-seed override for every job",
+                   cli.seed),
+        numberFlag("--threads",
+                   "worker threads (default $ASD_SWEEP_THREADS or "
+                   "hardware)",
+                   cli.threads, 0u, 4096u),
+        numberFlag("--timeout-ms", "soft per-job wall-clock limit",
+                   cli.timeout_ms),
+        numberFlag("--warm-start",
+                   "warm every job up for N cycles with the memory side "
+                   "disarmed; jobs sharing a warm-up simulate it once "
+                   "and fork the snapshot (results stay byte-identical "
+                   "to cold starts)",
+                   cli.warm_start_cycles, std::uint64_t{1}),
+        textFlag("--snapshot-dir", "DIR",
+                 "persist warm-up snapshots to DIR and reuse them across "
+                 "sweeps (default: in-memory only)",
+                 cli.snapshot_dir),
+        switchFlag("--resume",
+                   "skip jobs whose <out> record already exists, parses, "
+                   "and reports status ok",
+                   cli.resume),
+        textFlag("--out", "DIR", "result directory (default results/sweep)",
+                 cli.out_dir),
+        switchFlag("--csv", "also write <out>/sweep.csv", cli.csv),
+        switchFlag("--telemetry",
+                   "per-epoch telemetry per job under <out>/telemetry/ "
+                   "(ASD jobs only)",
+                   cli.telemetry),
+        switchFlag("--quiet", "no progress line", cli.quiet),
+    };
+    flags.insert(flags.end(), own.begin(), own.end());
+    parseCliOrDie(argc, argv, flags, "usage: asdsweep [options]\n");
     if (cli.suites.empty() && cli.bench_names.empty())
         cli.suites = {"detailed"};
     return cli;
@@ -385,12 +164,13 @@ selectBenchmarks(const CliConfig &cli)
 }
 
 /**
- * Give @p job a custom body that mirrors the default one (seed
- * override + runBenchmark) but also captures the per-epoch telemetry
- * and writes it as <out>/telemetry/<id>.csv and <id>.trace.json.
+ * Give @p job a body that mirrors the default one (seed override +
+ * runBenchmark), routes tuned jobs through TunedRun (runBenchmark
+ * ignores options.tuner), and with telemetry writes the per-epoch
+ * series as <out>/telemetry/<id>.csv and <id>.trace.json.
  */
 void
-attachTelemetryBody(JobSpec &job, const std::string &out_dir)
+attachBody(JobSpec &job, const std::string &out_dir)
 {
     const std::string stem = out_dir + "/telemetry/" + job.id;
     job.body = [stem](const JobSpec &spec) {
@@ -398,168 +178,49 @@ attachTelemetryBody(JobSpec &job, const std::string &out_dir)
         if (spec.seed)
             bench.trace.seed = *spec.seed;
         std::vector<EpochRecord> epochs;
-        const RunMetrics metrics =
-            runBenchmark(bench, spec.options, &epochs);
-        saveTelemetryCsv(epochs, stem + ".csv");
-        saveTelemetryChromeTrace(epochs, stem + ".trace.json");
+        RunMetrics metrics;
+        if (spec.options.tuner.enabled) {
+            TunedRunResult result = TunedRun(bench, spec.options).run();
+            metrics = result.metrics;
+            epochs = std::move(result.epochs);
+        } else {
+            metrics = runBenchmark(bench, spec.options, &epochs);
+        }
+        if (spec.options.telemetry.enabled) {
+            saveTelemetryCsv(epochs, stem + ".csv");
+            saveTelemetryChromeTrace(epochs, stem + ".trace.json");
+        }
         return metrics;
     };
 }
 
 /**
- * Give @p job a body that routes through TunedRun (runBenchmark
- * ignores options.tuner) and, when telemetry was also requested,
- * writes the tuned run's epochs the same way attachTelemetryBody
- * does for fixed-config jobs.
+ * Every benchmark times the product of the declared axes (see
+ * expandGrid: page sizes only vary for base-page VM points, walkers
+ * only for OS points, invalid points such as OS+VM or a tuned non-ASD
+ * job are skipped).
  */
-void
-attachTunerBody(JobSpec &job, const std::string &out_dir)
-{
-    const bool telemetry = job.options.telemetry.enabled;
-    const std::string stem = out_dir + "/telemetry/" + job.id;
-    job.body = [stem, telemetry](const JobSpec &spec) {
-        Benchmark bench = spec.bench;
-        if (spec.seed)
-            bench.trace.seed = *spec.seed;
-        TunedRun run(bench, spec.options);
-        const TunedRunResult result = run.run();
-        if (telemetry) {
-            saveTelemetryCsv(result.epochs, stem + ".csv");
-            saveTelemetryChromeTrace(result.epochs,
-                                     stem + ".trace.json");
-        }
-        return result.metrics;
-    };
-}
-
 std::vector<JobSpec>
 buildJobs(const CliConfig &cli)
 {
+    RunOptions base;
+    base.accesses = cli.accesses;
+    base.warmup_cycles = cli.warm_start_cycles;
+    const std::vector<RunOptions> grid = expandGrid(base, cli.axes);
+
     std::vector<JobSpec> jobs;
     for (const Benchmark &bench : selectBenchmarks(cli)) {
-        for (const PrefetchMode mode : cli.modes) {
-            for (const McPrefetcherKind kind : cli.prefetchers) {
-                for (const std::uint32_t pb : cli.buffer_lines) {
-                    for (const std::uint32_t sf : cli.filter_slots) {
-                        for (const std::uint32_t d : cli.degrees) {
-                            for (const auto &vm : cli.vm_policies) {
-                                // Page size only matters for enabled
-                                // base-page policies; collapse the
-                                // axis otherwise to avoid duplicate
-                                // jobs.
-                                const bool vary_pages =
-                                    vm && *vm !=
-                                              FrameAllocPolicy::
-                                                  HugePage;
-                                const std::size_t n_pages =
-                                    vary_pages
-                                        ? cli.vm_page_bytes.size()
-                                        : 1;
-                                for (std::size_t pi = 0;
-                                     pi < n_pages; ++pi) {
-                                  for (const auto &os :
-                                       cli.os_frames) {
-                                    // The OS model replaces the VM
-                                    // layer's allocators; skip the
-                                    // contradictory grid points.
-                                    if (os && vm)
-                                        continue;
-                                    // Walkers only differentiate
-                                    // OS-enabled machines; collapse
-                                    // the axis otherwise.
-                                    const std::size_t n_walkers =
-                                        os ? cli.os_walkers.size()
-                                           : 1;
-                                    for (std::size_t wi = 0;
-                                         wi < n_walkers; ++wi) {
-                                     for (const auto &tenants :
-                                          cli.tenant_slots) {
-                                    RunOptions options;
-                                    options.mode = mode;
-                                    options.mc_prefetcher = kind;
-                                    options.buffer_lines = pb;
-                                    options.filter_slots = sf;
-                                    options.max_degree = d;
-                                    options.accesses = cli.accesses;
-                                    options.warmup_cycles =
-                                        cli.warm_start_cycles;
-                                    if (vm) {
-                                        options.vm.enabled = true;
-                                        options.vm.policy = *vm;
-                                        if (vary_pages)
-                                            options.vm.page_bytes =
-                                                cli.vm_page_bytes[pi];
-                                    }
-                                    if (os) {
-                                        options.os.enabled = true;
-                                        options.os.frames = *os;
-                                        options.vm.walker =
-                                            cli.os_walkers[wi];
-                                    }
-                                    if (tenants) {
-                                        options.tenants.enabled =
-                                            true;
-                                        options.tenants.slots =
-                                            *tenants;
-                                    }
-                                    if (cli.telemetry &&
-                                        kind ==
-                                            McPrefetcherKind::Asd) {
-                                        options.telemetry.enabled =
-                                            true;
-                                    }
-                                    JobSpec job = makeJob(
-                                        bench, options, cli.seed);
-                                    if (job.options.telemetry.enabled)
-                                        attachTelemetryBody(
-                                            job, cli.out_dir);
-                                    jobs.push_back(std::move(job));
-                                    // Tuner axis: a second, tuned
-                                    // job per eligible grid point
-                                    // (the tuner requires ASD on the
-                                    // memory side).
-                                    if (cli.tune &&
-                                        kind ==
-                                            McPrefetcherKind::Asd &&
-                                        (mode == PrefetchMode::MS ||
-                                         mode ==
-                                             PrefetchMode::PMS)) {
-                                        RunOptions tuned = options;
-                                        tuned.tuner.enabled = true;
-                                        JobSpec tuned_job = makeJob(
-                                            bench, tuned, cli.seed);
-                                        attachTunerBody(tuned_job,
-                                                        cli.out_dir);
-                                        jobs.push_back(
-                                            std::move(tuned_job));
-                                    }
-                                     }
-                                    }
-                                  }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        for (RunOptions options : grid) {
+            if (cli.telemetry &&
+                options.mc_prefetcher == McPrefetcherKind::Asd)
+                options.telemetry.enabled = true;
+            JobSpec job = makeJob(bench, options, cli.seed);
+            if (options.tuner.enabled || options.telemetry.enabled)
+                attachBody(job, cli.out_dir);
+            jobs.push_back(std::move(job));
         }
     }
     return jobs;
-}
-
-void
-printProgress(const SweepProgress &p)
-{
-    std::fprintf(stderr,
-                 "\r[%zu/%zu] %5.1f%%  eta %6.1fs  last %s (%.0f ms)"
-                 "\033[K",
-                 p.done, p.total,
-                 100.0 * static_cast<double>(p.done) /
-                     static_cast<double>(p.total),
-                 p.eta_ms / 1000.0, p.last_id.c_str(),
-                 p.last_wall_ms);
-    if (p.done == p.total)
-        std::fprintf(stderr, "\n");
 }
 
 } // namespace
@@ -602,7 +263,7 @@ main(int argc, char **argv)
 
     SweepOptions sweep;
     sweep.threads = cli.threads;
-    sweep.default_timeout_ms = cli.timeout_ms;
+    sweep.default_timeout_ms = static_cast<double>(cli.timeout_ms);
     sweep.warm_start = cli.warm_start_cycles > 0;
     sweep.snapshot_dir = cli.snapshot_dir;
     sweep.sink = &tee;

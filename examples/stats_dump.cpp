@@ -25,11 +25,11 @@ main(int argc, char **argv)
 
     const std::string name = argc > 1 ? argv[1] : "GemsFDTD";
     const std::string mode_text = argc > 2 ? argv[2] : "PMS";
-    const auto mode = parsePrefetchMode(mode_text);
+    const auto mode = parseEnum<PrefetchMode>(mode_text);
     if (!mode)
         fatal("unknown mode (use NP|PS|MS|PMS): " + mode_text);
     const std::string kind_text = argc > 3 ? argv[3] : "asd";
-    const auto kind = parseMcPrefetcherKind(kind_text);
+    const auto kind = parseEnum<McPrefetcherKind>(kind_text);
     if (!kind)
         fatal("unknown prefetcher kind: " + kind_text);
 

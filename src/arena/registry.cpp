@@ -1,22 +1,12 @@
 #include "arena/registry.hpp"
 
+#include <cstdio>
+
 #include "common/log.hpp"
 #include "sim/serialize.hpp"
 
 namespace asd
 {
-
-std::string
-toString(PrefetcherSide side)
-{
-    switch (side) {
-    case PrefetcherSide::MemSide:
-        return "mem-side";
-    case PrefetcherSide::CpuSide:
-        return "cpu-side";
-    }
-    panic("unhandled PrefetcherSide");
-}
 
 namespace
 {
@@ -144,6 +134,14 @@ PrefetcherRegistry::names(PrefetcherSide side) const
             out.push_back(info.name);
     }
     return out;
+}
+
+void
+PrefetcherRegistry::print() const
+{
+    for (const PrefetcherInfo &info : entries_)
+        std::printf("%-12s %-9s %s\n", info.name.c_str(),
+                    toString(info.side).c_str(), info.description.c_str());
 }
 
 } // namespace asd

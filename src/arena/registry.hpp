@@ -12,10 +12,12 @@
  * contender everywhere.
  */
 
+#include <array>
 #include <string>
 #include <vector>
 
 #include "sim/experiment.hpp"
+#include "sim/run_options_schema.hpp"
 
 namespace asd
 {
@@ -27,7 +29,12 @@ enum class PrefetcherSide : std::uint8_t
     CpuSide, //!< lives at the cores (PS mode)
 };
 
-std::string toString(PrefetcherSide side);
+constexpr std::array<EnumName<PrefetcherSide>, 2>
+enumNames(PrefetcherSide)
+{
+    return {{{PrefetcherSide::MemSide, "mem-side"},
+             {PrefetcherSide::CpuSide, "cpu-side"}}};
+}
 
 /** One registered prefetcher. */
 struct PrefetcherInfo
@@ -68,6 +75,9 @@ class PrefetcherRegistry
 
     /** Names of one side only, in registration order. */
     std::vector<std::string> names(PrefetcherSide side) const;
+
+    /** Print "name side description", one entry per line. */
+    void print() const;
 
   private:
     PrefetcherRegistry();

@@ -77,132 +77,6 @@ checkSnapshotFieldCoverage(const DeclIndex &index,
     }
 }
 
-// --- serialize-coverage --------------------------------------------
-
-/**
- * Which record type must be covered by which serializer. The
- * param_hint picks the right overload (writeJson exists for both
- * RunOptions and RunMetrics); empty means any overload counts.
- */
-struct SerializeBinding
-{
-    std::string_view record;
-    std::string_view function;
-    std::string_view param_hint;
-};
-
-constexpr SerializeBinding kSerializeBindings[] = {
-    {"RunOptions", "writeJson", "RunOptions"},
-    {"VmConfig", "writeJson", "RunOptions"},
-    {"TlbConfig", "writeJson", "RunOptions"},
-    {"OsConfig", "writeJson", "RunOptions"},
-    {"TenantMixConfig", "writeJson", "RunOptions"},
-    {"TunerConfig", "writeJson", "RunOptions"},
-    {"TuneSpace", "writeJson", "RunOptions"},
-    {"RunMetrics", "writeJson", "RunMetrics"},
-    {"PowerReport", "writeJson", "RunMetrics"},
-    {"RunMetrics", "metricsFromJson", ""},
-    {"PowerReport", "metricsFromJson", ""},
-};
-
-bool
-isSerializeExempt(const MemberDecl &member)
-{
-    return member.is_static || member.is_const ||
-           member.typeMentions("function");
-}
-
-void
-checkSerializeCoverage(const DeclIndex &index,
-                       std::vector<Diagnostic> &out)
-{
-    for (const SerializeBinding &binding : kSerializeBindings) {
-        const ClassDecl *cls = index.findClass(binding.record);
-        if (!cls)
-            continue; // record not in this tree (fixture corpora)
-        std::vector<const FunctionDecl *> fns;
-        for (const FunctionDecl *fn :
-             index.findFunctions(binding.function)) {
-            if (binding.param_hint.empty() ||
-                fn->paramsMention(binding.param_hint))
-                fns.push_back(fn);
-        }
-        if (fns.empty()) {
-            out.push_back(
-                {cls->file, cls->line, "serialize-coverage",
-                 Severity::Error,
-                 "record '" + cls->name + "' has no '" +
-                     std::string(binding.function) +
-                     "' counterpart (stale binding or missing "
-                     "serializer); update the serializer or the "
-                     "binding table in lint/semantic_rules.cpp",
-                 cls->name});
-            continue;
-        }
-        std::set<std::string> referenced;
-        for (const FunctionDecl *fn : fns)
-            for (const std::string &id : identifiersIn(fn->body))
-                referenced.insert(id);
-        for (const MemberDecl &member : cls->members) {
-            if (isSerializeExempt(member))
-                continue;
-            if (referenced.count(member.name))
-                continue;
-            out.push_back(
-                {cls->file, member.line, "serialize-coverage",
-                 Severity::Error,
-                 "field '" + member.name + "' of '" + cls->name +
-                     "' never appears in '" +
-                     std::string(binding.function) +
-                     "'; serialize it or mark it "
-                     "asdlint:allow(serialize-coverage) with a "
-                     "reason",
-                 cls->name + "::" + member.name});
-        }
-    }
-}
-
-// --- jobid-plumbing ------------------------------------------------
-
-void
-checkJobidPlumbing(const DeclIndex &index,
-                   std::vector<Diagnostic> &out)
-{
-    const ClassDecl *cls = index.findClass("RunOptions");
-    if (!cls)
-        return;
-    std::set<std::string> serialized;
-    for (const FunctionDecl *fn : index.findFunctions("writeJson"))
-        if (fn->paramsMention("RunOptions"))
-            for (const std::string &id : identifiersIn(fn->body))
-                serialized.insert(id);
-    std::set<std::string> in_job_id;
-    bool have_job_id = false;
-    for (const FunctionDecl *fn : index.findFunctions("makeJobId")) {
-        have_job_id = true;
-        for (const std::string &id : identifiersIn(fn->body))
-            in_job_id.insert(id);
-    }
-    if (!have_job_id || serialized.empty())
-        return; // no job store in this tree
-    for (const MemberDecl &member : cls->members) {
-        if (member.is_static || member.is_const)
-            continue;
-        if (!serialized.count(member.name))
-            continue; // not a serialized knob (flagged elsewhere)
-        if (in_job_id.count(member.name))
-            continue;
-        out.push_back(
-            {cls->file, member.line, "jobid-plumbing",
-             Severity::Error,
-             "RunOptions knob '" + member.name +
-                 "' is serialized by writeJson but missing from "
-                 "makeJobId; two sweeps differing only in this knob "
-                 "would collide in the job store",
-             "RunOptions::" + member.name});
-    }
-}
-
 // --- wall-clock-and-env --------------------------------------------
 
 /** Layers whose results must be a pure function of config + seed. */
@@ -540,12 +414,6 @@ semanticRuleRegistry()
         {"allow-missing-reason", Severity::Error,
          "semantic-rule suppressions must carry a justification",
          checkAllowMissingReason},
-        {"jobid-plumbing", Severity::Error,
-         "every serialized RunOptions knob must reach makeJobId",
-         checkJobidPlumbing},
-        {"serialize-coverage", Severity::Error,
-         "record fields must appear in their JSON (de)serializers",
-         checkSerializeCoverage},
         {"snapshot-field-coverage", Severity::Error,
          "Snapshottable members must be saved and restored "
          "symmetrically",

@@ -15,12 +15,6 @@
  *                            const/reference/raw-pointer/config/
  *                            callback members are re-derived, never
  *                            snapshotted)
- *   serialize-coverage       fields of RunOptions/RunMetrics/config
- *                            records must appear in their writeJson /
- *                            metricsFromJson counterparts
- *   jobid-plumbing           every RunOptions knob that writeJson
- *                            serializes must reach makeJobId, or two
- *                            configurations collide in the job store
  *   wall-clock-and-env       no wall-clock reads or getenv in the
  *                            deterministic layers (sim, core,
  *                            prefetch, tuner, arena)

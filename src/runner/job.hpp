@@ -10,6 +10,7 @@
  * produce results identical to a serial loop.
  */
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -17,6 +18,7 @@
 
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
+#include "sim/run_options_schema.hpp"
 #include "workloads/profiles.hpp"
 
 namespace asd
@@ -61,7 +63,13 @@ enum class JobStatus : std::uint8_t
     TimedOut, //!< completed but exceeded timeout_ms
 };
 
-std::string toString(JobStatus status);
+constexpr std::array<EnumName<JobStatus>, 3>
+enumNames(JobStatus)
+{
+    return {{{JobStatus::Ok, "ok"},
+             {JobStatus::Failed, "failed"},
+             {JobStatus::TimedOut, "timed_out"}}};
+}
 
 /** Structured outcome of one job. */
 struct JobResult
@@ -84,9 +92,9 @@ struct JobResult
 
 /**
  * Derive a stable job id from the fields experiments vary:
- * "<bench>.<mode>.<mc_prefetcher>.pb16_sf8_d1" plus suffixes for
- * non-default knobs (fixed policy, saturation, oracle, access
- * override, seed override).
+ * "<bench>.<mode>.<mc_prefetcher>.pb16_sf8_d1" plus the fragments the
+ * RunOptions field table declares for non-default knobs, then the
+ * seed override.
  */
 std::string makeJobId(const Benchmark &bench, const RunOptions &options,
                       std::optional<std::uint64_t> seed = std::nullopt);

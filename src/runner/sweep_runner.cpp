@@ -1,6 +1,7 @@
 #include "runner/sweep_runner.hpp"
 
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -102,6 +103,21 @@ SweepRunner::run(const std::vector<JobSpec> &jobs_in)
     if (options_.sink)
         options_.sink->finish(summary_);
     return results;
+}
+
+void
+printProgress(const SweepProgress &p)
+{
+    std::fprintf(stderr,
+                 "\r[%zu/%zu] %5.1f%%  eta %6.1fs  last %s (%.0f ms)"
+                 "\033[K",
+                 p.done, p.total,
+                 100.0 * static_cast<double>(p.done) /
+                     static_cast<double>(p.total),
+                 p.eta_ms / 1000.0, p.last_id.c_str(),
+                 p.last_wall_ms);
+    if (p.done == p.total)
+        std::fprintf(stderr, "\n");
 }
 
 } // namespace asd

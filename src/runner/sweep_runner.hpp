@@ -40,6 +40,9 @@ struct SweepProgress
     double eta_ms = 0.0;
 };
 
+/** The CLIs' one-line progress display on stderr. */
+void printProgress(const SweepProgress &p);
+
 /** Knobs for one sweep. */
 struct SweepOptions
 {

@@ -51,42 +51,18 @@ warmupOptions(const JobSpec &job)
 std::string
 warmupKey(const JobSpec &job)
 {
+    // The machine evolves identically while the memory side is
+    // disarmed, so only processor-side presence, the resolved trace,
+    // and the fields the option table marks as shaping the warm-up
+    // join the key; two jobs share a warm-up exactly when those agree.
     const Benchmark bench = effectiveBench(job);
     const RunOptions &o = job.options;
     const bool has_ps = o.mode == PrefetchMode::PS ||
                         o.mode == PrefetchMode::PMS;
-    std::ostringstream key;
-    key << "asdwarm/v1;bench=" << bench.name
-        << ";seed=" << bench.trace.seed
-        << ";acc=" << scaledAccesses(bench, o)
-        << ";wu=" << o.warmup_cycles
-        << ";ps=" << (has_ps ? 1 : 0)
-        << ";ps_kind=" << toString(o.ps_kind)
-        << ";oracle=" << (o.ps_oracle ? 1 : 0)
-        << ";sched=" << toString(o.scheduler)
-        << ";vm=" << (o.vm.enabled ? 1 : 0);
-    if (o.vm.enabled) {
-        key << ',' << toString(o.vm.policy) << ',' << o.vm.page_bytes
-            << ',' << o.vm.huge_bytes << ',' << o.vm.phys_bytes << ','
-            << o.vm.seed << ',' << o.vm.tlb.entries << ','
-            << o.vm.tlb.ways << ',' << o.vm.tlb.walk_cycles;
-    }
-    // The OS model shapes the warm-up machine (fault stalls, frame
-    // reclaim, the snapshot's "os" section), so every OS knob joins
-    // the key; two jobs share a warm-up only when their disarmed
-    // machines are identical.
-    key << ";os=" << (o.os.enabled ? 1 : 0);
-    if (o.os.enabled) {
-        key << ',' << o.os.frames << ',' << o.os.minor_fault_cycles
-            << ',' << o.os.major_fault_cycles << ','
-            << o.os.major_fault_frac << ',' << o.os.reclaim_cycles
-            << ',' << o.os.writeback_cycles << ','
-            << o.os.hashed_probe_cycles << ',' << o.os.seed << ','
-            << toString(o.vm.walker) << ',' << o.vm.page_bytes << ','
-            << o.vm.tlb.entries << ',' << o.vm.tlb.ways << ','
-            << o.vm.tlb.walk_cycles;
-    }
-    return key.str();
+    return "asdwarm/v2;bench=" + bench.name +
+           ";seed=" + std::to_string(bench.trace.seed) +
+           ";acc=" + std::to_string(scaledAccesses(bench, o)) +
+           ";ps=" + (has_ps ? "1" : "0") + warmupFields(o);
 }
 
 bool

@@ -78,7 +78,6 @@ struct RunOptions
     TenantMixConfig tenants;
 
     /** Per-epoch telemetry recorder (off by default). */
-    // asdlint:allow(serialize-coverage): observational only; serializing it would perturb every existing options JSON and config hash
     TelemetryConfig telemetry;
 
     /** Phase-adaptive tuner (off by default => byte-identical). */

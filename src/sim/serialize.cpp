@@ -1,313 +1,178 @@
 #include "sim/serialize.hpp"
 
-#include "common/log.hpp"
+#include <functional>
+#include <type_traits>
+#include <utility>
 
 namespace asd
 {
 
-std::string
-toString(PrefetchMode mode)
+namespace
 {
-    switch (mode) {
-    case PrefetchMode::NP:
-        return "NP";
-    case PrefetchMode::PS:
-        return "PS";
-    case PrefetchMode::MS:
-        return "MS";
-    case PrefetchMode::PMS:
-        return "PMS";
+
+/** "group.key" -> {"group", "key"}; top-level keys have no group. */
+std::pair<std::string_view, std::string_view>
+splitKey(std::string_view key)
+{
+    const std::size_t dot = key.find('.');
+    if (dot == std::string_view::npos)
+        return {"", key};
+    return {key.substr(0, dot), key.substr(dot + 1)};
+}
+
+/**
+ * Writes dotted keys as one level of nested objects, opening and
+ * closing a group's object as the keys move between groups (each
+ * group's keys must be contiguous).
+ */
+class GroupedWriter
+{
+  public:
+    explicit GroupedWriter(JsonWriter &writer) : writer_(writer)
+    {
+        writer_.beginObject();
     }
-    panic("unhandled PrefetchMode");
-}
 
-std::string
-toString(McPrefetcherKind kind)
-{
-    switch (kind) {
-    case McPrefetcherKind::Asd:
-        return "asd";
-    case McPrefetcherKind::NextLine:
-        return "nextline";
-    case McPrefetcherKind::P5Style:
-        return "p5";
-    case McPrefetcherKind::Ghb:
-        return "ghb";
-    case McPrefetcherKind::Stride:
-        return "stride";
-    case McPrefetcherKind::Dspatch:
-        return "dspatch";
-    case McPrefetcherKind::Perceptron:
-        return "perceptron";
+    JsonWriter &
+    key(std::string_view dotted)
+    {
+        const auto [group, key] = splitKey(dotted);
+        if (group != open_) {
+            if (!open_.empty())
+                writer_.endObject();
+            if (!group.empty())
+                writer_.key(group).beginObject();
+            open_ = group;
+        }
+        return writer_.key(key);
     }
-    panic("unhandled McPrefetcherKind");
-}
 
-std::string
-toString(PsKind kind)
-{
-    switch (kind) {
-    case PsKind::Power5:
-        return "power5";
-    case PsKind::Asd:
-        return "asd";
+    void
+    finish()
+    {
+        if (!open_.empty())
+            writer_.endObject();
+        writer_.endObject();
     }
-    panic("unhandled PsKind");
+
+  private:
+    JsonWriter &writer_;
+    std::string_view open_;
+};
+
+/** One RunMetrics value in the metrics JSON. */
+struct MetricField
+{
+    std::string_view key; //!< dotted JSON path
+    /** Optional group: written and read only while this is set. */
+    bool RunMetrics::*present = nullptr;
+    std::function<void(JsonWriter &, const RunMetrics &)> write;
+    /** nullptr for derived values that are written but not read. */
+    std::function<bool(const JsonValue &, RunMetrics &)> read;
+};
+
+template <typename Access>
+MetricField
+metric(std::string_view key, Access access,
+       bool RunMetrics::*present = nullptr)
+{
+    using T = std::remove_cvref_t<decltype(access(
+        std::declval<RunMetrics &>()))>;
+    return {key, present,
+            [access](JsonWriter &w, const RunMetrics &m) {
+                w.value(access(m));
+            },
+            [access](const JsonValue &v, RunMetrics &m) {
+                std::optional<T> x;
+                if constexpr (std::is_same_v<T, double>)
+                    x = v.asDouble();
+                else if constexpr (std::is_same_v<T, bool>)
+                    x = v.asBool();
+                else
+                    x = v.asU64();
+                access(m) = x.value_or(T{});
+                return x.has_value();
+            }};
 }
 
-std::string
-toString(SchedulerKind kind)
+const std::vector<MetricField> &
+metricFields()
 {
-    switch (kind) {
-    case SchedulerKind::InOrder:
-        return "inorder";
-    case SchedulerKind::Memoryless:
-        return "memoryless";
-    case SchedulerKind::Ahb:
-        return "ahb";
-    case SchedulerKind::FrFcfs:
-        return "frfcfs";
-    }
-    panic("unhandled SchedulerKind");
+    using M = RunMetrics;
+    using P = PowerReport;
+    constexpr auto os = &M::os_enabled;
+    constexpr auto tenants = &M::tenants_enabled;
+    // clang-format off
+    static const std::vector<MetricField> fields = {
+        metric("cycles", at(&M::cycles)),
+        metric("accesses", at(&M::accesses)),
+        metric("dram_watts", at(&M::dram_watts)),
+        metric("dram_energy_mj", at(&M::dram_energy_mj)),
+        metric("power_pj.background", at(&M::power, &P::background_pj)),
+        metric("power_pj.activate", at(&M::power, &P::activate_pj)),
+        metric("power_pj.read", at(&M::power, &P::read_pj)),
+        metric("power_pj.write", at(&M::power, &P::write_pj)),
+        metric("power_pj.refresh", at(&M::power, &P::refresh_pj)),
+        {"power_pj.total", nullptr,
+         [](JsonWriter &w, const M &m) { w.value(m.power.totalPj()); },
+         nullptr},
+        metric("useful_prefetch_pct", at(&M::useful_prefetch_pct)),
+        metric("coverage_pct", at(&M::coverage_pct)),
+        metric("delayed_regular_pct", at(&M::delayed_regular_pct)),
+        metric("mc_reads", at(&M::mc_reads)),
+        metric("mc_writes", at(&M::mc_writes)),
+        metric("ms_prefetches_issued", at(&M::ms_prefetches_issued)),
+        metric("buffer_hits", at(&M::buffer_hits)),
+        metric("lpq_drops", at(&M::lpq_drops)),
+        metric("vm.enabled", at(&M::vm_enabled)),
+        metric("vm.tlb_hits", at(&M::tlb_hits)),
+        metric("vm.tlb_misses", at(&M::tlb_misses)),
+        metric("vm.tlb_evictions", at(&M::tlb_evictions)),
+        metric("vm.page_walk_cycles", at(&M::page_walk_cycles)),
+        metric("vm.pages_mapped", at(&M::pages_mapped)),
+        // Present only when enabled, so records written before the OS
+        // model and the tenant engine existed keep their bytes.
+        metric("os.minor_faults", at(&M::os_minor_faults), os),
+        metric("os.major_faults", at(&M::os_major_faults), os),
+        metric("os.reclaims", at(&M::os_reclaims), os),
+        metric("os.writebacks", at(&M::os_writebacks), os),
+        metric("os.shootdowns", at(&M::os_shootdowns), os),
+        metric("os.stall_cycles", at(&M::os_stall_cycles), os),
+        metric("os.resident_pages", at(&M::os_resident_pages), os),
+        metric("tenants.arrivals", at(&M::tenant_arrivals), tenants),
+        metric("tenants.departures", at(&M::tenant_departures), tenants),
+        metric("tenants.active", at(&M::tenant_active), tenants),
+    };
+    // clang-format on
+    return fields;
 }
 
-std::string
-toString(FrameAllocPolicy policy)
-{
-    switch (policy) {
-    case FrameAllocPolicy::Identity:
-        return "identity";
-    case FrameAllocPolicy::Sequential:
-        return "seq";
-    case FrameAllocPolicy::RandomShuffle:
-        return "random";
-    case FrameAllocPolicy::HugePage:
-        return "huge";
-    }
-    panic("unhandled FrameAllocPolicy");
-}
-
-std::optional<FrameAllocPolicy>
-parseFrameAllocPolicy(const std::string &text)
-{
-    if (text == "identity")
-        return FrameAllocPolicy::Identity;
-    if (text == "seq")
-        return FrameAllocPolicy::Sequential;
-    if (text == "random")
-        return FrameAllocPolicy::RandomShuffle;
-    if (text == "huge")
-        return FrameAllocPolicy::HugePage;
-    return std::nullopt;
-}
-
-std::string
-toString(PageWalkerKind kind)
-{
-    switch (kind) {
-    case PageWalkerKind::Radix:
-        return "radix";
-    case PageWalkerKind::Hashed:
-        return "hashed";
-    }
-    panic("unhandled PageWalkerKind");
-}
-
-std::optional<PageWalkerKind>
-parsePageWalkerKind(const std::string &text)
-{
-    if (text == "radix")
-        return PageWalkerKind::Radix;
-    if (text == "hashed")
-        return PageWalkerKind::Hashed;
-    return std::nullopt;
-}
-
-std::optional<PrefetchMode>
-parsePrefetchMode(const std::string &text)
-{
-    if (text == "NP")
-        return PrefetchMode::NP;
-    if (text == "PS")
-        return PrefetchMode::PS;
-    if (text == "MS")
-        return PrefetchMode::MS;
-    if (text == "PMS")
-        return PrefetchMode::PMS;
-    return std::nullopt;
-}
-
-std::optional<McPrefetcherKind>
-parseMcPrefetcherKind(const std::string &text)
-{
-    if (text == "asd")
-        return McPrefetcherKind::Asd;
-    if (text == "nextline")
-        return McPrefetcherKind::NextLine;
-    if (text == "p5")
-        return McPrefetcherKind::P5Style;
-    if (text == "ghb")
-        return McPrefetcherKind::Ghb;
-    if (text == "stride")
-        return McPrefetcherKind::Stride;
-    if (text == "dspatch")
-        return McPrefetcherKind::Dspatch;
-    if (text == "perceptron")
-        return McPrefetcherKind::Perceptron;
-    return std::nullopt;
-}
+} // namespace
 
 void
 writeJson(JsonWriter &writer, const RunOptions &options)
 {
-    writer.beginObject();
-    writer.key("mode").value(toString(options.mode));
-    writer.key("mc_prefetcher").value(toString(options.mc_prefetcher));
-    writer.key("ps_kind").value(toString(options.ps_kind));
-    writer.key("scheduler").value(toString(options.scheduler));
-    writer.key("fixed_policy");
-    if (options.fixed_policy)
-        writer.value(*options.fixed_policy);
-    else
-        writer.null();
-    writer.key("buffer_lines").value(options.buffer_lines);
-    writer.key("filter_slots").value(options.filter_slots);
-    writer.key("max_degree").value(options.max_degree);
-    writer.key("saturate_long_streams")
-        .value(options.saturate_long_streams);
-    writer.key("ps_oracle").value(options.ps_oracle);
-    writer.key("accesses");
-    if (options.accesses)
-        writer.value(*options.accesses);
-    else
-        writer.null();
-    writer.key("warmup_cycles").value(options.warmup_cycles);
-    writer.key("vm").beginObject();
-    writer.key("enabled").value(options.vm.enabled);
-    writer.key("policy").value(toString(options.vm.policy));
-    writer.key("page_bytes").value(options.vm.page_bytes);
-    writer.key("huge_bytes").value(options.vm.huge_bytes);
-    writer.key("phys_bytes").value(options.vm.phys_bytes);
-    writer.key("seed").value(options.vm.seed);
-    writer.key("tlb_entries").value(options.vm.tlb.entries);
-    writer.key("tlb_ways").value(options.vm.tlb.ways);
-    writer.key("walk_cycles").value(options.vm.tlb.walk_cycles);
-    // Emitted only when non-default so every pre-existing run's
-    // options JSON (and thus its runConfigHash) stays byte-identical.
-    if (options.vm.walker != PageWalkerKind::Radix)
-        writer.key("walker").value(toString(options.vm.walker));
-    writer.endObject();
-    // Emitted only when set so every pre-existing run's options JSON
-    // (and thus its runConfigHash) stays byte-identical.
-    if (options.ghb_delta_correlate)
-        writer.key("ghb_delta_correlate").value(true);
-    if (options.os.enabled) {
-        const OsConfig &os = options.os;
-        writer.key("os").beginObject();
-        writer.key("frames").value(os.frames);
-        writer.key("minor_fault_cycles").value(os.minor_fault_cycles);
-        writer.key("major_fault_cycles").value(os.major_fault_cycles);
-        writer.key("major_fault_frac").value(os.major_fault_frac);
-        writer.key("reclaim_cycles").value(os.reclaim_cycles);
-        writer.key("writeback_cycles").value(os.writeback_cycles);
-        writer.key("hashed_probe_cycles")
-            .value(os.hashed_probe_cycles);
-        writer.key("seed").value(os.seed);
-        writer.endObject();
+    GroupedWriter out(writer);
+    for (const OptionField &f : runOptionFields()) {
+        if (f.emitted(options)) {
+            out.key(f.key);
+            f.write_json(writer, options);
+        }
     }
-    if (options.tenants.enabled) {
-        const TenantMixConfig &ten = options.tenants;
-        writer.key("tenants").beginObject();
-        writer.key("slots").value(ten.slots);
-        writer.key("zipf_s").value(ten.zipf_s);
-        writer.key("mean_lifetime").value(ten.mean_lifetime);
-        writer.key("seed").value(ten.seed);
-        writer.endObject();
-    }
-    if (options.tuner.enabled) {
-        const TunerConfig &t = options.tuner;
-        writer.key("tuner").beginObject();
-        writer.key("shadow_horizon").value(t.shadow_horizon);
-        writer.key("min_epochs_between").value(t.min_epochs_between);
-        writer.key("max_decisions").value(t.max_decisions);
-        writer.key("shadow_threads").value(t.shadow_threads);
-        writer.key("phase_window").value(t.phase_window);
-        writer.key("phase_threshold_milli_pct")
-            .value(t.phase_threshold_milli_pct);
-        const auto axis = [&writer](const char *name,
-                                    const std::vector<std::uint32_t>
-                                        &values) {
-            writer.key(name).beginArray();
-            for (const std::uint32_t v : values)
-                writer.value(v);
-            writer.endArray();
-        };
-        axis("degrees", t.space.degrees);
-        axis("filter_slots", t.space.filter_slots);
-        axis("buffer_lines", t.space.buffer_lines);
-        axis("epoch_reads", t.space.epoch_reads);
-        axis("policies", t.space.policies);
-        writer.endObject();
-    }
-    writer.endObject();
+    out.finish();
 }
 
 void
 writeJson(JsonWriter &writer, const RunMetrics &metrics)
 {
-    writer.beginObject();
-    writer.key("cycles").value(metrics.cycles);
-    writer.key("accesses").value(metrics.accesses);
-    writer.key("dram_watts").value(metrics.dram_watts);
-    writer.key("dram_energy_mj").value(metrics.dram_energy_mj);
-    writer.key("power_pj").beginObject();
-    writer.key("background").value(metrics.power.background_pj);
-    writer.key("activate").value(metrics.power.activate_pj);
-    writer.key("read").value(metrics.power.read_pj);
-    writer.key("write").value(metrics.power.write_pj);
-    writer.key("refresh").value(metrics.power.refresh_pj);
-    writer.key("total").value(metrics.power.totalPj());
-    writer.endObject();
-    writer.key("useful_prefetch_pct")
-        .value(metrics.useful_prefetch_pct);
-    writer.key("coverage_pct").value(metrics.coverage_pct);
-    writer.key("delayed_regular_pct")
-        .value(metrics.delayed_regular_pct);
-    writer.key("mc_reads").value(metrics.mc_reads);
-    writer.key("mc_writes").value(metrics.mc_writes);
-    writer.key("ms_prefetches_issued")
-        .value(metrics.ms_prefetches_issued);
-    writer.key("buffer_hits").value(metrics.buffer_hits);
-    writer.key("lpq_drops").value(metrics.lpq_drops);
-    writer.key("vm").beginObject();
-    writer.key("enabled").value(metrics.vm_enabled);
-    writer.key("tlb_hits").value(metrics.tlb_hits);
-    writer.key("tlb_misses").value(metrics.tlb_misses);
-    writer.key("tlb_evictions").value(metrics.tlb_evictions);
-    writer.key("page_walk_cycles").value(metrics.page_walk_cycles);
-    writer.key("pages_mapped").value(metrics.pages_mapped);
-    writer.endObject();
-    // Emitted only when present so pre-existing metrics JSON stays
-    // byte-identical (mirrors the options-side convention).
-    if (metrics.os_enabled) {
-        writer.key("os").beginObject();
-        writer.key("minor_faults").value(metrics.os_minor_faults);
-        writer.key("major_faults").value(metrics.os_major_faults);
-        writer.key("reclaims").value(metrics.os_reclaims);
-        writer.key("writebacks").value(metrics.os_writebacks);
-        writer.key("shootdowns").value(metrics.os_shootdowns);
-        writer.key("stall_cycles").value(metrics.os_stall_cycles);
-        writer.key("resident_pages").value(metrics.os_resident_pages);
-        writer.endObject();
+    GroupedWriter out(writer);
+    for (const MetricField &f : metricFields()) {
+        if (!f.present || metrics.*f.present) {
+            out.key(f.key);
+            f.write(writer, metrics);
+        }
     }
-    if (metrics.tenants_enabled) {
-        writer.key("tenants").beginObject();
-        writer.key("arrivals").value(metrics.tenant_arrivals);
-        writer.key("departures").value(metrics.tenant_departures);
-        writer.key("active").value(metrics.tenant_active);
-        writer.endObject();
-    }
-    writer.endObject();
+    out.finish();
 }
 
 std::string
@@ -326,108 +191,28 @@ toJson(const RunMetrics &metrics)
     return writer.str();
 }
 
-namespace
-{
-
-/** Read a required double member; false on absence or kind error. */
-bool
-readDouble(const JsonValue &object, std::string_view name,
-           double &out)
-{
-    const JsonValue *member = object.find(name);
-    if (!member)
-        return false;
-    const auto value = member->asDouble();
-    if (!value)
-        return false;
-    out = *value;
-    return true;
-}
-
-/** Read a required u64 member; false on absence or kind error. */
-bool
-readU64(const JsonValue &object, std::string_view name,
-        std::uint64_t &out)
-{
-    const JsonValue *member = object.find(name);
-    if (!member)
-        return false;
-    const auto value = member->asU64();
-    if (!value)
-        return false;
-    out = *value;
-    return true;
-}
-
-} // namespace
-
 std::optional<RunMetrics>
 metricsFromJson(const JsonValue &value)
 {
     if (value.kind() != JsonValue::Kind::Object)
         return std::nullopt;
     RunMetrics m;
-    if (!readU64(value, "cycles", m.cycles) ||
-        !readU64(value, "accesses", m.accesses) ||
-        !readDouble(value, "dram_watts", m.dram_watts) ||
-        !readDouble(value, "dram_energy_mj", m.dram_energy_mj))
-        return std::nullopt;
-    const JsonValue *power = value.find("power_pj");
-    if (!power || power->kind() != JsonValue::Kind::Object)
-        return std::nullopt;
-    if (!readDouble(*power, "background", m.power.background_pj) ||
-        !readDouble(*power, "activate", m.power.activate_pj) ||
-        !readDouble(*power, "read", m.power.read_pj) ||
-        !readDouble(*power, "write", m.power.write_pj) ||
-        !readDouble(*power, "refresh", m.power.refresh_pj))
-        return std::nullopt;
-    if (!readDouble(value, "useful_prefetch_pct",
-                    m.useful_prefetch_pct) ||
-        !readDouble(value, "coverage_pct", m.coverage_pct) ||
-        !readDouble(value, "delayed_regular_pct",
-                    m.delayed_regular_pct) ||
-        !readU64(value, "mc_reads", m.mc_reads) ||
-        !readU64(value, "mc_writes", m.mc_writes) ||
-        !readU64(value, "ms_prefetches_issued",
-                 m.ms_prefetches_issued) ||
-        !readU64(value, "buffer_hits", m.buffer_hits) ||
-        !readU64(value, "lpq_drops", m.lpq_drops))
-        return std::nullopt;
-    const JsonValue *vm = value.find("vm");
-    if (!vm || vm->kind() != JsonValue::Kind::Object)
-        return std::nullopt;
-    const JsonValue *enabled = vm->find("enabled");
-    if (!enabled || !enabled->asBool())
-        return std::nullopt;
-    m.vm_enabled = *enabled->asBool();
-    if (!readU64(*vm, "tlb_hits", m.tlb_hits) ||
-        !readU64(*vm, "tlb_misses", m.tlb_misses) ||
-        !readU64(*vm, "tlb_evictions", m.tlb_evictions) ||
-        !readU64(*vm, "page_walk_cycles", m.page_walk_cycles) ||
-        !readU64(*vm, "pages_mapped", m.pages_mapped))
-        return std::nullopt;
-    // Optional blocks: absent in every record written before the OS
-    // model / tenant engine existed (and in runs with them disabled).
-    if (const JsonValue *os = value.find("os")) {
-        if (os->kind() != JsonValue::Kind::Object)
-            return std::nullopt;
-        m.os_enabled = true;
-        if (!readU64(*os, "minor_faults", m.os_minor_faults) ||
-            !readU64(*os, "major_faults", m.os_major_faults) ||
-            !readU64(*os, "reclaims", m.os_reclaims) ||
-            !readU64(*os, "writebacks", m.os_writebacks) ||
-            !readU64(*os, "shootdowns", m.os_shootdowns) ||
-            !readU64(*os, "stall_cycles", m.os_stall_cycles) ||
-            !readU64(*os, "resident_pages", m.os_resident_pages))
-            return std::nullopt;
-    }
-    if (const JsonValue *ten = value.find("tenants")) {
-        if (ten->kind() != JsonValue::Kind::Object)
-            return std::nullopt;
-        m.tenants_enabled = true;
-        if (!readU64(*ten, "arrivals", m.tenant_arrivals) ||
-            !readU64(*ten, "departures", m.tenant_departures) ||
-            !readU64(*ten, "active", m.tenant_active))
+    for (const MetricField &f : metricFields()) {
+        if (!f.read)
+            continue;
+        const auto [group, key] = splitKey(f.key);
+        const JsonValue *object = &value;
+        if (!group.empty()) {
+            object = value.find(group);
+            if (!object && f.present)
+                continue; // optional group absent: stays disabled
+            if (!object || object->kind() != JsonValue::Kind::Object)
+                return std::nullopt;
+            if (f.present)
+                m.*f.present = true;
+        }
+        const JsonValue *member = object->find(key);
+        if (!member || !f.read(*member, m))
             return std::nullopt;
     }
     return m;

@@ -3,9 +3,10 @@
 
 /**
  * @file
- * Machine-readable views of the experiment layer: enum <-> string
- * names shared by the CLIs and the sweep runner's job ids, and JSON
- * serialization of RunOptions / RunMetrics so sweep results can be
+ * Machine-readable views of the experiment layer: JSON serialization
+ * of RunOptions (driven by the field table in run_options_schema.hpp,
+ * which also supplies the enum names) and of RunMetrics (driven by the
+ * metrics field list in serialize.cpp), so sweep results can be
  * consumed by scripts instead of scraped from text tables.
  */
 
@@ -14,25 +15,10 @@
 
 #include "common/json.hpp"
 #include "sim/experiment.hpp"
+#include "sim/run_options_schema.hpp"
 
 namespace asd
 {
-
-std::string toString(PrefetchMode mode);
-std::string toString(McPrefetcherKind kind);
-std::string toString(PsKind kind);
-std::string toString(SchedulerKind kind);
-std::string toString(FrameAllocPolicy policy);
-std::string toString(PageWalkerKind kind);
-
-/** Case-sensitive inverse of toString(); nullopt on unknown text. */
-std::optional<PrefetchMode> parsePrefetchMode(const std::string &text);
-std::optional<McPrefetcherKind>
-parseMcPrefetcherKind(const std::string &text);
-std::optional<FrameAllocPolicy>
-parseFrameAllocPolicy(const std::string &text);
-std::optional<PageWalkerKind>
-parsePageWalkerKind(const std::string &text);
 
 /** Append @p options as one JSON object to @p writer. */
 void writeJson(JsonWriter &writer, const RunOptions &options);

@@ -3,18 +3,17 @@
 
 /**
  * @file
- * Glue between the snapshot format and the experiment layer: binary
- * (de)serialization of RunOptions for the "cli" metadata section, the
- * canonical config hash that binds a snapshot file to the run that
- * produced it, and whole-run save/load helpers used by asdsim_cli and
- * the snapshot tests.
+ * Glue between the snapshot format and the experiment layer: the
+ * "cli" metadata section, and the canonical config hash that binds a
+ * snapshot file to the run that produced it.
  *
  * A run snapshot is a machine snapshot (System::saveSnapshot) plus
  * one leading "cli" section recording what was being run: benchmark
  * name, the resolved trace length (after ASD_BENCH_SCALE and any
- * --accesses override), and the full RunOptions. Loading rebuilds the
- * identical System from that metadata, so a snapshot file is
- * self-describing — no side-channel config file needed.
+ * --accesses override), and every RunOptions field as a (key, text)
+ * pair in field-table order. Loading rebuilds the identical System
+ * from that metadata, so a snapshot file is self-describing — no
+ * side-channel config file needed.
  */
 
 #include <cstdint>
@@ -26,14 +25,22 @@
 namespace asd
 {
 
-/** Serialize @p options into the currently open section. */
-void saveRunOptions(SnapshotWriter &w, const RunOptions &options);
+/** What a run snapshot says was being run. */
+struct RunRecord
+{
+    std::string bench;
+    std::uint64_t accesses = 0;
+    RunOptions options;
+};
+
+/** Write @p run as the "cli" section. */
+void saveCliSection(SnapshotWriter &w, const RunRecord &run);
 
 /**
- * Read RunOptions back from the currently open section. Throws
- * SnapshotError on out-of-range enum values.
+ * Read the "cli" section back. Throws SnapshotError when a field is
+ * missing, out of order, or holds a value its parser rejects.
  */
-RunOptions loadRunOptions(SnapshotReader &r);
+RunRecord loadCliSection(SnapshotReader &r);
 
 /**
  * Canonical config hash for one single-threaded run: FNV-1a of the

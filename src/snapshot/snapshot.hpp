@@ -48,8 +48,10 @@ namespace asd
  * VM walker kind plus the "os"/"tenants" blocks, telemetry epochs
  * grew OS/tenant columns, and OS-enabled machines add an "os"
  * section.
+ * v4: the "cli" section stores every RunOptions field as a (key,
+ * text) pair in field-table order instead of a fixed binary layout.
  */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /**
  * Any way a snapshot can be unusable: truncated or corrupt bytes,

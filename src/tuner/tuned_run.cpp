@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/log.hpp"
+#include "sim/run_options_schema.hpp"
 
 namespace asd
 {
@@ -13,13 +14,8 @@ TunedRun::TunedRun(const Benchmark &bench, const RunOptions &options,
 {
     if (!options_.tuner.enabled)
         fatal("TunedRun: options.tuner.enabled must be set");
-    if (options_.mode != PrefetchMode::MS &&
-        options_.mode != PrefetchMode::PMS)
-        fatal("TunedRun: tuning needs a memory-side prefetcher "
-              "(mode MS or PMS)");
-    if (options_.mc_prefetcher != McPrefetcherKind::Asd)
-        fatal("TunedRun: the tuner reconfigures ASD; "
-              "--mc-prefetcher must be asd");
+    if (const CliError error = validate(options_))
+        fatal("TunedRun: " + *error);
 
     sys_config_ = makeSystemConfig(options_);
     // The controller reads phases off epoch telemetry, so force the

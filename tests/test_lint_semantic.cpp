@@ -3,7 +3,7 @@
  * Tests for asdlint v2's cross-TU machinery: the pass-1 declaration
  * index (nested classes, out-of-line method binding, raw-string and
  * macro-heavy bodies, the self-index over src/), the pass-2 semantic
- * rules (snapshot/serialize/job-id coverage, wall-clock bans,
+ * rules (snapshot coverage, wall-clock bans,
  * flow-aware unordered iteration), reasoned suppressions, the
  * baseline diff/expect gates, and the incremental cache.
  */
@@ -435,66 +435,6 @@ TEST(SnapshotCoverage, SeededBugInFixtureIsCaught)
               "CoveredCounter::leaked_");
 }
 
-// --- semantic rule: serialize-coverage and jobid-plumbing ----------
-
-namespace
-{
-
-const char *kOptionsSource =
-    "struct RunOptions {\n"
-    "    unsigned long accesses = 0;\n"
-    "    unsigned int threads = 1;\n"
-    "    bool debug_dump = false;\n"
-    "};\n"
-    "void writeJson(J &j, const RunOptions &o) {\n"
-    "    j.f(\"accesses\", o.accesses);\n"
-    "    j.f(\"threads\", o.threads);\n"
-    "}\n"
-    "unsigned long makeJobId(const RunOptions &o) {\n"
-    "    return mix(o.accesses);\n"
-    "}\n";
-
-} // namespace
-
-TEST(SerializeCoverage, FlagsUnserializedFieldAndJobIdGap)
-{
-    const auto diags = runAll({{"src/sim/opt.hpp", kOptionsSource}});
-    ASSERT_EQ(countRule(diags, "serialize-coverage"), 1u);
-    EXPECT_EQ(firstOf(diags, "serialize-coverage")->symbol,
-              "RunOptions::debug_dump");
-    ASSERT_EQ(countRule(diags, "jobid-plumbing"), 1u);
-    EXPECT_EQ(firstOf(diags, "jobid-plumbing")->symbol,
-              "RunOptions::threads");
-}
-
-TEST(SerializeCoverage, CleanWhenEveryFieldRoundTrips)
-{
-    const auto diags = runAll(
-        {{"src/sim/opt.hpp",
-          "struct RunMetrics {\n"
-          "    unsigned long cycles = 0;\n"
-          "};\n"
-          "void writeJson(J &j, const RunMetrics &m) {\n"
-          "    j.f(\"cycles\", m.cycles);\n"
-          "}\n"
-          "RunMetrics metricsFromJson(const V &v) {\n"
-          "    RunMetrics m;\n"
-          "    m.cycles = v.u64(\"cycles\");\n"
-          "    return m;\n"
-          "}\n"}});
-    EXPECT_EQ(countRule(diags, "serialize-coverage"), 0u);
-}
-
-TEST(SerializeCoverage, StaleBindingWhenSerializerVanishes)
-{
-    // RunOptions exists but no writeJson anywhere: the binding table
-    // itself has rotted, which is a finding, not a silent skip.
-    const auto diags = runAll(
-        {{"src/sim/opt.hpp",
-          "struct RunOptions { unsigned long accesses = 0; };\n"}});
-    EXPECT_GE(countRule(diags, "serialize-coverage"), 1u);
-}
-
 // --- semantic rule: wall-clock-and-env -----------------------------
 
 TEST(WallClockAndEnv, FiresOnlyInDeterministicLayers)
@@ -600,7 +540,7 @@ TEST(AllowReason, TokenRulesStillAllowBareSuppressions)
 TEST(SemanticRegistry, NamesAreUniqueAndResolvable)
 {
     const auto &rules = semanticRuleRegistry();
-    EXPECT_GE(rules.size(), 6u);
+    EXPECT_EQ(rules.size(), 4u);
     for (const SemanticRule &rule : rules) {
         EXPECT_TRUE(isSemanticRule(rule.name));
         const SemanticRule *found = findSemanticRule(rule.name);
@@ -609,6 +549,9 @@ TEST(SemanticRegistry, NamesAreUniqueAndResolvable)
         EXPECT_FALSE(found->summary.empty());
     }
     EXPECT_FALSE(isSemanticRule("raw-random"));
+    // The option field table replaced the two drift-catching rules.
+    EXPECT_FALSE(isSemanticRule("serialize-coverage"));
+    EXPECT_FALSE(isSemanticRule("jobid-plumbing"));
     EXPECT_EQ(findSemanticRule("no-such-rule"), nullptr);
 }
 

@@ -287,14 +287,14 @@ TEST(Serialize, EnumRoundTrips)
     for (const PrefetchMode mode :
          {PrefetchMode::NP, PrefetchMode::PS, PrefetchMode::MS,
           PrefetchMode::PMS})
-        EXPECT_EQ(parsePrefetchMode(toString(mode)), mode);
+        EXPECT_EQ(parseEnum<PrefetchMode>(toString(mode)), mode);
     for (const McPrefetcherKind kind :
          {McPrefetcherKind::Asd, McPrefetcherKind::NextLine,
           McPrefetcherKind::P5Style, McPrefetcherKind::Ghb,
           McPrefetcherKind::Stride})
-        EXPECT_EQ(parseMcPrefetcherKind(toString(kind)), kind);
-    EXPECT_EQ(parsePrefetchMode("np"), std::nullopt);
-    EXPECT_EQ(parseMcPrefetcherKind("bogus"), std::nullopt);
+        EXPECT_EQ(parseEnum<McPrefetcherKind>(toString(kind)), kind);
+    EXPECT_EQ(parseEnum<PrefetchMode>("np"), std::nullopt);
+    EXPECT_EQ(parseEnum<McPrefetcherKind>("bogus"), std::nullopt);
 }
 
 TEST(Json, WriterAndChecker)
