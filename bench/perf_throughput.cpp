@@ -26,6 +26,9 @@
 #include "runner/sweep_runner.hpp"
 #include "runner/warm_start.hpp"
 #include "sim/experiment.hpp"
+#include "sim/system.hpp"
+#include "snapshot/snapshot.hpp"
+#include "trace/synthetic.hpp"
 #include "workloads/profiles.hpp"
 
 namespace
@@ -50,7 +53,26 @@ struct RunTiming
 
     /** Cycles restored from a snapshot rather than simulated. */
     Cycle cycles_skipped = 0;
+
+    /** Accesses those restored cycles had already retired. */
+    std::uint64_t accesses_skipped = 0;
 };
+
+/**
+ * Accesses retired by @p job's warm-up: restore @p snapshot into the
+ * job's machine and read the count before anything runs.
+ */
+std::uint64_t
+accessesAtRestore(const JobSpec &job, const SnapshotBytes &snapshot)
+{
+    SyntheticConfig trace_config = job.bench.trace;
+    trace_config.total_accesses = scaledAccesses(job.bench, job.options);
+    SyntheticTraceGenerator trace(trace_config);
+    System system(makeSystemConfig(job.options), {&trace});
+    SnapshotReader reader(snapshot);
+    system.loadSnapshot(reader);
+    return system.collectMetrics().accesses;
+}
 
 /**
  * Per-benchmark warm-up: five cycles per trace access — roughly half
@@ -66,25 +88,26 @@ warmupFor(const Benchmark &bench, const RunOptions &options)
 void
 writeTiming(JsonWriter &writer, const RunTiming &t)
 {
-    const Cycle cycles_skipped = t.cycles_skipped;
-    // Warm-started runs only simulate cycles past the restore point;
-    // rate them over the work actually done. (A run shorter than the
-    // warm-up never left the disarmed phase; count it in full.)
+    // Warm-started runs only simulate the cycles, and retire the
+    // accesses, past the restore point; rate them over the work
+    // actually done. (A run shorter than the warm-up never left the
+    // disarmed phase; count it in full.)
+    const bool restored = t.metrics.cycles > t.cycles_skipped;
     const double simulated = static_cast<double>(
-        t.metrics.cycles > cycles_skipped
-            ? t.metrics.cycles - cycles_skipped
-            : t.metrics.cycles);
+        restored ? t.metrics.cycles - t.cycles_skipped : t.metrics.cycles);
+    const double retired = static_cast<double>(
+        restored ? t.metrics.accesses - t.accesses_skipped
+                 : t.metrics.accesses);
     const double secs = t.wall_ms / 1000.0;
     writer.beginObject();
     writer.key("benchmark").value(t.benchmark);
     writer.key("cycles").value(t.metrics.cycles);
     writer.key("cycles_skipped").value(t.cycles_skipped);
     writer.key("accesses").value(t.metrics.accesses);
+    writer.key("accesses_skipped").value(t.accesses_skipped);
     writer.key("wall_ms").value(t.wall_ms);
     writer.key("accesses_per_s")
-        .value(secs > 0.0
-                   ? static_cast<double>(t.metrics.accesses) / secs
-                   : 0.0);
+        .value(secs > 0.0 ? retired / secs : 0.0);
     writer.key("cycles_per_s").value(secs > 0.0 ? simulated / secs
                                                 : 0.0);
     writer.endObject();
@@ -112,7 +135,7 @@ main(int argc, char **argv)
 
         auto start = std::chrono::steady_clock::now();
         const RunMetrics cold = runBenchmark(bench, options);
-        cold_runs.push_back({bench.name, cold, elapsedMs(start), 0});
+        cold_runs.push_back({bench.name, cold, elapsedMs(start), 0, 0});
 
         // Warm: snapshot the warm-up once, then time only the
         // restore + remainder (what a sharing sweep pays per job).
@@ -120,7 +143,8 @@ main(int argc, char **argv)
         start = std::chrono::steady_clock::now();
         const RunMetrics warm = runFromSnapshot(job, snapshot);
         warm_runs.push_back({bench.name, warm, elapsedMs(start),
-                             options.warmup_cycles});
+                             options.warmup_cycles,
+                             accessesAtRestore(job, snapshot)});
 
         if (!(cold == warm))
             fatal("warm-started " + bench.name +

@@ -91,20 +91,23 @@ parseArgs(int argc, char **argv)
                    "also run every workload under the OS memory model "
                    "(demand paging, finite frames, CLOCK reclaim)",
                    b.os_axis),
-        numberFlag("--accesses", "per-benchmark trace-length override",
-                   b.accesses),
-        numberFlag("--warm-start",
-                   "warm-up cycles shared across contenders per workload "
-                   "(default 20000; 0 disables snapshot sharing)",
-                   b.warmup_cycles),
+        numberFlag<std::uint64_t>(
+            "--accesses", "per-benchmark trace-length override",
+            b.accesses),
+        numberFlag<Cycle>(
+            "--warm-start",
+            "warm-up cycles shared across contenders per workload "
+            "(default 20000; 0 disables snapshot sharing)",
+            b.warmup_cycles),
         numberFlag("--threads", "worker threads (default hardware)",
                    b.threads, 0u, 4096u),
         textFlag("--out", "DIR",
                  "report + per-job records + warm-up snapshots (default "
                  "results/bakeoff)",
                  cli.out_dir),
-        switchFlag("--resume", "adopt ok per-job records already under "
-                   "--out", b.resume),
+        switchFlag("--resume",
+                   "adopt ok per-job records already under --out",
+                   b.resume),
         switchFlag("--list", "print the prefetcher registry and exit",
                    cli.list),
         switchFlag("--quiet", "no progress line", cli.quiet),

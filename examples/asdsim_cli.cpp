@@ -16,6 +16,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,8 +108,9 @@ cliFlags(CliArgs &args)
              if (at == std::string::npos || at == 0)
                  return "expected PATH@CYCLE, got '" + value + "'";
              args.save_path = value.substr(0, at);
-             return parseNumber<Cycle>(std::string_view(value).substr(at + 1),
-                                       0, kNoCycle - 1, args.save_cycle);
+             return parseNumber<Cycle>(
+                 std::string_view(value).substr(at + 1), 0, kNoCycle - 1,
+                 args.save_cycle);
          }},
         textFlag("--load-snapshot", "PATH",
                  "restore a checkpoint and run it to completion; the "
@@ -226,67 +228,61 @@ class Machine
 };
 
 /**
- * --save-snapshot: run to the requested cycle, write the checkpoint
- * (a "cli" metadata section followed by the machine sections), and
- * exit without printing a report. Informational output goes to
- * stderr so a later --load-snapshot run's stdout byte-compares
- * against an uninterrupted run's.
+ * One non-SMT run: of the command line's benchmark and options, or
+ * with --load-snapshot of the image's own metadata (the command line
+ * then only picks the outputs). With --save-snapshot the run stops at
+ * the requested cycle and writes a checkpoint — a "cli" section, then
+ * the machine sections — instead of finishing. Informational output
+ * goes to stderr so a restored run's stdout byte-compares against an
+ * uninterrupted run's.
+ * @return false when a checkpoint was saved (no report follows).
  */
-int
-saveSnapshotRun(const CliArgs &args)
+bool
+runMachine(const CliArgs &args, RunRecord &run, RunMetrics &metrics,
+           std::vector<EpochRecord> &epochs,
+           std::vector<TunerDecision> &decisions)
 {
-    const Benchmark &bench = findBenchmark(args.bench);
-    const std::uint64_t accesses = scaledAccesses(bench, args.options);
-    SnapshotWriter writer;
-    saveCliSection(writer, {bench.name, accesses, args.options});
-    Machine machine(bench, args.options, accesses);
-    machine.system().runUntil(args.save_cycle);
-    machine.save(writer);
     try {
+        std::optional<SnapshotReader> reader;
+        if (!args.load_path.empty()) {
+            reader.emplace(readSnapshotFile(args.load_path));
+            run = loadCliSection(*reader);
+            reader->requireConfigHash(
+                runConfigHash(run.bench, run.accesses, run.options));
+            if (args.options.telemetry.enabled &&
+                !run.options.telemetry.enabled)
+                fatal("telemetry output requested but the snapshot was "
+                      "taken without telemetry");
+        }
+        const Benchmark &bench = findBenchmark(run.bench);
+        if (!reader)
+            run.accesses = scaledAccesses(bench, run.options);
+        Machine machine(bench, run.options, run.accesses);
+        if (reader) {
+            machine.load(*reader);
+            std::cerr << "asdsim_cli: restored " << run.bench
+                      << " at cycle " << machine.system().nowCycle()
+                      << " from " << args.load_path << "\n";
+        }
+        if (args.save_path.empty()) {
+            metrics = machine.finish(epochs, decisions);
+            return true;
+        }
+        machine.system().runUntil(args.save_cycle);
+        SnapshotWriter writer;
+        saveCliSection(writer, run);
+        machine.save(writer);
         writeSnapshotFile(args.save_path,
                           writer.finish(runConfigHash(
-                              bench.name, accesses, args.options)));
+                              run.bench, run.accesses, run.options)));
+        std::cerr << "asdsim_cli: saved " << run.bench << " at cycle "
+                  << machine.system().nowCycle() << " to "
+                  << args.save_path << "\n";
+        return false;
     } catch (const SnapshotError &e) {
-        fatal(std::string("snapshot save failed: ") + e.what());
-    }
-    std::cerr << "asdsim_cli: saved " << bench.name << " at cycle "
-              << machine.system().nowCycle() << " to " << args.save_path
-              << "\n";
-    return 0;
-}
-
-/**
- * --load-snapshot: rebuild the machine from the snapshot's own
- * metadata (the command line only chooses the outputs), restore, and
- * run to completion.
- */
-RunMetrics
-loadSnapshotRun(const CliArgs &args, std::string &bench_name,
-                std::vector<EpochRecord> &epochs, bool &telemetry_on,
-                std::vector<TunerDecision> &decisions, bool &tuner_on)
-{
-    try {
-        SnapshotReader reader(readSnapshotFile(args.load_path));
-        const RunRecord run = loadCliSection(reader);
-        reader.requireConfigHash(
-            runConfigHash(run.bench, run.accesses, run.options));
-        if (args.options.telemetry.enabled &&
-            !run.options.telemetry.enabled) {
-            fatal("telemetry output requested but the snapshot was "
-                  "taken without telemetry");
-        }
-        bench_name = run.bench;
-        telemetry_on = run.options.telemetry.enabled;
-        tuner_on = run.options.tuner.enabled;
-        Machine machine(findBenchmark(run.bench), run.options,
-                        run.accesses);
-        machine.load(reader);
-        std::cerr << "asdsim_cli: restored " << run.bench << " at cycle "
-                  << machine.system().nowCycle() << " from "
-                  << args.load_path << "\n";
-        return machine.finish(epochs, decisions);
-    } catch (const SnapshotError &e) {
-        fatal(std::string("snapshot load failed: ") + e.what());
+        fatal(std::string("snapshot ") +
+              (args.load_path.empty() ? "save" : "load") +
+              " failed: " + e.what());
     }
 }
 
@@ -359,29 +355,21 @@ main(int argc, char **argv)
     if (!args.save_path.empty() && !args.load_path.empty())
         fatal("--save-snapshot and --load-snapshot are mutually "
               "exclusive");
-    if (!args.save_path.empty())
-        return saveSnapshotRun(args);
 
-    std::string bench_name = args.bench;
+    RunRecord run{args.bench, 0, args.options};
     std::vector<EpochRecord> epochs;
     std::vector<TunerDecision> decisions;
-    bool telemetry_on = args.options.telemetry.enabled;
-    bool tuner_on = args.options.tuner.enabled;
     RunMetrics m;
-    if (!args.load_path.empty()) {
-        m = loadSnapshotRun(args, bench_name, epochs, telemetry_on,
-                            decisions, tuner_on);
-    } else if (args.smt) {
+    if (args.smt) {
         const Benchmark &bench = findBenchmark(args.bench);
         m = runSmtPair(bench, bench, args.options, &epochs);
-    } else {
-        const Benchmark &bench = findBenchmark(args.bench);
-        Machine machine(bench, args.options,
-                        scaledAccesses(bench, args.options));
-        m = machine.finish(epochs, decisions);
+    } else if (!runMachine(args, run, m, epochs, decisions)) {
+        return 0;
     }
+    const bool telemetry_on = run.options.telemetry.enabled;
+    const std::string &bench_name = run.bench;
 
-    if (tuner_on) {
+    if (run.options.tuner.enabled) {
         if (!args.tuner_csv.empty())
             saveTunerCsv(decisions, args.tuner_csv);
         if (!args.tuner_json.empty())

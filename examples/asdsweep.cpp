@@ -90,16 +90,18 @@ parseArgs(int argc, char **argv)
     for (CliFlag &flag : sweepAxisFlags(cli.axes))
         flags.push_back(std::move(flag));
     const std::vector<CliFlag> own = {
-        numberFlag("--accesses", "per-benchmark trace-length override",
-                   cli.accesses),
-        numberFlag("--seed", "trace-seed override for every job",
-                   cli.seed),
+        numberFlag<std::uint64_t>(
+            "--accesses", "per-benchmark trace-length override",
+            cli.accesses),
+        numberFlag<std::uint64_t>(
+            "--seed", "trace-seed override for every job", cli.seed),
         numberFlag("--threads",
                    "worker threads (default $ASD_SWEEP_THREADS or "
                    "hardware)",
                    cli.threads, 0u, 4096u),
-        numberFlag("--timeout-ms", "soft per-job wall-clock limit",
-                   cli.timeout_ms),
+        numberFlag<std::uint64_t>(
+            "--timeout-ms", "soft per-job wall-clock limit",
+            cli.timeout_ms),
         numberFlag("--warm-start",
                    "warm every job up for N cycles with the memory side "
                    "disarmed; jobs sharing a warm-up simulate it once "

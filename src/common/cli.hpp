@@ -42,9 +42,14 @@ parseNumber(std::string_view text, T min, T max, T &out)
     const auto [ptr, ec] = std::from_chars(text.data(), end, v);
     if (text.empty() || ec != std::errc() || ptr != end)
         return "expected a number, got '" + std::string(text) + "'";
-    if (!(v >= min && v <= max)) // also rejects NaN
+    if (!(v >= min && v <= max)) { // also rejects NaN
+        char lo[32];
+        char hi[32];
         return std::string(text) + " is outside [" +
-               std::to_string(min) + ", " + std::to_string(max) + "]";
+               std::string(lo, std::to_chars(lo, lo + 32, min).ptr) +
+               ", " +
+               std::string(hi, std::to_chars(hi, hi + 32, max).ptr) + "]";
+    }
     out = v;
     return std::nullopt;
 }
@@ -79,27 +84,15 @@ CliFlag textFlag(std::string name, std::string metavar,
                  std::string help, std::string &target);
 
 /** A flag that stores a number in [min, max] in @p target. */
-template <typename T>
+template <typename T, typename Target>
 CliFlag
-numberFlag(std::string name, std::string help, T &target, T min = 0,
-           T max = std::numeric_limits<T>::max())
+numberFlag(std::string name, std::string help, Target &target,
+           T min = 0, T max = std::numeric_limits<T>::max())
 {
     return {std::move(name), "N", std::move(help),
             [&target, min, max](const std::string &text) {
-                return parseNumber(text, min, max, target);
-            }};
-}
-
-/** numberFlag() for an optional override. */
-template <typename T>
-CliFlag
-numberFlag(std::string name, std::string help, std::optional<T> &target)
-{
-    return {std::move(name), "N", std::move(help),
-            [&target](const std::string &text) {
                 T v{};
-                CliError error = parseNumber(
-                    text, T{0}, std::numeric_limits<T>::max(), v);
+                CliError error = parseNumber(text, min, max, v);
                 if (!error)
                     target = v;
                 return error;

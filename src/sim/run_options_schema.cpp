@@ -42,17 +42,17 @@ template <typename T>
 CliError
 fromText(std::string_view text, T &out, double min, double max)
 {
-    const std::string quoted = "'" + std::string(text) + "'";
     if constexpr (std::is_same_v<T, bool>) {
         out = text == "true";
         return out || text == "false"
                    ? CliError()
-                   : "expected true or false, got " + quoted;
+                   : "expected true or false, got '" +
+                         std::string(text) + "'";
     } else if constexpr (NamedEnum<T>) {
         const std::optional<T> v = parseEnum<T>(text);
         out = v.value_or(out);
         return v ? CliError()
-                 : "unknown name " + quoted + " (use " +
+                 : "unknown name '" + std::string(text) + "' (use " +
                        enumChoices<T>() + ")";
     } else if constexpr (std::is_arithmetic_v<T>) {
         constexpr T top = std::numeric_limits<T>::max();
@@ -138,9 +138,6 @@ field(OptionSpec spec, Access access)
         if (!error)
             access(o) = std::move(v);
         return error;
-    };
-    f.is_default = [=](const RunOptions &o) {
-        return access(o) == access(defaults());
     };
     f.write_json = [=](JsonWriter &w, const RunOptions &o) {
         jsonOf(w, access(o));
@@ -462,12 +459,18 @@ OptionField::applyAxisValue(RunOptions &o, std::string_view value) const
 }
 
 bool
+OptionField::isDefault(const RunOptions &o) const
+{
+    return format(o) == format(defaults());
+}
+
+bool
 OptionField::emitted(const RunOptions &o) const
 {
     if (emit_if && !emit_if(o))
         return false;
     return emit == Emit::Always ||
-           (emit == Emit::NonDefault && !is_default(o));
+           (emit == Emit::NonDefault && !isDefault(o));
 }
 
 const std::vector<OptionField> &
@@ -523,7 +526,7 @@ jobIdSuffix(const RunOptions &options)
     for (const OptionField *f : idOrder()) {
         const IdPart &part = f->id;
         if ((part.gate && !part.gate(options)) ||
-            (!part.always && f->is_default(options)))
+            (!part.always && f->isDefault(options)))
             continue;
         const std::string text = f->isSwitch() ? "" : f->format(options);
         id += part.prefix;

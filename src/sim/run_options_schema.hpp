@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/log.hpp"
 #include "common/json.hpp"
+#include "common/log.hpp"
 #include "sim/experiment.hpp"
 
 namespace asd
@@ -187,11 +187,13 @@ struct OptionField : OptionSpec
     std::string metavar = {}; //!< value placeholder; "" = switch
     std::function<std::string(const RunOptions &)> format = {};
     std::function<CliError(RunOptions &, std::string_view)> parse = {};
-    std::function<bool(const RunOptions &)> is_default = {};
     std::function<void(JsonWriter &, const RunOptions &)> write_json =
         {};
 
     bool isSwitch() const { return metavar.empty(); }
+
+    /** Whether @p o holds this field's default value. */
+    bool isDefault(const RunOptions &o) const;
 
     /** Apply the asdsim_cli flag; a switch flips off its default. */
     CliError applyFlag(RunOptions &o, std::string_view value) const;

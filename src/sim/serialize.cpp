@@ -21,44 +21,35 @@ splitKey(std::string_view key)
 }
 
 /**
- * Writes dotted keys as one level of nested objects, opening and
- * closing a group's object as the keys move between groups (each
- * group's keys must be contiguous).
+ * Write the @p fields that @p emitted accepts as one JSON object,
+ * nesting dotted keys one level ("vm.tlb_hits" -> "vm": {"tlb_hits":
+ * ...}); each group's keys must be contiguous.
  */
-class GroupedWriter
+template <typename Fields, typename Emitted, typename Write>
+void
+writeGrouped(JsonWriter &w, const Fields &fields, Emitted emitted,
+             Write write)
 {
-  public:
-    explicit GroupedWriter(JsonWriter &writer) : writer_(writer)
-    {
-        writer_.beginObject();
-    }
-
-    JsonWriter &
-    key(std::string_view dotted)
-    {
-        const auto [group, key] = splitKey(dotted);
-        if (group != open_) {
-            if (!open_.empty())
-                writer_.endObject();
+    w.beginObject();
+    std::string_view open;
+    for (const auto &f : fields) {
+        if (!emitted(f))
+            continue;
+        const auto [group, key] = splitKey(f.key);
+        if (group != open) {
+            if (!open.empty())
+                w.endObject();
             if (!group.empty())
-                writer_.key(group).beginObject();
-            open_ = group;
+                w.key(group).beginObject();
+            open = group;
         }
-        return writer_.key(key);
+        w.key(key);
+        write(f);
     }
-
-    void
-    finish()
-    {
-        if (!open_.empty())
-            writer_.endObject();
-        writer_.endObject();
-    }
-
-  private:
-    JsonWriter &writer_;
-    std::string_view open_;
-};
+    if (!open.empty())
+        w.endObject();
+    w.endObject();
+}
 
 /** One RunMetrics value in the metrics JSON. */
 struct MetricField
@@ -152,27 +143,21 @@ metricFields()
 void
 writeJson(JsonWriter &writer, const RunOptions &options)
 {
-    GroupedWriter out(writer);
-    for (const OptionField &f : runOptionFields()) {
-        if (f.emitted(options)) {
-            out.key(f.key);
-            f.write_json(writer, options);
-        }
-    }
-    out.finish();
+    writeGrouped(
+        writer, runOptionFields(),
+        [&](const OptionField &f) { return f.emitted(options); },
+        [&](const OptionField &f) { f.write_json(writer, options); });
 }
 
 void
 writeJson(JsonWriter &writer, const RunMetrics &metrics)
 {
-    GroupedWriter out(writer);
-    for (const MetricField &f : metricFields()) {
-        if (!f.present || metrics.*f.present) {
-            out.key(f.key);
-            f.write(writer, metrics);
-        }
-    }
-    out.finish();
+    writeGrouped(
+        writer, metricFields(),
+        [&](const MetricField &f) {
+            return !f.present || metrics.*f.present;
+        },
+        [&](const MetricField &f) { f.write(writer, metrics); });
 }
 
 std::string

@@ -358,7 +358,8 @@ TEST(WarmStart, KeyIgnoresMemorySideKnobsOnly)
     // PMS has a processor side, MS does not: different warm-ups.
     EXPECT_NE(warmupKey(jobs[0]), warmupKey(jobs[2]));
     // Different benchmark: different warm-up.
-    EXPECT_NE(warmupKey(jobs[0]), warmupKey(jobs[8]));
+    ASSERT_EQ(jobs.size(), 8u);
+    EXPECT_NE(warmupKey(jobs[0]), warmupKey(jobs[4]));
     // Different warm-up length: different warm-up.
     JobSpec longer = jobs[0];
     longer.options.warmup_cycles = 4000;
