@@ -2,9 +2,6 @@
 
 #include <cstdio>
 
-#include "common/log.hpp"
-#include "sim/serialize.hpp"
-
 namespace asd
 {
 

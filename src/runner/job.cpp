@@ -3,9 +3,6 @@
 #include <chrono>
 #include <exception>
 
-#include "common/log.hpp"
-#include "sim/serialize.hpp"
-
 namespace asd
 {
 

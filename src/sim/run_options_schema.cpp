@@ -191,7 +191,7 @@ buildTable()
                .help = "memory-controller scheduler", .id = {6, "."},
                .warmup = always}, at(&R::scheduler)),
         field({.key = "fixed_policy", .flag = "--policy",
-               .help = "pin the LPQ policy (no Adaptive Scheduling)",
+               .help = "pin the LPQ policy, 1..5 (no Adaptive Scheduling)",
                .min = 1, .max = 5, .id = {8, ".pol"}}, at(&R::fixed_policy)),
         field({.key = "buffer_lines", .flag = "--buffer",
                .help = "Prefetch Buffer lines", .min = 1, .max = kMaxLines,
