@@ -224,7 +224,7 @@ struct RunContext
 CliError validate(const RunOptions &options,
                   const RunContext &context = {});
 
-/** The asdsim_cli flags, bound to @p target. */
+/** The asdsim_cli flags, bound to @p target (which must outlive them). */
 std::vector<CliFlag> runOptionFlags(RunOptions &target);
 
 /** Job-id fragments of @p options, in id order. */
@@ -243,7 +243,10 @@ struct SweepAxis
 /** Every declared axis at its default values, in nesting order. */
 std::vector<SweepAxis> sweepAxes();
 
-/** The asdsweep axis flags, each filling one of @p axes. */
+/**
+ * The asdsweep axis flags, each filling one of @p axes; @p axes must
+ * outlive the flags and keep its size.
+ */
 std::vector<CliFlag> sweepAxisFlags(std::vector<SweepAxis> &axes);
 
 /**
