@@ -10,7 +10,7 @@ namespace asd
 TraceCpu::TraceCpu(const CpuConfig &config, TraceSource &trace,
                    CacheHierarchy &hierarchy, CpuPrefetcher *ps,
                    MemPort &port, std::uint32_t thread,
-                   AddressTranslator *mmu)
+                   OsMmu *mmu)
     : config_(config),
       trace_(trace),
       hierarchy_(hierarchy),

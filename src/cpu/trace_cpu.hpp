@@ -22,9 +22,9 @@
 #include "cache/mshr.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
+#include "os/os_mmu.hpp"
 #include "prefetch/cpu_prefetcher.hpp"
 #include "trace/trace_source.hpp"
-#include "vm/translator.hpp"
 
 namespace asd
 {
@@ -73,16 +73,15 @@ class TraceCpu : public Snapshottable
     /**
      * @param ps optional processor-side prefetcher (PS/PMS configs).
      * @param thread this CPU's hardware thread id.
-     * @param mmu optional address translator (the VM layer's Mmu or
-     *        the OS model's OsMmu); when present every trace address
-     *        is translated before it touches the hierarchy, and TLB
-     *        misses stall issue by the walk/fault latency. Null =
-     *        addresses pass through untranslated.
+     * @param mmu optional MMU (VM mode or the OS model); when present
+     *        every trace address is translated before it touches the
+     *        hierarchy, and TLB misses stall issue by the walk/fault
+     *        latency. Null = addresses pass through untranslated.
      */
     TraceCpu(const CpuConfig &config, TraceSource &trace,
              CacheHierarchy &hierarchy, CpuPrefetcher *ps,
              MemPort &port, std::uint32_t thread,
-             AddressTranslator *mmu = nullptr);
+             OsMmu *mmu = nullptr);
 
     /** Advance one cycle. */
     void tick(Cycle now);
@@ -140,7 +139,7 @@ class TraceCpu : public Snapshottable
     MemPort &port_;
     // asdlint:allow(snapshot-field-coverage): thread id is wiring configuration fixed at construction, never dynamic state
     std::uint32_t thread_;
-    AddressTranslator *mmu_;
+    OsMmu *mmu_;
 
     bool trace_done_ = false;
     std::uint64_t compute_left_ = 0; //!< gap instructions remaining

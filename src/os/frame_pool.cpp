@@ -24,8 +24,8 @@ FramePool::FramePool(std::uint64_t frames, std::uint64_t seed)
 }
 
 std::uint64_t
-FramePool::acquire(std::uint32_t space, std::uint64_t vpn,
-                   bool is_write, bool &evicted, OsVictim &victim)
+FramePool::acquire(std::uint64_t key, bool is_write, bool &evicted,
+                   OsVictim &victim)
 {
     std::uint64_t pfn;
     if (free_pos_ < free_order_.size()) {
@@ -43,15 +43,13 @@ FramePool::acquire(std::uint32_t space, std::uint64_t vpn,
         pfn = hand_;
         hand_ = (hand_ + 1) % frames_.size();
         const Frame &old = frames_[pfn];
-        victim.space = old.space;
-        victim.vpn = old.vpn;
+        victim.key = old.key;
         victim.dirty = old.dirty;
         evicted = true;
         --resident_;
     }
     Frame &frame = frames_[pfn];
-    frame.space = space;
-    frame.vpn = vpn;
+    frame.key = key;
     frame.valid = true;
     frame.referenced = true;
     frame.dirty = is_write;
@@ -74,8 +72,7 @@ FramePool::saveState(SnapshotWriter &w) const
 {
     w.u64(frames_.size());
     for (const Frame &frame : frames_) {
-        w.u32(frame.space);
-        w.u64(frame.vpn);
+        w.u64(frame.key);
         w.b(frame.valid);
         w.b(frame.referenced);
         w.b(frame.dirty);
@@ -91,8 +88,7 @@ FramePool::loadState(SnapshotReader &r)
     SnapshotReader::check(r.u64() == frames_.size(),
                           "os: frame pool size mismatch");
     for (Frame &frame : frames_) {
-        frame.space = r.u32();
-        frame.vpn = r.u64();
+        frame.key = r.u64();
         frame.valid = r.b();
         frame.referenced = r.b();
         frame.dirty = r.b();

@@ -3,13 +3,13 @@
 
 /**
  * @file
- * Finite physical-frame pool with CLOCK (second-chance) reclaim.
- * Replaces the VM layer's infinite allocators when the OS model is
- * enabled: frames are handed out in a deterministic shuffled order
- * until the pool is full, after which every new page steals a victim
- * chosen by sweeping a clock hand past referenced frames. The pool
- * only tracks frame metadata; fault/reclaim latencies are charged by
- * the OsKernel.
+ * Finite physical-frame pool with CLOCK (second-chance) reclaim, the
+ * kernel's frame source under the OS model (VM mode draws from the
+ * unbounded FrameAllocator instead): frames are handed out in a
+ * deterministic shuffled order until the pool is full, after which
+ * every new page steals a victim chosen by sweeping a clock hand past
+ * referenced frames. The pool only tracks frame metadata;
+ * fault/reclaim latencies are charged by the OsKernel.
  */
 
 #include <cstdint>
@@ -24,8 +24,7 @@ namespace asd
 /** The page evicted by a reclaim, as the kernel needs to undo it. */
 struct OsVictim
 {
-    std::uint32_t space = 0;
-    std::uint64_t vpn = 0;
+    std::uint64_t key = 0; //!< kernel page key (see osPageKey)
     bool dirty = false;
 };
 
@@ -42,16 +41,15 @@ class FramePool : public Snapshottable
     FramePool(std::uint64_t frames, std::uint64_t seed);
 
     /**
-     * Claim a frame for (@p space, @p vpn), reclaiming the CLOCK
+     * Claim a frame for kernel page key @p key, reclaiming the CLOCK
      * victim when no free frame remains. The claimed frame starts
      * referenced, with its dirty bit set iff @p is_write.
      * @param evicted set when a resident page was reclaimed.
      * @param victim  filled with the evicted page when @p evicted.
      * @return the claimed physical frame number.
      */
-    std::uint64_t acquire(std::uint32_t space, std::uint64_t vpn,
-                          bool is_write, bool &evicted,
-                          OsVictim &victim);
+    std::uint64_t acquire(std::uint64_t key, bool is_write,
+                          bool &evicted, OsVictim &victim);
 
     /** Record a touch of resident frame @p pfn (sets R, and D on writes). */
     void markAccess(std::uint64_t pfn, bool is_write);
@@ -68,8 +66,7 @@ class FramePool : public Snapshottable
   private:
     struct Frame
     {
-        std::uint32_t space = 0;
-        std::uint64_t vpn = 0;
+        std::uint64_t key = 0;
         bool valid = false;
         bool referenced = false;
         bool dirty = false;

@@ -6,11 +6,11 @@
  * Configuration of the OS memory model: a finite physical-frame pool
  * with demand paging and memory-pressure reclaim, layered on the VM
  * config's translation granule, TLB geometry, and walker selection.
- * Where the plain VM layer charges a fixed walk cost against an
- * infinite frame supply, the OS model charges minor/major fault
- * latencies, CLOCK reclaim, and dirty writebacks — the machinery
- * that actually shreds physical streams on a loaded server. Disabled
- * by default: runs are bit-identical to the pre-OS simulator.
+ * The same kernel runs VM mode with free frames and only the walk to
+ * pay; the OS model adds minor/major fault latencies, CLOCK reclaim,
+ * and dirty writebacks — the machinery that actually shreds physical
+ * streams on a loaded server. Disabled by default: runs are
+ * bit-identical to the pre-OS simulator.
  */
 
 #include <cstdint>

@@ -13,7 +13,7 @@ OsMmu::OsMmu(const VmConfig &vm, OsKernel &kernel,
       tlb_(vm.tlb)
 {
     panicIfNot(page_bytes_ > 0, "os: zero translation granule");
-    kernel_.registerTlb(&tlb_);
+    kernel_.registerTlb(thread_, &tlb_);
 }
 
 Addr
@@ -31,7 +31,7 @@ OsMmu::translate(const MemAccess &access, Cycles &stall_cycles)
         return *pfn * page_bytes_ + offset;
     }
     const OsTouchResult result =
-        kernel_.touch(access.space, vpn, is_write);
+        kernel_.touch(thread_, access.space, vpn, is_write);
     tlb_.insert(key, result.pfn);
     stall_cycles = result.stall_cycles;
     stall_cycles_.inc(stall_cycles);

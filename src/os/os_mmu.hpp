@@ -3,11 +3,13 @@
 
 /**
  * @file
- * Per-hardware-thread MMU for the OS model. Mirrors vm::Mmu's shape
- * (private TLB over shared translation state) but keys the TLB on
- * (address space, vpn) so tenants never alias, and routes misses
- * through the shared OsKernel's fault path instead of an infinite
- * allocator.
+ * Per-hardware-thread MMU: a private TLB over the machine's shared
+ * OsKernel, in VM mode and under the OS model alike. The trace CPU
+ * calls translate() on every access and receives the physical address
+ * plus the stall to charge; everything downstream (caches, memory
+ * controller, ASD) then sees physical addresses only. The TLB is keyed
+ * on (address space, vpn) so tenants never alias; misses go through
+ * the kernel's walk and, for absent pages, its fault path.
  */
 
 #include <cstdint>
@@ -15,21 +17,26 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "os/kernel.hpp"
+#include "trace/mem_access.hpp"
 #include "vm/tlb.hpp"
-#include "vm/translator.hpp"
 
 namespace asd
 {
 
-/** OS-model memory-management unit for one hardware thread. */
-class OsMmu : public AddressTranslator, public Snapshottable
+/** Memory-management unit for one hardware thread. */
+class OsMmu : public Snapshottable
 {
   public:
     /** @param kernel shared kernel; must outlive the OsMmu. */
     OsMmu(const VmConfig &vm, OsKernel &kernel, std::uint32_t thread);
 
-    Addr translate(const MemAccess &access,
-                   Cycles &stall_cycles) override;
+    /**
+     * Translate @p access's virtual byte address.
+     * @param stall_cycles set to the translation stall to charge
+     *        before the access may issue (0 on a TLB hit).
+     * @return the physical byte address.
+     */
+    Addr translate(const MemAccess &access, Cycles &stall_cycles);
 
     const Tlb &tlb() const { return tlb_; }
 

@@ -3,12 +3,11 @@
 
 /**
  * @file
- * Page-table organizations for the OS model. Unlike the VM layer's
- * PageTable (whose walk cost is a fixed TLB-miss charge), the walker
- * here models the *structure* of the table: a radix-style map with a
- * fixed walk latency, or a hashed/inverted table whose lookup cost
- * grows with the probe chain — so collisions under memory pressure
- * cost real cycles. Selected via VmConfig::walker.
+ * Page-table organizations for the kernel's translation path: a
+ * radix-style map with a fixed walk latency, or a hashed/inverted
+ * table whose lookup cost grows with the probe chain — so collisions
+ * under memory pressure cost real cycles. The OS model selects one
+ * via VmConfig::walker; VM mode always walks the radix table.
  */
 
 #include <cstdint>
@@ -27,16 +26,31 @@ namespace asd
 /** Bits of a page key reserved for the virtual page number. */
 inline constexpr std::uint32_t kOsVpnBits = 40;
 
+/** Bit where the hardware thread starts in a kernel page key. */
+inline constexpr std::uint32_t kOsThreadShift = 60;
+
 /**
- * Compose an address-space id and a virtual page number into the
- * single key the walkers and TLBs operate on. Keeping tenants apart
- * in the key space means one tenant's translations can never alias
- * another's.
+ * Compose an address-space id and a virtual page number into the key
+ * a thread's TLB operates on. Keeping tenants apart in the key space
+ * means one tenant's translations can never alias another's.
  */
 inline std::uint64_t
 osPageKey(std::uint32_t space, std::uint64_t vpn)
 {
     return (static_cast<std::uint64_t>(space) << kOsVpnBits) | vpn;
+}
+
+/**
+ * The kernel-wide key of (@p thread, @p space, @p vpn) that the
+ * walkers and the frame pool operate on: each hardware thread runs its
+ * own process, so its pages never alias another thread's. Thread 0's
+ * keys equal osPageKey(space, vpn).
+ */
+inline std::uint64_t
+osPageKey(std::uint32_t thread, std::uint32_t space, std::uint64_t vpn)
+{
+    return (static_cast<std::uint64_t>(thread) << kOsThreadShift) |
+           osPageKey(space, vpn);
 }
 
 /** Abstract page-table organization. */
@@ -138,7 +152,7 @@ class HashedWalker : public PageWalker
     std::uint64_t mapped_ = 0;
 };
 
-/** Build the walker VmConfig::walker selects. */
+/** Build the walker VmConfig::walker selects (for the OS model). */
 std::unique_ptr<PageWalker> makePageWalker(const VmConfig &vm,
                                            Cycles hashed_probe_cycles,
                                            std::uint64_t frames);

@@ -64,13 +64,13 @@ struct RunOptions
      */
     Cycle warmup_cycles = 0;
 
-    /** Virtual-memory layer (off by default => seed-identical). */
+    /** VM mode (off by default => seed-identical). */
     VmConfig vm;
 
     /**
-     * OS memory model (off by default => seed-identical). Mutually
-     * exclusive with vm.enabled; reads granule/TLB/walker geometry
-     * from the vm block either way.
+     * OS memory model (off by default => seed-identical). Excludes
+     * vm.enabled; reads granule/TLB/walker geometry from the vm block
+     * either way.
      */
     OsConfig os;
 

@@ -486,6 +486,10 @@ validate(const RunOptions &options, const RunContext &context)
     if (options.os.enabled && options.vm.enabled)
         return "--os and --vm-policy are mutually exclusive (the OS "
                "model replaces the VM layer's infinite allocators)";
+    if (!options.os.enabled &&
+        options.vm.walker != PageWalkerKind::Radix)
+        return "--os-walker needs --os (VM mode always walks a radix "
+               "table)";
     if (context.smt && context.snapshot)
         return "--smt cannot be combined with snapshot save/load";
     if (context.smt && options.tuner.enabled)

@@ -216,8 +216,9 @@ struct RunContext
 };
 
 /**
- * The cross-field rules, in one place: the OS model excludes the VM
- * layer; the tuner and the tenant mix need a single trace (no SMT),
+ * The cross-field rules, in one place: the OS model excludes VM mode,
+ * and only the OS model picks a page-table walker; the tuner and the
+ * tenant mix need a single trace (no SMT),
  * as do snapshots; the tuner reconfigures ASD in MS or PMS.
  * @return the first rule broken, nullopt when valid.
  */

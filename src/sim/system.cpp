@@ -33,6 +33,15 @@ encodeId(ReqKind kind, std::uint32_t thread, LineAddr line)
 
 } // namespace
 
+template <typename P, typename... Args>
+void
+System::buildMs(const Args &...args)
+{
+    auto prefetcher = std::make_unique<P>(args...);
+    buffer_ = &prefetcher->buffer();
+    ms_ = std::move(prefetcher);
+}
+
 System::System(const SystemConfig &config,
                std::vector<TraceSource *> traces)
     : config_(config),
@@ -57,74 +66,47 @@ System::System(const SystemConfig &config,
         asd_config.threads = threads;
         switch (config_.mc_prefetcher) {
           case McPrefetcherKind::Asd:
-            asd_ = std::make_unique<AsdPrefetcher>(asd_config);
-            mc_.attachPrefetcher(asd_.get());
-            buffer_ = &asd_->buffer();
-            asd_->registerStats(registry_, "asd");
+            buildMs<AsdPrefetcher>(asd_config);
             break;
           case McPrefetcherKind::NextLine:
-            baseline_ =
-                std::make_unique<NextLineMcPrefetcher>(asd_config);
-            mc_.attachPrefetcher(baseline_.get());
-            buffer_ = &baseline_->buffer();
+            buildMs<NextLineMcPrefetcher>(asd_config);
             break;
           case McPrefetcherKind::P5Style:
-            baseline_ =
-                std::make_unique<P5StyleMcPrefetcher>(asd_config);
-            mc_.attachPrefetcher(baseline_.get());
-            buffer_ = &baseline_->buffer();
+            buildMs<P5StyleMcPrefetcher>(asd_config);
             break;
           case McPrefetcherKind::Ghb:
-            baseline_ = std::make_unique<GhbMcPrefetcher>(
-                asd_config, config_.ghb);
-            mc_.attachPrefetcher(baseline_.get());
-            buffer_ = &baseline_->buffer();
+            buildMs<GhbMcPrefetcher>(asd_config, config_.ghb);
             break;
           case McPrefetcherKind::Stride:
-            baseline_ = std::make_unique<StrideMcPrefetcher>(
-                asd_config, config_.stride);
-            mc_.attachPrefetcher(baseline_.get());
-            buffer_ = &baseline_->buffer();
+            buildMs<StrideMcPrefetcher>(asd_config, config_.stride);
             break;
           case McPrefetcherKind::Dspatch:
-            baseline_ = std::make_unique<DspatchMcPrefetcher>(
-                asd_config, config_.dspatch);
-            mc_.attachPrefetcher(baseline_.get());
-            buffer_ = &baseline_->buffer();
+            buildMs<DspatchMcPrefetcher>(asd_config, config_.dspatch);
             break;
           case McPrefetcherKind::Perceptron:
-            baseline_ = std::make_unique<PerceptronMcPrefetcher>(
-                asd_config, config_.perceptron);
-            mc_.attachPrefetcher(baseline_.get());
-            buffer_ = &baseline_->buffer();
+            buildMs<PerceptronMcPrefetcher>(asd_config, config_.perceptron);
             break;
         }
+        mc_.attachPrefetcher(ms_.get());
+        asd_ = dynamic_cast<AsdPrefetcher *>(ms_.get());
+        if (asd_)
+            asd_->registerStats(registry_, "asd");
     }
 
-    if (config_.vm.enabled && config_.os.enabled)
-        fatal("System: vm.enabled and os.enabled are mutually "
-              "exclusive — the OS model replaces the VM layer's "
-              "infinite allocators");
-    if (config_.vm.enabled)
-        frames_ = std::make_unique<FrameAllocator>(config_.vm);
-    if (config_.os.enabled)
+    // The OS model when enabled, else VM mode: the same kernel and
+    // MMUs either way, only the frame source differs.
+    const std::string mmu_prefix = config_.os.enabled ? "os" : "vm";
+    if (config_.vm.enabled || config_.os.enabled)
         kernel_ = std::make_unique<OsKernel>(config_.os, config_.vm);
 
     for (std::uint32_t t = 0; t < threads; ++t) {
-        AddressTranslator *mmu = nullptr;
-        if (frames_) {
-            mmus_.push_back(std::make_unique<Mmu>(config_.vm,
-                                                  *frames_, t));
-            mmu = mmus_.back().get();
-            mmus_.back()->registerStats(registry_,
-                                        "vm.t" + std::to_string(t));
-        }
+        OsMmu *mmu = nullptr;
         if (kernel_) {
-            os_mmus_.push_back(std::make_unique<OsMmu>(config_.vm,
-                                                       *kernel_, t));
-            mmu = os_mmus_.back().get();
-            os_mmus_.back()->registerStats(
-                registry_, "os.t" + std::to_string(t));
+            mmus_.push_back(
+                std::make_unique<OsMmu>(config_.vm, *kernel_, t));
+            mmu = mmus_.back().get();
+            mmu->registerStats(registry_,
+                               mmu_prefix + ".t" + std::to_string(t));
         }
         CpuPrefetcher *ps = nullptr;
         if (config_.hasPs()) {
@@ -152,7 +134,7 @@ System::System(const SystemConfig &config,
             asd_->setEpochEndHook([this](Cycle now) {
                 telemetry_->onEpochEnd(now);
             });
-            if (kernel_) {
+            if (config_.os.enabled) {
                 telemetry_->setOsProbe([this]() {
                     OsTelemetrySample sample;
                     sample.minor_faults = kernel_->minorFaults();
@@ -174,10 +156,8 @@ System::System(const SystemConfig &config,
         }
     }
 
-    if (frames_)
-        frames_->registerStats(registry_, "vm");
     if (kernel_)
-        kernel_->registerStats(registry_, "os");
+        kernel_->registerStats(registry_, mmu_prefix);
     dram_.registerStats(registry_);
     mc_.registerStats(registry_, "mc");
     hierarchy_.registerStats(registry_, "cache");
@@ -391,31 +371,24 @@ System::collectMetrics() const
         metrics.power.averageWatts(now_, config_.cpu_hz);
     metrics.dram_energy_mj = metrics.power.totalPj() * 1e-9;
 
-    metrics.vm_enabled = !mmus_.empty();
+    metrics.os_enabled = config_.os.enabled;
+    metrics.vm_enabled = kernel_ && !metrics.os_enabled;
     for (const auto &mmu : mmus_) {
-        metrics.tlb_hits += mmu->tlb().hits();
-        metrics.tlb_misses += mmu->tlb().misses();
-        metrics.tlb_evictions += mmu->tlb().evictions();
-        metrics.page_walk_cycles += mmu->walkCycles();
-        metrics.pages_mapped += mmu->pageTable().pagesMapped();
-    }
-
-    metrics.os_enabled = kernel_ != nullptr;
-    for (const auto &mmu : os_mmus_) {
         metrics.tlb_hits += mmu->tlb().hits();
         metrics.tlb_misses += mmu->tlb().misses();
         metrics.tlb_evictions += mmu->tlb().evictions();
         metrics.page_walk_cycles += mmu->stallCycles();
     }
-    if (kernel_) {
-        metrics.pages_mapped += kernel_->pagesMapped();
+    if (kernel_)
+        metrics.pages_mapped = kernel_->pagesMapped();
+    if (metrics.os_enabled) {
         metrics.os_minor_faults = kernel_->minorFaults();
         metrics.os_major_faults = kernel_->majorFaults();
         metrics.os_reclaims = kernel_->reclaims();
         metrics.os_writebacks = kernel_->writebacks();
         metrics.os_shootdowns = kernel_->shootdowns();
         metrics.os_stall_cycles = kernel_->stallCycles();
-        metrics.os_resident_pages = kernel_->pool().resident();
+        metrics.os_resident_pages = kernel_->residentPages();
     }
 
     metrics.mc_reads = mc_.readsObserved();
@@ -450,14 +423,6 @@ System::collectMetrics() const
     return metrics;
 }
 
-MemSidePrefetcher *
-System::msPrefetcher() const
-{
-    if (asd_)
-        return asd_.get();
-    return baseline_.get();
-}
-
 void
 System::saveSnapshot(SnapshotWriter &w) const
 {
@@ -489,9 +454,8 @@ System::saveSnapshot(SnapshotWriter &w) const
     w.u64(ps_prefetch_dropped_.value());
     w.u64(ps_merged_demands_.value());
     w.u32(static_cast<std::uint32_t>(cpus_.size()));
-    w.b(msPrefetcher() != nullptr);
+    w.b(ms_ != nullptr);
     w.b(!ps_.empty());
-    w.b(frames_ != nullptr);
     w.b(telemetry_ != nullptr);
     w.b(kernel_ != nullptr);
     w.endSection();
@@ -514,10 +478,10 @@ System::saveSnapshot(SnapshotWriter &w) const
     dram_.saveState(w);
     w.endSection();
 
-    if (const MemSidePrefetcher *ms = msPrefetcher()) {
+    if (ms_) {
         w.beginSection("ms");
         w.u8(static_cast<std::uint8_t>(config_.mc_prefetcher));
-        ms->saveState(w);
+        ms_->saveState(w);
         w.endSection();
     }
 
@@ -527,18 +491,10 @@ System::saveSnapshot(SnapshotWriter &w) const
         w.endSection();
     }
 
-    if (frames_) {
-        w.beginSection("vm");
-        frames_->saveState(w);
-        for (const auto &mmu : mmus_)
-            mmu->saveState(w);
-        w.endSection();
-    }
-
     if (kernel_) {
         w.beginSection("os");
         kernel_->saveState(w);
-        for (const auto &mmu : os_mmus_)
+        for (const auto &mmu : mmus_)
             mmu->saveState(w);
         w.endSection();
     }
@@ -583,12 +539,11 @@ System::loadSnapshot(SnapshotReader &r)
                           "snapshot thread count mismatch");
     const bool snap_ms = r.b();
     const bool snap_ps = r.b();
-    const bool snap_vm = r.b();
     const bool snap_tel = r.b();
     const bool snap_os = r.b();
     r.endSection();
 
-    // The processor side and VM layer shape the pre-checkpoint
+    // The processor side and translation shape the pre-checkpoint
     // evolution, so they must match exactly. A snapshot WITHOUT
     // memory-side prefetcher / telemetry state may be restored into a
     // machine that HAS them (warm-start forking: the warm-up ran
@@ -596,15 +551,13 @@ System::loadSnapshot(SnapshotReader &r)
     // prefetcher starts from its freshly-built state) — but not the
     // reverse.
     SnapshotReader::check(
-        !snap_ms || msPrefetcher() != nullptr,
+        !snap_ms || ms_ != nullptr,
         "snapshot carries memory-side prefetcher state but this "
         "machine has none");
     SnapshotReader::check(snap_ps == !ps_.empty(),
                           "processor-side prefetcher presence mismatch");
-    SnapshotReader::check(snap_vm == (frames_ != nullptr),
-                          "virtual-memory presence mismatch");
     SnapshotReader::check(snap_os == (kernel_ != nullptr),
-                          "OS-model presence mismatch");
+                          "translation presence mismatch");
     SnapshotReader::check(
         !snap_tel || telemetry_ != nullptr,
         "snapshot carries telemetry state but this machine has no "
@@ -635,7 +588,7 @@ System::loadSnapshot(SnapshotReader &r)
             r.u8() ==
                 static_cast<std::uint8_t>(config_.mc_prefetcher),
             "memory-side prefetcher kind mismatch");
-        msPrefetcher()->loadState(r);
+        ms_->loadState(r);
         r.endSection();
     }
 
@@ -647,18 +600,10 @@ System::loadSnapshot(SnapshotReader &r)
         }
     }
 
-    if (snap_vm) {
-        r.openSection("vm");
-        frames_->loadState(r);
-        for (const auto &mmu : mmus_)
-            mmu->loadState(r);
-        r.endSection();
-    }
-
     if (snap_os) {
         r.openSection("os");
         kernel_->loadState(r);
-        for (const auto &mmu : os_mmus_)
+        for (const auto &mmu : mmus_)
             mmu->loadState(r);
         r.endSection();
     }

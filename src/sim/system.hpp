@@ -31,7 +31,6 @@
 #include "sim/system_config.hpp"
 #include "snapshot/snapshot.hpp"
 #include "telemetry/recorder.hpp"
-#include "vm/mmu.hpp"
 
 namespace asd
 {
@@ -69,9 +68,9 @@ class System : public MemPort
     /**
      * Serialize the complete machine state into @p w as named
      * sections ("sys", "cpu<t>", "cache", "mc", "dram", plus "ms",
-     * "ps<t>", "vm", "os", "tel" when those layers are present). The
-     * caller
-     * owns the surrounding file format (config hash, metadata).
+     * "ps<t>", "os" (translation, VM mode included), "tel" when those
+     * layers are present). The caller owns the surrounding file format
+     * (config hash, metadata).
      * Deterministic: saving twice from the same state yields
      * byte-identical payloads.
      */
@@ -105,9 +104,9 @@ class System : public MemPort
     const CacheHierarchy &hierarchy() const { return hierarchy_; }
     const StatRegistry &stats() const { return registry_; }
 
-    /** Non-null when the MC prefetcher is ASD. */
-    AsdPrefetcher *asd() { return asd_.get(); }
-    const AsdPrefetcher *asd() const { return asd_.get(); }
+    /** Non-null when the MC prefetcher is ASD (a typed view of it). */
+    AsdPrefetcher *asd() { return asd_; }
+    const AsdPrefetcher *asd() const { return asd_; }
 
     /**
      * Non-null when SystemConfig::telemetry.enabled and the MC
@@ -118,13 +117,7 @@ class System : public MemPort
         return telemetry_.get();
     }
 
-    /** Thread @p t's MMU; null when the VM layer is disabled. */
-    const Mmu *mmu(std::uint32_t t) const
-    {
-        return t < mmus_.size() ? mmus_[t].get() : nullptr;
-    }
-
-    /** The OS kernel model; null when the OS model is disabled. */
+    /** The translation kernel; null when neither VM nor OS is on. */
     const OsKernel *osKernel() const { return kernel_.get(); }
 
     /**
@@ -173,30 +166,27 @@ class System : public MemPort
      */
     void armPrefetcher();
 
-    /** The active memory-side prefetcher, whichever kind it is. */
-    MemSidePrefetcher *msPrefetcher() const;
+    /** Install memory-side prefetcher @p P, built from @p args. */
+    template <typename P, typename... Args>
+    void buildMs(const Args &...args);
 
     SystemConfig config_;
     Dram dram_;
     MemoryController mc_;
     CacheHierarchy hierarchy_;
 
-    std::unique_ptr<AsdPrefetcher> asd_;
+    std::unique_ptr<MemSidePrefetcher> ms_;
+    AsdPrefetcher *asd_ = nullptr;           //!< ms_ when it is ASD
+    const PrefetchBuffer *buffer_ = nullptr; //!< ms_'s buffer
     std::unique_ptr<TelemetryRecorder> telemetry_;
     std::function<void(Cycle)> epoch_hook_; //!< after telemetry
     std::function<void(Cycle)> loop_hook_;  //!< top of runUntil loop
-    std::unique_ptr<BufferedMcPrefetcher> baseline_;
-    const PrefetchBuffer *buffer_ = nullptr; //!< whichever is active
 
     std::vector<std::unique_ptr<CpuPrefetcher>> ps_;
 
-    /** Shared frame pool + per-thread MMUs (VM enabled only). */
-    std::unique_ptr<FrameAllocator> frames_;
-    std::vector<std::unique_ptr<Mmu>> mmus_;
-
-    /** Shared kernel + per-thread MMUs (OS model enabled only). */
+    /** Shared kernel + per-thread MMUs (VM mode or OS model). */
     std::unique_ptr<OsKernel> kernel_;
-    std::vector<std::unique_ptr<OsMmu>> os_mmus_;
+    std::vector<std::unique_ptr<OsMmu>> mmus_;
 
     std::vector<std::unique_ptr<TraceCpu>> cpus_;
 

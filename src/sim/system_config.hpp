@@ -68,20 +68,20 @@ struct SystemConfig
     CpuConfig cpu;
 
     /**
-     * Virtual-memory layer (page table + TLB + frame allocator).
-     * Disabled by default: trace addresses reach the hierarchy
-     * untranslated and results are bit-identical to a machine without
-     * the layer.
+     * Translation granule and TLB geometry of every translated run;
+     * vm.enabled alone selects VM mode (the kernel over the unbounded
+     * frame allocator). Disabled by default: trace addresses reach the
+     * hierarchy untranslated and results are bit-identical to a
+     * machine without translation.
      */
     VmConfig vm;
 
     /**
      * OS memory model (demand paging over a finite frame pool with
-     * CLOCK reclaim). Mutually exclusive with the plain VM layer: the
-     * OS model replaces the infinite allocators entirely. It reads
-     * the granule, TLB geometry, and walker selection from `vm` but
-     * ignores vm.enabled. Disabled by default; when off, runs are
-     * bit-identical to a machine without the OS layer.
+     * CLOCK reclaim). When enabled the kernel takes its frames from
+     * the pool instead of vm's allocator and ignores vm.enabled.
+     * Disabled by default; when off, runs are bit-identical to a
+     * machine without the OS layer.
      */
     OsConfig os;
 

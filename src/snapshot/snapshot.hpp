@@ -50,8 +50,12 @@ namespace asd
  * section.
  * v4: the "cli" section stores every RunOptions field as a (key,
  * text) pair in field-table order instead of a fixed binary layout.
+ * v5: one translation path. VM mode saves its kernel in the "os"
+ * section (the "vm" section and its "sys" presence flag are gone),
+ * the kernel leads with its frame source, and frame-pool entries
+ * hold a page key instead of (space, vpn).
  */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
 
 /**
  * Any way a snapshot can be unusable: truncated or corrupt bytes,

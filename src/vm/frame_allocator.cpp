@@ -69,9 +69,8 @@ FrameAllocator::randomFreeFrame()
 }
 
 std::uint64_t
-FrameAllocator::allocate(std::uint64_t vpn, std::uint32_t thread)
+FrameAllocator::allocate(std::uint64_t vpn)
 {
-    (void)thread;
     allocated_.inc();
     switch (config_.policy) {
     case FrameAllocPolicy::Identity:

@@ -3,10 +3,11 @@
 
 /**
  * @file
- * Physical-frame allocation policies. One allocator is shared by all
- * hardware threads, so under Sequential/RandomShuffle placement the
- * threads compete for frames and interleave in physical memory the
- * way co-running processes do under a real OS.
+ * Physical-frame allocation policies: the kernel's unbounded frame
+ * source in VM mode. One allocator is shared by all hardware threads,
+ * so under Sequential/RandomShuffle placement the threads compete for
+ * frames and interleave in physical memory the way co-running
+ * processes do under a real OS.
  */
 
 #include <cstdint>
@@ -32,14 +33,14 @@ class FrameAllocator : public Snapshottable
     explicit FrameAllocator(const VmConfig &config);
 
     /**
-     * Allocate a frame for virtual page @p vpn of @p thread.
+     * Allocate a frame for virtual page @p vpn of any thread.
      * Identity placement maps equal page numbers of different threads
      * to the same frame (matching the untranslated simulator, where
      * thread address spaces alias freely); the other policies hand
      * every allocation a distinct frame and fatal() when physical
      * memory is exhausted.
      */
-    std::uint64_t allocate(std::uint64_t vpn, std::uint32_t thread);
+    std::uint64_t allocate(std::uint64_t vpn);
 
     /** Frames handed out so far (Identity allocations included). */
     std::uint64_t allocated() const { return allocated_.value(); }

@@ -3,15 +3,16 @@
 
 /**
  * @file
- * Configuration of the virtual-memory layer. The paper's ASD
- * prefetcher lives in the memory controller and therefore observes
- * *physical* addresses; how the OS maps virtual pages onto physical
- * frames shapes the stream lengths it can see (a long virtual stream
+ * Configuration of address translation. The paper's ASD prefetcher
+ * lives in the memory controller and therefore observes *physical*
+ * addresses; how the OS maps virtual pages onto physical frames
+ * shapes the stream lengths it can see (a long virtual stream
  * fragments at every page boundary under random frame allocation).
- * This config selects the mapping policy, the translation granule,
- * and the TLB geometry. Disabled by default: addresses pass through
- * untranslated and runs are bit-identical to a build without the VM
- * layer.
+ * This config selects the translation granule and TLB geometry for
+ * every translated run, plus VM mode's frame placement policy and the
+ * OS model's walker. VM mode is disabled by default: addresses pass
+ * through untranslated and runs are bit-identical to a build without
+ * translation.
  */
 
 #include <cstdint>
@@ -44,10 +45,8 @@ enum class FrameAllocPolicy : std::uint8_t
 };
 
 /**
- * Page-table organization used by the OS model's software walker.
- * The plain VM layer (no OS model) always uses the radix-style
- * PageTable with a fixed walk cost; under the OS model the kernel
- * builds the walker this selects.
+ * Page-table organization the kernel walks under the OS model. VM
+ * mode always walks the radix table at TlbConfig::walk_cycles.
  */
 enum class PageWalkerKind : std::uint8_t
 {
@@ -72,10 +71,13 @@ struct TlbConfig
     Cycles walk_cycles = 60;
 };
 
-/** Everything needed to build the per-thread MMUs. */
+/** Granule, TLB, and VM-mode placement for the per-thread MMUs. */
 struct VmConfig
 {
-    /** Off by default: bit-identical to the pre-VM simulator. */
+    /**
+     * VM mode: translate over the unbounded frame allocator. Off by
+     * default: bit-identical to the pre-VM simulator.
+     */
     bool enabled = false;
 
     FrameAllocPolicy policy = FrameAllocPolicy::Identity;
@@ -92,7 +94,7 @@ struct VmConfig
     /** Seed for the random-shuffle placements. */
     std::uint64_t seed = 0x5eedULL;
 
-    /** Page-table organization for the OS model's walker. */
+    /** Page-table organization under the OS model. */
     PageWalkerKind walker = PageWalkerKind::Radix;
 
     TlbConfig tlb;

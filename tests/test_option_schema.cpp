@@ -302,6 +302,16 @@ TEST(Validate, EachCrossFieldRule)
     os_vm.vm.enabled = true;
     EXPECT_TRUE(validate(os_vm));
 
+    // Only the OS model picks a walker; VM mode always walks radix.
+    RunOptions walker;
+    walker.vm.walker = PageWalkerKind::Hashed;
+    EXPECT_TRUE(validate(walker));
+    walker.vm.enabled = true;
+    EXPECT_TRUE(validate(walker));
+    walker.vm.enabled = false;
+    walker.os.enabled = true;
+    EXPECT_FALSE(validate(walker));
+
     RunOptions tuned;
     tuned.tuner.enabled = true;
     EXPECT_FALSE(validate(tuned));

@@ -17,6 +17,7 @@
 
 #include "os/frame_pool.hpp"
 #include "os/kernel.hpp"
+#include "os/os_mmu.hpp"
 #include "os/page_walker.hpp"
 #include "sim/experiment.hpp"
 #include "sim/system.hpp"
@@ -42,7 +43,7 @@ TEST(FramePool, HandsOutFreeFramesBeforeReclaiming)
     OsVictim victim;
     std::vector<std::uint64_t> pfns;
     for (std::uint64_t vpn = 0; vpn < 4; ++vpn) {
-        pfns.push_back(pool.acquire(0, vpn, false, evicted, victim));
+        pfns.push_back(pool.acquire(vpn, false, evicted, victim));
         EXPECT_FALSE(evicted);
     }
     EXPECT_EQ(pool.resident(), 4u);
@@ -52,7 +53,7 @@ TEST(FramePool, HandsOutFreeFramesBeforeReclaiming)
         mask |= 1ULL << pfn;
     EXPECT_EQ(mask, 0xFu);
 
-    pool.acquire(0, 99, false, evicted, victim);
+    pool.acquire(99, false, evicted, victim);
     EXPECT_TRUE(evicted);
     EXPECT_EQ(pool.resident(), 4u);
 }
@@ -64,24 +65,22 @@ TEST(FramePool, ClockGivesReferencedFramesASecondChance)
     OsVictim victim;
     std::vector<std::uint64_t> owner(3); // pfn -> vpn mapped there
     for (std::uint64_t vpn = 10; vpn < 13; ++vpn)
-        owner[pool.acquire(0, vpn, false, evicted, victim)] = vpn;
+        owner[pool.acquire(vpn, false, evicted, victim)] = vpn;
 
     // Every frame is referenced, so the first reclaim sweeps the full
     // clock (clearing R everywhere) and evicts frame 0.
-    const std::uint64_t pfn = pool.acquire(0, 20, false, evicted,
-                                           victim);
+    const std::uint64_t pfn = pool.acquire(20, false, evicted, victim);
     EXPECT_TRUE(evicted);
     EXPECT_EQ(pfn, 0u);
-    EXPECT_EQ(victim.vpn, owner[0]);
+    EXPECT_EQ(victim.key, owner[0]);
 
     // Re-referencing frame 1 buys it a second chance: the hand (now
     // at 1) clears its R bit and takes frame 2 instead.
     pool.markAccess(1, false);
-    const std::uint64_t next = pool.acquire(0, 21, false, evicted,
-                                            victim);
+    const std::uint64_t next = pool.acquire(21, false, evicted, victim);
     EXPECT_TRUE(evicted);
     EXPECT_EQ(next, 2u);
-    EXPECT_EQ(victim.vpn, owner[2]);
+    EXPECT_EQ(victim.key, owner[2]);
 }
 
 TEST(FramePool, ReportsDirtyVictimsForWriteback)
@@ -89,22 +88,22 @@ TEST(FramePool, ReportsDirtyVictimsForWriteback)
     FramePool pool(1, 3);
     bool evicted = false;
     OsVictim victim;
-    pool.acquire(0, 1, true, evicted, victim); // dirtied at claim
-    pool.acquire(0, 2, false, evicted, victim);
+    pool.acquire(1, true, evicted, victim); // dirtied at claim
+    pool.acquire(2, false, evicted, victim);
     EXPECT_TRUE(evicted);
-    EXPECT_EQ(victim.vpn, 1u);
+    EXPECT_EQ(victim.key, 1u);
     EXPECT_TRUE(victim.dirty);
 
-    pool.acquire(0, 3, false, evicted, victim);
+    pool.acquire(3, false, evicted, victim);
     EXPECT_TRUE(evicted);
-    EXPECT_EQ(victim.vpn, 2u);
+    EXPECT_EQ(victim.key, 2u);
     EXPECT_FALSE(victim.dirty);
 
     // A write touch after claim also dirties the page.
     pool.markAccess(0, true);
-    pool.acquire(0, 4, false, evicted, victim);
+    pool.acquire(4, false, evicted, victim);
     EXPECT_TRUE(evicted);
-    EXPECT_EQ(victim.vpn, 3u);
+    EXPECT_EQ(victim.key, 3u);
     EXPECT_TRUE(victim.dirty);
 }
 
@@ -114,7 +113,7 @@ TEST(FramePool, SnapshotRoundTripsByteIdentically)
     bool evicted = false;
     OsVictim victim;
     for (std::uint64_t vpn = 0; vpn < 11; ++vpn)
-        pool.acquire(0, vpn, vpn % 3 == 0, evicted, victim);
+        pool.acquire(vpn, vpn % 3 == 0, evicted, victim);
 
     SnapshotWriter first;
     first.beginSection("pool");
@@ -137,9 +136,9 @@ TEST(FramePool, SnapshotRoundTripsByteIdentically)
     // The restored pool evicts the same victim as the original.
     OsVictim a;
     OsVictim b;
-    EXPECT_EQ(pool.acquire(1, 50, false, evicted, a),
-              restored.acquire(1, 50, false, evicted, b));
-    EXPECT_EQ(a.vpn, b.vpn);
+    EXPECT_EQ(pool.acquire(osPageKey(1, 50), false, evicted, a),
+              restored.acquire(osPageKey(1, 50), false, evicted, b));
+    EXPECT_EQ(a.key, b.key);
 }
 
 // --- page walkers --------------------------------------------------
@@ -202,13 +201,13 @@ TEST(OsKernel, ChargesWalkPlusFaultThenWalkOnly)
     VmConfig vm;
     OsKernel kernel(os, vm);
 
-    const OsTouchResult fault = kernel.touch(0, 5, false);
+    const OsTouchResult fault = kernel.touch(0, 0, 5, false);
     EXPECT_TRUE(fault.minor_fault);
     EXPECT_FALSE(fault.major_fault);
     EXPECT_EQ(fault.stall_cycles,
               vm.tlb.walk_cycles + os.minor_fault_cycles);
 
-    const OsTouchResult hit = kernel.touch(0, 5, false);
+    const OsTouchResult hit = kernel.touch(0, 0, 5, false);
     EXPECT_FALSE(hit.minor_fault);
     EXPECT_EQ(hit.pfn, fault.pfn);
     EXPECT_EQ(hit.stall_cycles, vm.tlb.walk_cycles);
@@ -223,14 +222,14 @@ TEST(OsKernel, ReclaimShootsDownTlbAndForcesRefault)
     VmConfig vm;
     OsKernel kernel(os, vm);
     Tlb tlb(vm.tlb);
-    kernel.registerTlb(&tlb);
+    kernel.registerTlb(0, &tlb);
 
-    const OsTouchResult first = kernel.touch(0, 1, true);
+    const OsTouchResult first = kernel.touch(0, 0, 1, true);
     tlb.insert(osPageKey(0, 1), first.pfn);
 
     // Faulting in a second page evicts the dirty first one: reclaim +
     // writeback are charged and the stale TLB entry is shot down.
-    const OsTouchResult second = kernel.touch(0, 2, false);
+    const OsTouchResult second = kernel.touch(0, 0, 2, false);
     EXPECT_TRUE(second.reclaimed);
     EXPECT_TRUE(second.wrote_back);
     EXPECT_EQ(second.stall_cycles,
@@ -240,13 +239,50 @@ TEST(OsKernel, ReclaimShootsDownTlbAndForcesRefault)
     EXPECT_FALSE(tlb.lookup(osPageKey(0, 1)).has_value());
 
     // The evicted page is gone from the table: touching it refaults.
-    const OsTouchResult refault = kernel.touch(0, 1, false);
+    const OsTouchResult refault = kernel.touch(0, 0, 1, false);
     EXPECT_TRUE(refault.minor_fault);
     EXPECT_TRUE(refault.reclaimed);
     EXPECT_FALSE(refault.wrote_back); // victim page 2 was clean
     EXPECT_EQ(kernel.minorFaults(), 3u);
     EXPECT_EQ(kernel.reclaims(), 2u);
     EXPECT_EQ(kernel.writebacks(), 1u);
+}
+
+/** The same virtual page as seen by two SMT threads' MMUs. */
+TEST(OsKernel, SmtThreadsFaultPrivately)
+{
+    const OsConfig os = testOs(8);
+    VmConfig vm;
+    OsKernel kernel(os, vm);
+    OsMmu t0(vm, kernel, 0);
+    OsMmu t1(vm, kernel, 1);
+    MemAccess access;
+    access.addr = 5 * vm.pageBytes();
+    Cycles stall0 = 0;
+    Cycles stall1 = 0;
+    const Addr p0 = t0.translate(access, stall0);
+    const Addr p1 = t1.translate(access, stall1);
+    // Each thread runs its own process: the second touch faults too
+    // and gets a frame of its own.
+    EXPECT_EQ(kernel.minorFaults(), 2u);
+    EXPECT_EQ(stall1, vm.tlb.walk_cycles + os.minor_fault_cycles);
+    EXPECT_NE(p0 / vm.pageBytes(), p1 / vm.pageBytes());
+}
+
+TEST(OsKernel, ReclaimShootsDownOnlyTheOwnersTlb)
+{
+    const OsConfig os = testOs(1); // every new page reclaims
+    VmConfig vm;
+    OsKernel kernel(os, vm);
+    OsMmu t0(vm, kernel, 0);
+    OsMmu t1(vm, kernel, 1);
+    const MemAccess access;
+    Cycles stall = 0;
+    t0.translate(access, stall);
+    t1.translate(access, stall); // evicts thread 0's page
+    EXPECT_EQ(kernel.shootdowns(), 1u);
+    EXPECT_FALSE(t0.tlb().probe(osPageKey(0, 0)));
+    EXPECT_TRUE(t1.tlb().probe(osPageKey(0, 0)));
 }
 
 TEST(OsKernel, SnapshotRestoreContinuesIdentically)
@@ -258,7 +294,7 @@ TEST(OsKernel, SnapshotRestoreContinuesIdentically)
 
     OsKernel kernel(os, vm);
     for (std::uint64_t vpn = 0; vpn < 64; ++vpn)
-        kernel.touch(static_cast<std::uint32_t>(vpn % 3), vpn / 3,
+        kernel.touch(0, static_cast<std::uint32_t>(vpn % 3), vpn / 3,
                      vpn % 5 == 0);
 
     SnapshotWriter writer;
@@ -275,9 +311,9 @@ TEST(OsKernel, SnapshotRestoreContinuesIdentically)
 
     for (std::uint64_t vpn = 64; vpn < 160; ++vpn) {
         const OsTouchResult a = kernel.touch(
-            static_cast<std::uint32_t>(vpn % 3), vpn, false);
+            0, static_cast<std::uint32_t>(vpn % 3), vpn, false);
         const OsTouchResult b = restored.touch(
-            static_cast<std::uint32_t>(vpn % 3), vpn, false);
+            0, static_cast<std::uint32_t>(vpn % 3), vpn, false);
         EXPECT_EQ(a.pfn, b.pfn);
         EXPECT_EQ(a.stall_cycles, b.stall_cycles);
         EXPECT_EQ(a.major_fault, b.major_fault);

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the virtual-memory layer: frame-allocation policies and
- * their determinism, page-table first-touch behavior, TLB hit/miss/
- * eviction accounting, huge-page coalescing, and the two system-level
+ * Tests for VM mode: frame-allocation policies and their determinism,
+ * first-touch mapping through the kernel over the allocator, private
+ * per-thread mappings, TLB hit/miss/eviction accounting, huge-page
+ * coalescing, and the two system-level
  * properties the subsystem exists for — VM off is bit-identical to
  * the untranslated simulator, and random 4 KB placement measurably
  * shortens the physical streams ASD observes.
@@ -17,10 +18,9 @@
 #include "core/asd_prefetcher.hpp"
 #include "sim/experiment.hpp"
 #include "sim/system.hpp"
+#include "os/os_mmu.hpp"
 #include "trace/synthetic.hpp"
 #include "vm/frame_allocator.hpp"
-#include "vm/mmu.hpp"
-#include "vm/page_table.hpp"
 #include "vm/tlb.hpp"
 
 namespace asd
@@ -42,11 +42,11 @@ baseVm()
 TEST(FrameAllocator, IdentityMapsPageToSameFrame)
 {
     FrameAllocator alloc(baseVm());
-    EXPECT_EQ(alloc.allocate(0, 0), 0u);
-    EXPECT_EQ(alloc.allocate(1234, 0), 1234u);
+    EXPECT_EQ(alloc.allocate(0), 0u);
+    EXPECT_EQ(alloc.allocate(1234), 1234u);
     // Identity wraps at the physical frame count.
     const std::uint64_t frames = baseVm().frames();
-    EXPECT_EQ(alloc.allocate(frames + 7, 0), 7u);
+    EXPECT_EQ(alloc.allocate(frames + 7), 7u);
     EXPECT_EQ(alloc.allocated(), 3u);
 }
 
@@ -55,9 +55,9 @@ TEST(FrameAllocator, SequentialBumpsFrames)
     VmConfig vm = baseVm();
     vm.policy = FrameAllocPolicy::Sequential;
     FrameAllocator alloc(vm);
-    EXPECT_EQ(alloc.allocate(900, 0), 0u);
-    EXPECT_EQ(alloc.allocate(17, 1), 1u);
-    EXPECT_EQ(alloc.allocate(900, 1), 2u);
+    EXPECT_EQ(alloc.allocate(900), 0u);
+    EXPECT_EQ(alloc.allocate(17), 1u);
+    EXPECT_EQ(alloc.allocate(900), 2u);
 }
 
 TEST(FrameAllocator, RandomShuffleIsDeterministicForSeed)
@@ -72,9 +72,9 @@ TEST(FrameAllocator, RandomShuffleIsDeterministicForSeed)
     vm.seed = 100;
     FrameAllocator c(vm);
     for (std::uint64_t vpn = 0; vpn < 2000; ++vpn) {
-        const std::uint64_t fa = a.allocate(vpn, 0);
-        EXPECT_EQ(fa, b.allocate(vpn, 0));
-        any_different_seed_diff |= fa != c.allocate(vpn, 0);
+        const std::uint64_t fa = a.allocate(vpn);
+        EXPECT_EQ(fa, b.allocate(vpn));
+        any_different_seed_diff |= fa != c.allocate(vpn);
         first.push_back(fa);
     }
     EXPECT_TRUE(any_different_seed_diff);
@@ -91,36 +91,56 @@ TEST(FrameAllocator, ExhaustionIsFatal)
     vm.phys_bytes = 4 * vm.page_bytes; // 4 frames
     FrameAllocator alloc(vm);
     for (std::uint64_t vpn = 0; vpn < 4; ++vpn)
-        alloc.allocate(vpn, 0);
-    EXPECT_EXIT(alloc.allocate(4, 0), testing::ExitedWithCode(1),
+        alloc.allocate(vpn);
+    EXPECT_EXIT(alloc.allocate(4), testing::ExitedWithCode(1),
                 "out of physical frames");
 }
 
-TEST(PageTable, FirstTouchAllocatesThenStable)
+/** A read of virtual byte address @p addr. */
+MemAccess
+readOf(Addr addr)
 {
-    VmConfig vm = baseVm();
-    vm.policy = FrameAllocPolicy::Sequential;
-    FrameAllocator alloc(vm);
-    PageTable table(alloc, 0);
-    const std::uint64_t f0 = table.translate(42);
-    const std::uint64_t f1 = table.translate(7);
-    EXPECT_NE(f0, f1);
-    // Repeats hit the existing mapping: no new frames.
-    EXPECT_EQ(table.translate(42), f0);
-    EXPECT_EQ(table.translate(7), f1);
-    EXPECT_EQ(table.pagesMapped(), 2u);
-    EXPECT_EQ(alloc.allocated(), 2u);
+    MemAccess access;
+    access.addr = addr;
+    return access;
 }
 
-TEST(PageTable, ThreadsGetPrivateMappings)
+/** Physical address of @p vaddr as @p mmu translates it. */
+Addr
+paddrOf(OsMmu &mmu, Addr vaddr)
+{
+    Cycles walk = 0;
+    return mmu.translate(readOf(vaddr), walk);
+}
+
+TEST(VmKernel, FirstTouchAllocatesThenStable)
 {
     VmConfig vm = baseVm();
     vm.policy = FrameAllocPolicy::Sequential;
-    FrameAllocator alloc(vm);
-    PageTable t0(alloc, 0);
-    PageTable t1(alloc, 1);
+    OsKernel kernel(OsConfig{}, vm);
+    OsMmu mmu(vm, kernel, 0);
+    const Addr f0 = paddrOf(mmu, 42 * 4096);
+    const Addr f1 = paddrOf(mmu, 7 * 4096);
+    EXPECT_NE(f0, f1);
+    // Repeats hit the existing mapping: no new pages.
+    EXPECT_EQ(paddrOf(mmu, 42 * 4096), f0);
+    EXPECT_EQ(paddrOf(mmu, 7 * 4096), f1);
+    EXPECT_EQ(kernel.pagesMapped(), 2u);
+    // VM mode charges no fault of any kind.
+    EXPECT_EQ(kernel.minorFaults() + kernel.majorFaults(), 0u);
+    EXPECT_EQ(kernel.residentPages(), 0u);
+}
+
+TEST(VmKernel, ThreadsGetPrivateMappings)
+{
+    VmConfig vm = baseVm();
+    vm.policy = FrameAllocPolicy::Sequential;
+    OsKernel kernel(OsConfig{}, vm);
+    OsMmu t0(vm, kernel, 0);
+    OsMmu t1(vm, kernel, 1);
     // Same vpn, different address spaces -> different frames.
-    EXPECT_NE(t0.translate(5), t1.translate(5));
+    EXPECT_NE(paddrOf(t0, 5 * 4096), paddrOf(t1, 5 * 4096));
+    EXPECT_EQ(kernel.pagesMapped(), 2u);
 }
 
 TEST(Tlb, CountsHitsMissesAndEvictions)
@@ -157,55 +177,53 @@ TEST(Tlb, RejectsNonDividingWays)
                 "ways must divide");
 }
 
-TEST(Mmu, ChargesWalkOnMissOnly)
+TEST(VmKernel, ChargesWalkOnMissOnly)
 {
     VmConfig vm = baseVm();
     vm.tlb.walk_cycles = 25;
-    FrameAllocator alloc(vm);
-    Mmu mmu(vm, alloc, 0);
+    OsKernel kernel(OsConfig{}, vm);
+    OsMmu mmu(vm, kernel, 0);
 
     Cycles walk = 0;
-    const Addr paddr = mmu.translate(4096 + 123, walk);
+    const Addr paddr = mmu.translate(readOf(4096 + 123), walk);
     EXPECT_EQ(walk, 25u);
     EXPECT_EQ(paddr, 4096u + 123u); // identity keeps the address
 
     walk = 99;
-    EXPECT_EQ(mmu.translate(4096 + 200, walk), 4096u + 200u);
+    EXPECT_EQ(mmu.translate(readOf(4096 + 200), walk), 4096u + 200u);
     EXPECT_EQ(walk, 0u); // same page -> TLB hit
-    EXPECT_EQ(mmu.walkCycles(), 25u);
+    EXPECT_EQ(mmu.stallCycles(), 25u);
     EXPECT_EQ(mmu.tlb().hits(), 1u);
     EXPECT_EQ(mmu.tlb().misses(), 1u);
 }
 
-TEST(Mmu, HugePagesCoalesceTranslations)
+TEST(VmKernel, HugePagesCoalesceTranslations)
 {
     VmConfig small = baseVm();
     small.policy = FrameAllocPolicy::RandomShuffle;
     VmConfig huge = baseVm();
     huge.policy = FrameAllocPolicy::HugePage;
 
-    FrameAllocator small_alloc(small);
-    FrameAllocator huge_alloc(huge);
-    Mmu small_mmu(small, small_alloc, 0);
-    Mmu huge_mmu(huge, huge_alloc, 0);
+    OsKernel small_kernel(OsConfig{}, small);
+    OsKernel huge_kernel(OsConfig{}, huge);
+    OsMmu small_mmu(small, small_kernel, 0);
+    OsMmu huge_mmu(huge, huge_kernel, 0);
 
     // Touch one 4 KB page in each of 64 consecutive 32 KB strides:
     // all inside a single 2 MB region.
     for (Addr addr = 0; addr < (2ULL << 20); addr += 32 * 1024) {
-        Cycles walk = 0;
-        small_mmu.translate(addr, walk);
-        huge_mmu.translate(addr, walk);
+        paddrOf(small_mmu, addr);
+        paddrOf(huge_mmu, addr);
     }
-    EXPECT_EQ(huge_mmu.pageTable().pagesMapped(), 1u);
-    EXPECT_EQ(small_mmu.pageTable().pagesMapped(), 64u);
+    EXPECT_EQ(huge_kernel.pagesMapped(), 1u);
+    EXPECT_EQ(small_kernel.pagesMapped(), 64u);
     EXPECT_EQ(huge_mmu.tlb().misses(), 1u);
     EXPECT_EQ(small_mmu.tlb().misses(), 64u);
 
     // Contiguity inside the huge page is preserved even though the
     // huge frame itself is placed randomly.
-    Cycles walk = 0;
-    const Addr base = huge_mmu.translate(0, walk);
-    EXPECT_EQ(huge_mmu.translate(4096, walk), base + 4096);
+    const Addr base = paddrOf(huge_mmu, 0);
+    EXPECT_EQ(paddrOf(huge_mmu, 4096), base + 4096);
 }
 
 /**
