@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Determinism audit: run asdsim_cli twice with identical options and
 # byte-compare everything it produces — stats JSON, per-epoch
-# telemetry CSV, and stdout. Any diff means a nondeterminism bug
+# telemetry CSV, JSON and Chrome trace, and stdout. Any diff means a nondeterminism bug
 # (unseeded randomness, unordered-container iteration order, ...).
 #
 # Usage:
@@ -193,29 +193,31 @@ fi
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-"$CLI" "${ARGS[@]}" --csv \
-    --json "$TMP/stats1.json" \
-    --telemetry-csv "$TMP/telemetry1.csv" \
-    > "$TMP/stdout1.txt"
+# Every file the run writes, numbered by run: stats.json,
+# telemetry.{csv,json} and the trace.json Chrome trace.
+outputs() {
+    echo --json "$TMP/stats$1.json" \
+        --telemetry-csv "$TMP/telemetry$1.csv" \
+        --telemetry-json "$TMP/telemetry$1.json" \
+        --telemetry-trace "$TMP/trace$1.json"
+}
+
+"$CLI" "${ARGS[@]}" --csv $(outputs 1) > "$TMP/stdout1.txt"
 
 if [ -n "$SPLIT" ]; then
     # Save at the split point, then restore and finish: the second
     # run's outputs come entirely from the checkpointed machine.
     "$CLI" "${ARGS[@]}" --telemetry \
         --save-snapshot "$TMP/split.asdsnap@$SPLIT" 2> /dev/null
-    "$CLI" --load-snapshot "$TMP/split.asdsnap" --csv \
-        --json "$TMP/stats2.json" \
-        --telemetry-csv "$TMP/telemetry2.csv" \
+    "$CLI" --load-snapshot "$TMP/split.asdsnap" --csv $(outputs 2) \
         > "$TMP/stdout2.txt" 2> /dev/null
 else
-    "$CLI" "${ARGS[@]}" --csv \
-        --json "$TMP/stats2.json" \
-        --telemetry-csv "$TMP/telemetry2.csv" \
-        > "$TMP/stdout2.txt"
+    "$CLI" "${ARGS[@]}" --csv $(outputs 2) > "$TMP/stdout2.txt"
 fi
 
 status=0
-for artifact in stats.json telemetry.csv stdout.txt; do
+for artifact in stats.json telemetry.csv telemetry.json trace.json \
+    stdout.txt; do
     base=${artifact%.*}
     ext=${artifact##*.}
     if ! cmp -s "$TMP/$base"1".$ext" "$TMP/$base"2".$ext"; then
@@ -232,7 +234,8 @@ if [ $status -eq 0 ]; then
              "an uninterrupted run"
     else
         echo "determinism_diff: OK (${ARGS[*]}) — stats JSON," \
-             "telemetry CSV, and stdout byte-identical across two runs"
+             "telemetry CSV/JSON/trace, and stdout byte-identical" \
+             "across two runs"
     fi
 fi
 exit $status
