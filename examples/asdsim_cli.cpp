@@ -160,26 +160,10 @@ class Machine
         }
         SyntheticConfig trace_config = bench.trace;
         trace_config.total_accesses = accesses;
-        if (options.tenants.enabled) {
-            auto mix = std::make_unique<TenantMixSource>(
-                options.tenants, trace_config, accesses);
-            mix_ = mix.get();
-            trace_ = std::move(mix);
-        } else {
-            trace_ = std::make_unique<SyntheticTraceGenerator>(trace_config);
-        }
+        trace_ = makeTraceSource(options, trace_config);
         system_ = std::make_unique<System>(
             makeSystemConfig(options),
             std::vector<TraceSource *>{trace_.get()});
-        // The tenant probe must be wired before running or restoring,
-        // or epoch records would disagree with an uninterrupted run's.
-        if (mix_)
-            system_->setTenantProbe([mix = mix_]() {
-                TenantTelemetrySample sample;
-                sample.arrivals = mix->arrivals();
-                sample.departures = mix->departures();
-                return sample;
-            });
     }
 
     System &system() { return tuned_ ? tuned_->system() : *system_; }
@@ -210,20 +194,12 @@ class Machine
         }
         if (system_->telemetry())
             epochs = system_->telemetry()->records();
-        RunMetrics m = system_->collectMetrics();
-        if (mix_) {
-            m.tenants_enabled = true;
-            m.tenant_arrivals = mix_->arrivals();
-            m.tenant_departures = mix_->departures();
-            m.tenant_active = mix_->activeTenants();
-        }
-        return m;
+        return system_->collectMetrics();
     }
 
   private:
     std::unique_ptr<TunedRun> tuned_;
     std::unique_ptr<TraceSource> trace_;
-    const TenantMixSource *mix_ = nullptr;
     std::unique_ptr<System> system_;
 };
 

@@ -24,7 +24,14 @@ StatRegistry::value(const std::string &name) const
 bool
 StatRegistry::has(const std::string &name) const
 {
-    return counters_.find(name) != counters_.end();
+    return find(name) != nullptr;
+}
+
+const Counter *
+StatRegistry::find(const std::string &name) const
+{
+    const auto it = counters_.find(name);
+    return it == counters_.end() ? nullptr : it->second;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>>

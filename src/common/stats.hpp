@@ -53,6 +53,9 @@ class StatRegistry
     /** True if @p name is registered. */
     bool has(const std::string &name) const;
 
+    /** The counter registered as @p name, or null. */
+    const Counter *find(const std::string &name) const;
+
     /** All (name, value) pairs sorted by name. */
     std::vector<std::pair<std::string, std::uint64_t>> dump() const;
 

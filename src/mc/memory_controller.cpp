@@ -567,6 +567,8 @@ MemoryController::registerStats(StatRegistry &registry,
                  prefetch_conflict_events_);
     registry.add(prefix + ".merged_with_prefetch",
                  merged_with_prefetch_);
+    registry.add(prefix + ".prefetches_merged_useful",
+                 prefetches_merged_useful_);
     registry.add(prefix + ".lpq_promoted", lpq_promoted_);
 }
 

@@ -92,16 +92,16 @@ copyEpochs(const System &system, std::vector<EpochRecord> *out)
         *out = system.telemetry()->records();
 }
 
-void
-fillTenantMetrics(RunMetrics &metrics, const TenantMixSource &mix)
-{
-    metrics.tenants_enabled = true;
-    metrics.tenant_arrivals = mix.arrivals();
-    metrics.tenant_departures = mix.departures();
-    metrics.tenant_active = mix.activeTenants();
-}
-
 } // namespace
+
+std::unique_ptr<TraceSource>
+makeTraceSource(const RunOptions &options, const SyntheticConfig &trace)
+{
+    if (options.tenants.enabled)
+        return std::make_unique<TenantMixSource>(options.tenants, trace,
+                                                 trace.total_accesses);
+    return std::make_unique<SyntheticTraceGenerator>(trace);
+}
 
 RunMetrics
 runBenchmark(const Benchmark &bench, const RunOptions &options)
@@ -116,24 +116,8 @@ runBenchmark(const Benchmark &bench, const RunOptions &options,
     SyntheticConfig trace_config = bench.trace;
     trace_config.total_accesses = scaledAccesses(bench, options);
 
-    if (options.tenants.enabled) {
-        TenantMixSource mix(options.tenants, trace_config,
-                            trace_config.total_accesses);
-        System system(makeSystemConfig(options), {&mix});
-        system.setTenantProbe([&mix]() {
-            TenantTelemetrySample sample;
-            sample.arrivals = mix.arrivals();
-            sample.departures = mix.departures();
-            return sample;
-        });
-        RunMetrics metrics = system.run();
-        fillTenantMetrics(metrics, mix);
-        copyEpochs(system, epochs_out);
-        return metrics;
-    }
-
-    SyntheticTraceGenerator trace(trace_config);
-    System system(makeSystemConfig(options), {&trace});
+    const auto trace = makeTraceSource(options, trace_config);
+    System system(makeSystemConfig(options), {trace.get()});
     const RunMetrics metrics = system.run();
     copyEpochs(system, epochs_out);
     return metrics;

@@ -10,6 +10,7 @@
  */
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -86,6 +87,14 @@ struct RunOptions
 
 /** The paper's default machine for @p options. */
 SystemConfig makeSystemConfig(const RunOptions &options);
+
+/**
+ * The trace a single-threaded run of @p trace under @p options
+ * replays: a tenant mix of it when options.tenants is on, else the
+ * synthetic trace itself.
+ */
+std::unique_ptr<TraceSource> makeTraceSource(const RunOptions &options,
+                                             const SyntheticConfig &trace);
 
 /** Run one benchmark single-threaded. */
 RunMetrics runBenchmark(const Benchmark &bench,

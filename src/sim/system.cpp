@@ -127,35 +127,6 @@ System::System(const SystemConfig &config,
                                     "cpu.t" + std::to_string(t));
     }
 
-    if (config_.telemetry.enabled) {
-        if (asd_) {
-            telemetry_ = std::make_unique<TelemetryRecorder>(
-                config_.telemetry, *asd_, mc_, dram_);
-            asd_->setEpochEndHook([this](Cycle now) {
-                telemetry_->onEpochEnd(now);
-            });
-            if (config_.os.enabled) {
-                telemetry_->setOsProbe([this]() {
-                    OsTelemetrySample sample;
-                    sample.minor_faults = kernel_->minorFaults();
-                    sample.major_faults = kernel_->majorFaults();
-                    sample.reclaims = kernel_->reclaims();
-                    sample.writebacks = kernel_->writebacks();
-                    sample.shootdowns = kernel_->shootdowns();
-                    return sample;
-                });
-                // Pick up counters accumulated between construction
-                // of the recorder (above) and probe installation:
-                // none yet, but rebaseline keeps the invariant
-                // explicit if construction order ever changes.
-                telemetry_->rebaseline(0);
-            }
-        } else {
-            warn("telemetry requested but the memory-side prefetcher "
-                 "is not ASD; no epochs to record");
-        }
-    }
-
     if (kernel_)
         kernel_->registerStats(registry_, mmu_prefix);
     dram_.registerStats(registry_);
@@ -165,6 +136,23 @@ System::System(const SystemConfig &config,
     registry_.add("sys.ps_prefetch_l3_fills", ps_prefetch_l3_fills_);
     registry_.add("sys.ps_prefetch_dropped", ps_prefetch_dropped_);
     registry_.add("sys.ps_merged_demands", ps_merged_demands_);
+    // A tenant mix registers "tenants.*"; one mix per System.
+    for (const TraceSource *trace : traces)
+        trace->registerStats(registry_, "tenants");
+
+    // Last: the recorder resolves its columns against the registry.
+    if (config_.telemetry.enabled) {
+        if (asd_) {
+            telemetry_ = std::make_unique<TelemetryRecorder>(
+                config_.telemetry, registry_, *asd_, mc_);
+            asd_->setEpochEndHook([this](Cycle now) {
+                telemetry_->onEpochEnd(now);
+            });
+        } else {
+            warn("telemetry requested but the memory-side prefetcher "
+                 "is not ASD; no epochs to record");
+        }
+    }
 }
 
 bool
@@ -389,6 +377,13 @@ System::collectMetrics() const
         metrics.os_shootdowns = kernel_->shootdowns();
         metrics.os_stall_cycles = kernel_->stallCycles();
         metrics.os_resident_pages = kernel_->residentPages();
+    }
+    if (registry_.has("tenants.arrivals")) {
+        metrics.tenants_enabled = true;
+        metrics.tenant_arrivals = registry_.value("tenants.arrivals");
+        metrics.tenant_departures =
+            registry_.value("tenants.departures");
+        metrics.tenant_active = registry_.value("tenants.active");
     }
 
     metrics.mc_reads = mc_.readsObserved();

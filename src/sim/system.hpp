@@ -120,18 +120,6 @@ class System : public MemPort
     /** The translation kernel; null when neither VM nor OS is on. */
     const OsKernel *osKernel() const { return kernel_.get(); }
 
-    /**
-     * Forward a tenant-counter sampler to the telemetry recorder so
-     * per-epoch records carry arrival/departure columns (the System
-     * itself never sees the trace-source type). No-op when telemetry
-     * is off; install before the first epoch completes.
-     */
-    void setTenantProbe(std::function<TenantTelemetrySample()> probe)
-    {
-        if (telemetry_)
-            telemetry_->setTenantProbe(std::move(probe));
-    }
-
     Cycle nowCycle() const { return now_; }
 
     // Tuner hooks ---------------------------------------------------

@@ -54,8 +54,11 @@ namespace asd
  * section (the "vm" section and its "sys" presence flag are gone),
  * the kernel leads with its frame source, and frame-pool entries
  * hold a page key instead of (space, vpn).
+ * v6: the "tel" section follows the telemetry column table: one
+ * baseline value per column, and per epoch the column values in
+ * table order (the derived percentages are recomputed on load).
  */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 6;
 
 /**
  * Any way a snapshot can be unusable: truncated or corrupt bytes,

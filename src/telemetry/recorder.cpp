@@ -3,50 +3,66 @@
 namespace asd
 {
 
-TelemetryRecorder::TelemetryRecorder(const TelemetryConfig &config,
-                                     const AsdPrefetcher &asd,
-                                     MemoryController &mc,
-                                     const Dram &dram)
-    : config_(config), asd_(asd), mc_(mc), dram_(dram)
+namespace
 {
-    baseline_ = sampleCounters();
+
+/** Accuracy/coverage from the record's deltas (see EpochRecord). */
+void
+derivePercentages(EpochRecord &rec)
+{
+    const std::uint64_t useful =
+        rec.buffer_consumed + rec.merged_useful;
+    if (rec.prefetches_issued > 0) {
+        rec.accuracy_pct = 100.0 * static_cast<double>(useful) /
+                           static_cast<double>(rec.prefetches_issued);
+    }
+    if (rec.reads > 0) {
+        rec.coverage_pct =
+            100.0 * static_cast<double>(rec.buffer_hits) /
+            static_cast<double>(rec.reads);
+    }
+}
+
+} // namespace
+
+std::vector<std::string>
+columnStats(const TelemetryColumn &column)
+{
+    std::vector<std::string> names;
+    if (!column.stat)
+        return names;
+    std::string_view rest = column.stat;
+    while (!rest.empty()) {
+        const std::size_t plus = rest.find('+');
+        names.emplace_back(rest.substr(0, plus));
+        rest = plus == std::string_view::npos ? std::string_view()
+                                               : rest.substr(plus + 1);
+    }
+    return names;
+}
+
+TelemetryRecorder::TelemetryRecorder(const TelemetryConfig &config,
+                                     const StatRegistry &stats,
+                                     const AsdPrefetcher &asd,
+                                     MemoryController &mc)
+    : config_(config), asd_(asd), mc_(mc)
+{
+    for (std::size_t i = 0; i < kTelemetryColumns.size(); ++i) {
+        for (const std::string &name : columnStats(kTelemetryColumns[i]))
+            if (const Counter *counter = stats.find(name))
+                counters_.emplace_back(i, counter);
+    }
     // High-water marks accumulated before the first epoch belong to
     // epoch 1; leave them untouched.
 }
 
-TelemetryRecorder::Baseline
+TelemetryRecorder::ColumnValues
 TelemetryRecorder::sampleCounters() const
 {
-    Baseline b;
-    b.reads = mc_.readsObserved();
-    b.suggested = asd_.suggested();
-    b.suppressed = asd_.suppressed();
-    b.overflow_reads = asd_.overflowReads();
-    b.stream_merges = asd_.streamMerges();
-    b.lht_underflow_clamps = asd_.lhtUnderflowClamps();
-    b.prefetches_issued = mc_.prefetchesIssued();
-    b.buffer_hits = mc_.bufferHits();
-    b.buffer_consumed = asd_.buffer().consumed();
-    b.merged_useful = mc_.prefetchesMergedUseful();
-    b.lpq_dropped = mc_.lpqDrops();
-    b.conflicts = asd_.scheduler().totalConflicts();
-    b.regulars_delayed = mc_.regularsDelayed();
-    b.dram_row_hits = dram_.rowHits();
-    b.dram_row_misses = dram_.rowMisses();
-    if (os_probe_) {
-        const OsTelemetrySample os = os_probe_();
-        b.os_minor_faults = os.minor_faults;
-        b.os_major_faults = os.major_faults;
-        b.os_reclaims = os.reclaims;
-        b.os_writebacks = os.writebacks;
-        b.os_shootdowns = os.shootdowns;
-    }
-    if (tenant_probe_) {
-        const TenantTelemetrySample tenants = tenant_probe_();
-        b.tenant_arrivals = tenants.arrivals;
-        b.tenant_departures = tenants.departures;
-    }
-    return b;
+    ColumnValues values{};
+    for (const auto &[column, counter] : counters_)
+        values[column] += counter->value();
+    return values;
 }
 
 void
@@ -60,70 +76,18 @@ TelemetryRecorder::onEpochEnd(Cycle now)
         return;
     }
 
-    const Baseline sample = sampleCounters();
+    const ColumnValues sample = sampleCounters();
     EpochRecord rec;
     rec.epoch = asd_.epochsCompleted();
-    rec.start_cycle = baseline_.cycle;
+    rec.start_cycle = baseline_cycle_;
     rec.end_cycle = now;
-
-    rec.reads = sample.reads - baseline_.reads;
-    rec.suggested = sample.suggested - baseline_.suggested;
-    rec.suppressed = sample.suppressed - baseline_.suppressed;
-    rec.overflow_reads =
-        sample.overflow_reads - baseline_.overflow_reads;
-    rec.stream_merges = sample.stream_merges - baseline_.stream_merges;
-    rec.lht_underflow_clamps =
-        sample.lht_underflow_clamps - baseline_.lht_underflow_clamps;
-
-    rec.prefetches_issued =
-        sample.prefetches_issued - baseline_.prefetches_issued;
-    rec.buffer_hits = sample.buffer_hits - baseline_.buffer_hits;
-    rec.buffer_consumed =
-        sample.buffer_consumed - baseline_.buffer_consumed;
-    rec.merged_useful = sample.merged_useful - baseline_.merged_useful;
-    rec.lpq_dropped = sample.lpq_dropped - baseline_.lpq_dropped;
-
-    // The hook fires after AdaptiveScheduler::epochEnd(), so policy()
-    // is the (possibly stepped) policy entering the next epoch — the
-    // value the paper's Fig. 13-style timelines plot.
-    rec.policy = asd_.scheduler().policy();
-    rec.conflicts = sample.conflicts - baseline_.conflicts;
-    rec.regulars_delayed =
-        sample.regulars_delayed - baseline_.regulars_delayed;
-
-    rec.dram_row_hits = sample.dram_row_hits - baseline_.dram_row_hits;
-    rec.dram_row_misses =
-        sample.dram_row_misses - baseline_.dram_row_misses;
-
-    rec.os_minor_faults =
-        sample.os_minor_faults - baseline_.os_minor_faults;
-    rec.os_major_faults =
-        sample.os_major_faults - baseline_.os_major_faults;
-    rec.os_reclaims = sample.os_reclaims - baseline_.os_reclaims;
-    rec.os_writebacks = sample.os_writebacks - baseline_.os_writebacks;
-    rec.os_shootdowns = sample.os_shootdowns - baseline_.os_shootdowns;
-    rec.tenant_arrivals =
-        sample.tenant_arrivals - baseline_.tenant_arrivals;
-    rec.tenant_departures =
-        sample.tenant_departures - baseline_.tenant_departures;
-
-    rec.read_q_hwm = mc_.readQHighWater();
-    rec.write_q_hwm = mc_.writeQHighWater();
-    rec.caq_hwm = mc_.caqHighWater();
-    rec.lpq_hwm = mc_.lpqHighWater();
+    for (std::size_t i = 0; i < kTelemetryColumns.size(); ++i) {
+        const TelemetryColumn &column = kTelemetryColumns[i];
+        rec.*column.field = column.gauge ? column.gauge(asd_, mc_)
+                                         : sample[i] - baseline_[i];
+    }
     mc_.resetQueueHighWater();
-
-    const std::uint64_t useful =
-        rec.buffer_consumed + rec.merged_useful;
-    if (rec.prefetches_issued > 0) {
-        rec.accuracy_pct = 100.0 * static_cast<double>(useful) /
-                           static_cast<double>(rec.prefetches_issued);
-    }
-    if (rec.reads > 0) {
-        rec.coverage_pct =
-            100.0 * static_cast<double>(rec.buffer_hits) /
-            static_cast<double>(rec.reads);
-    }
+    derivePercentages(rec);
 
     if (config_.capture_slh) {
         for (std::uint32_t t = 0; t < asd_.threadCount(); ++t) {
@@ -139,82 +103,31 @@ TelemetryRecorder::onEpochEnd(Cycle now)
 
     records_.push_back(std::move(rec));
     baseline_ = sample;
-    baseline_.cycle = now;
+    baseline_cycle_ = now;
 }
 
 void
 TelemetryRecorder::rebaseline(Cycle now)
 {
     baseline_ = sampleCounters();
-    baseline_.cycle = now;
+    baseline_cycle_ = now;
     mc_.resetQueueHighWater();
 }
 
 void
 TelemetryRecorder::saveState(SnapshotWriter &w) const
 {
-    const std::uint64_t fields[23] = {
-        baseline_.reads,
-        baseline_.suggested,
-        baseline_.suppressed,
-        baseline_.overflow_reads,
-        baseline_.stream_merges,
-        baseline_.lht_underflow_clamps,
-        baseline_.prefetches_issued,
-        baseline_.buffer_hits,
-        baseline_.buffer_consumed,
-        baseline_.merged_useful,
-        baseline_.lpq_dropped,
-        baseline_.conflicts,
-        baseline_.regulars_delayed,
-        baseline_.dram_row_hits,
-        baseline_.dram_row_misses,
-        baseline_.os_minor_faults,
-        baseline_.os_major_faults,
-        baseline_.os_reclaims,
-        baseline_.os_writebacks,
-        baseline_.os_shootdowns,
-        baseline_.tenant_arrivals,
-        baseline_.tenant_departures,
-        baseline_.cycle,
-    };
-    for (const std::uint64_t field : fields)
-        w.u64(field);
+    for (const std::uint64_t value : baseline_)
+        w.u64(value);
+    w.u64(baseline_cycle_);
     w.b(capped_);
     w.u64(records_.size());
     for (const EpochRecord &rec : records_) {
         w.u64(rec.epoch);
         w.u64(rec.start_cycle);
         w.u64(rec.end_cycle);
-        w.u64(rec.reads);
-        w.u64(rec.suggested);
-        w.u64(rec.suppressed);
-        w.u64(rec.overflow_reads);
-        w.u64(rec.stream_merges);
-        w.u64(rec.lht_underflow_clamps);
-        w.u64(rec.prefetches_issued);
-        w.u64(rec.buffer_hits);
-        w.u64(rec.buffer_consumed);
-        w.u64(rec.merged_useful);
-        w.u64(rec.lpq_dropped);
-        w.u32(static_cast<std::uint32_t>(rec.policy));
-        w.u64(rec.conflicts);
-        w.u64(rec.regulars_delayed);
-        w.u64(rec.dram_row_hits);
-        w.u64(rec.dram_row_misses);
-        w.u64(rec.read_q_hwm);
-        w.u64(rec.write_q_hwm);
-        w.u64(rec.caq_hwm);
-        w.u64(rec.lpq_hwm);
-        w.f64(rec.accuracy_pct);
-        w.f64(rec.coverage_pct);
-        w.u64(rec.os_minor_faults);
-        w.u64(rec.os_major_faults);
-        w.u64(rec.os_reclaims);
-        w.u64(rec.os_writebacks);
-        w.u64(rec.os_shootdowns);
-        w.u64(rec.tenant_arrivals);
-        w.u64(rec.tenant_departures);
+        for (const TelemetryColumn &column : kTelemetryColumns)
+            w.u64(rec.*column.field);
         w.u64(rec.slh.size());
         for (const EpochLht &lht : rec.slh) {
             w.u32(lht.thread);
@@ -227,29 +140,9 @@ TelemetryRecorder::saveState(SnapshotWriter &w) const
 void
 TelemetryRecorder::loadState(SnapshotReader &r)
 {
-    baseline_.reads = r.u64();
-    baseline_.suggested = r.u64();
-    baseline_.suppressed = r.u64();
-    baseline_.overflow_reads = r.u64();
-    baseline_.stream_merges = r.u64();
-    baseline_.lht_underflow_clamps = r.u64();
-    baseline_.prefetches_issued = r.u64();
-    baseline_.buffer_hits = r.u64();
-    baseline_.buffer_consumed = r.u64();
-    baseline_.merged_useful = r.u64();
-    baseline_.lpq_dropped = r.u64();
-    baseline_.conflicts = r.u64();
-    baseline_.regulars_delayed = r.u64();
-    baseline_.dram_row_hits = r.u64();
-    baseline_.dram_row_misses = r.u64();
-    baseline_.os_minor_faults = r.u64();
-    baseline_.os_major_faults = r.u64();
-    baseline_.os_reclaims = r.u64();
-    baseline_.os_writebacks = r.u64();
-    baseline_.os_shootdowns = r.u64();
-    baseline_.tenant_arrivals = r.u64();
-    baseline_.tenant_departures = r.u64();
-    baseline_.cycle = r.u64();
+    for (std::uint64_t &value : baseline_)
+        value = r.u64();
+    baseline_cycle_ = r.u64();
     capped_ = r.b();
     const std::uint64_t count = r.u64();
     records_.clear();
@@ -259,35 +152,9 @@ TelemetryRecorder::loadState(SnapshotReader &r)
         rec.epoch = r.u64();
         rec.start_cycle = r.u64();
         rec.end_cycle = r.u64();
-        rec.reads = r.u64();
-        rec.suggested = r.u64();
-        rec.suppressed = r.u64();
-        rec.overflow_reads = r.u64();
-        rec.stream_merges = r.u64();
-        rec.lht_underflow_clamps = r.u64();
-        rec.prefetches_issued = r.u64();
-        rec.buffer_hits = r.u64();
-        rec.buffer_consumed = r.u64();
-        rec.merged_useful = r.u64();
-        rec.lpq_dropped = r.u64();
-        rec.policy = static_cast<int>(r.u32());
-        rec.conflicts = r.u64();
-        rec.regulars_delayed = r.u64();
-        rec.dram_row_hits = r.u64();
-        rec.dram_row_misses = r.u64();
-        rec.read_q_hwm = static_cast<std::size_t>(r.u64());
-        rec.write_q_hwm = static_cast<std::size_t>(r.u64());
-        rec.caq_hwm = static_cast<std::size_t>(r.u64());
-        rec.lpq_hwm = static_cast<std::size_t>(r.u64());
-        rec.accuracy_pct = r.f64();
-        rec.coverage_pct = r.f64();
-        rec.os_minor_faults = r.u64();
-        rec.os_major_faults = r.u64();
-        rec.os_reclaims = r.u64();
-        rec.os_writebacks = r.u64();
-        rec.os_shootdowns = r.u64();
-        rec.tenant_arrivals = r.u64();
-        rec.tenant_departures = r.u64();
+        for (const TelemetryColumn &column : kTelemetryColumns)
+            rec.*column.field = r.u64();
+        derivePercentages(rec);
         const std::uint64_t lhts = r.u64();
         for (std::uint64_t j = 0; j < lhts; ++j) {
             EpochLht lht;

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <ostream>
+#include <sstream>
 
 #include "common/json.hpp"
 #include "common/log.hpp"
@@ -22,41 +23,32 @@ pct(double value)
     return buf;
 }
 
+/**
+ * Visit the record's scalar columns in CSV order: @p count(name,
+ * value) for each table column, @p percent(name, value) for the two
+ * derived percentages.
+ */
+template <typename Count, typename Percent>
+void
+forEachColumn(const EpochRecord &rec, Count count, Percent percent)
+{
+    for (std::size_t i = 0; i < kTelemetryColumns.size(); ++i) {
+        if (i == kPercentColumnsAt) {
+            percent("accuracy_pct", rec.accuracy_pct);
+            percent("coverage_pct", rec.coverage_pct);
+        }
+        count(kTelemetryColumns[i].name, rec.*kTelemetryColumns[i].field);
+    }
+}
+
 /** Emit the scalar fields shared by the JSON and trace exporters. */
 void
 writeScalarMembers(JsonWriter &w, const EpochRecord &rec)
 {
-    w.key("reads").value(rec.reads);
-    w.key("suggested").value(rec.suggested);
-    w.key("suppressed").value(rec.suppressed);
-    w.key("overflow_reads").value(rec.overflow_reads);
-    w.key("stream_merges").value(rec.stream_merges);
-    w.key("lht_underflow_clamps").value(rec.lht_underflow_clamps);
-    w.key("prefetches_issued").value(rec.prefetches_issued);
-    w.key("buffer_hits").value(rec.buffer_hits);
-    w.key("buffer_consumed").value(rec.buffer_consumed);
-    w.key("merged_useful").value(rec.merged_useful);
-    w.key("lpq_dropped").value(rec.lpq_dropped);
-    w.key("accuracy_pct").value(rec.accuracy_pct);
-    w.key("coverage_pct").value(rec.coverage_pct);
-    w.key("policy").value(rec.policy);
-    w.key("conflicts").value(rec.conflicts);
-    w.key("regulars_delayed").value(rec.regulars_delayed);
-    w.key("dram_row_hits").value(rec.dram_row_hits);
-    w.key("dram_row_misses").value(rec.dram_row_misses);
-    w.key("read_q_hwm").value(
-        static_cast<std::uint64_t>(rec.read_q_hwm));
-    w.key("write_q_hwm").value(
-        static_cast<std::uint64_t>(rec.write_q_hwm));
-    w.key("caq_hwm").value(static_cast<std::uint64_t>(rec.caq_hwm));
-    w.key("lpq_hwm").value(static_cast<std::uint64_t>(rec.lpq_hwm));
-    w.key("os_minor_faults").value(rec.os_minor_faults);
-    w.key("os_major_faults").value(rec.os_major_faults);
-    w.key("os_reclaims").value(rec.os_reclaims);
-    w.key("os_writebacks").value(rec.os_writebacks);
-    w.key("os_shootdowns").value(rec.os_shootdowns);
-    w.key("tenant_arrivals").value(rec.tenant_arrivals);
-    w.key("tenant_departures").value(rec.tenant_departures);
+    const auto member = [&w](const char *name, auto value) {
+        w.key(name).value(value);
+    };
+    forEachColumn(rec, member, member);
 }
 
 bool
@@ -87,33 +79,24 @@ void
 writeTelemetryCsv(const std::vector<EpochRecord> &records,
                   std::ostream &out)
 {
-    out << "epoch,start_cycle,end_cycle,reads,suggested,suppressed,"
-           "overflow_reads,stream_merges,lht_underflow_clamps,"
-           "prefetches_issued,buffer_hits,buffer_consumed,"
-           "merged_useful,lpq_dropped,accuracy_pct,coverage_pct,"
-           "policy,conflicts,regulars_delayed,dram_row_hits,"
-           "dram_row_misses,read_q_hwm,write_q_hwm,caq_hwm,lpq_hwm,"
-           "os_minor_faults,os_major_faults,os_reclaims,"
-           "os_writebacks,os_shootdowns,tenant_arrivals,"
-           "tenant_departures\n";
+    out << "epoch,start_cycle,end_cycle";
+    const auto header = [&out](const char *name, auto) {
+        out << ',' << name;
+    };
+    forEachColumn(EpochRecord{}, header, header);
+    out << '\n';
     for (const auto &rec : records) {
         out << rec.epoch << ',' << rec.start_cycle << ','
-            << rec.end_cycle << ',' << rec.reads << ','
-            << rec.suggested << ',' << rec.suppressed << ','
-            << rec.overflow_reads << ',' << rec.stream_merges << ','
-            << rec.lht_underflow_clamps << ','
-            << rec.prefetches_issued << ',' << rec.buffer_hits << ','
-            << rec.buffer_consumed << ',' << rec.merged_useful << ','
-            << rec.lpq_dropped << ',' << pct(rec.accuracy_pct) << ','
-            << pct(rec.coverage_pct) << ',' << rec.policy << ','
-            << rec.conflicts << ',' << rec.regulars_delayed << ','
-            << rec.dram_row_hits << ',' << rec.dram_row_misses << ','
-            << rec.read_q_hwm << ',' << rec.write_q_hwm << ','
-            << rec.caq_hwm << ',' << rec.lpq_hwm << ','
-            << rec.os_minor_faults << ',' << rec.os_major_faults
-            << ',' << rec.os_reclaims << ',' << rec.os_writebacks
-            << ',' << rec.os_shootdowns << ',' << rec.tenant_arrivals
-            << ',' << rec.tenant_departures << '\n';
+            << rec.end_cycle;
+        forEachColumn(
+            rec,
+            [&out](const char *, std::uint64_t value) {
+                out << ',' << value;
+            },
+            [&out](const char *, double value) {
+                out << ',' << pct(value);
+            });
+        out << '\n';
     }
 }
 
@@ -208,13 +191,13 @@ telemetryChromeTrace(const std::vector<EpochRecord> &records)
             .endObject();
         counter("queue high-water")
             .key("read_q")
-            .value(static_cast<std::uint64_t>(rec.read_q_hwm))
+            .value(rec.read_q_hwm)
             .key("write_q")
-            .value(static_cast<std::uint64_t>(rec.write_q_hwm))
+            .value(rec.write_q_hwm)
             .key("caq")
-            .value(static_cast<std::uint64_t>(rec.caq_hwm))
+            .value(rec.caq_hwm)
             .key("lpq")
-            .value(static_cast<std::uint64_t>(rec.lpq_hwm))
+            .value(rec.lpq_hwm)
             .endObject()
             .endObject();
         counter("dram rows")
@@ -234,22 +217,9 @@ bool
 saveTelemetryCsv(const std::vector<EpochRecord> &records,
                  const std::string &path)
 {
-    std::error_code ec;
-    const auto parent = std::filesystem::path(path).parent_path();
-    if (!parent.empty())
-        std::filesystem::create_directories(parent, ec);
-    std::ofstream out(path);
-    if (!out) {
-        warn("cannot open telemetry CSV file: " + path);
-        return false;
-    }
+    std::ostringstream out;
     writeTelemetryCsv(records, out);
-    out.flush();
-    if (!out) {
-        warn("write failed for telemetry CSV file: " + path);
-        return false;
-    }
-    return true;
+    return saveString(out.str(), path, "telemetry CSV");
 }
 
 bool

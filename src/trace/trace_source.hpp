@@ -8,9 +8,11 @@
  * source used heavily by tests.
  */
 
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "snapshot/snapshot.hpp"
 #include "trace/mem_access.hpp"
 
@@ -36,6 +38,10 @@ class TraceSource : public Snapshottable
 
     /** Restart the trace from the beginning. */
     virtual void reset() = 0;
+
+    /** Register the source's counters under a prefix (none by default). */
+    virtual void registerStats(StatRegistry &, const std::string &) const
+    {}
 };
 
 /** TraceSource over a caller-provided vector; used by tests. */

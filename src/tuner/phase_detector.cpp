@@ -34,10 +34,7 @@ PhaseDetector::features(const EpochRecord &rec)
     // Raw counters only: the EpochRecord's accuracy_pct/coverage_pct
     // doubles stay out of the decision path (integer-only scoring).
     const std::uint64_t queue_hwm =
-        static_cast<std::uint64_t>(rec.read_q_hwm) +
-        static_cast<std::uint64_t>(rec.write_q_hwm) +
-        static_cast<std::uint64_t>(rec.caq_hwm) +
-        static_cast<std::uint64_t>(rec.lpq_hwm);
+        rec.read_q_hwm + rec.write_q_hwm + rec.caq_hwm + rec.lpq_hwm;
     return {
         milliPct(rec.buffer_consumed, rec.prefetches_issued),
         milliPct(rec.buffer_hits, rec.reads),

@@ -35,20 +35,11 @@ TunedRun::TunedRun(const Benchmark &bench, const RunOptions &options,
     current_ = tuningOf(sys_config_.asd);
     buildSystem(current_);
 
-    const SyntheticConfig trace_config = trace_config_;
-    const TenantMixConfig tenants = options_.tenants;
     shadow_ = std::make_unique<ShadowTuner>(
-        options_.tuner, sys_config_, [trace_config, tenants]() {
+        options_.tuner, sys_config_,
+        [options = options_, trace_config = trace_config_]() {
             std::vector<std::unique_ptr<TraceSource>> traces;
-            if (tenants.enabled) {
-                traces.push_back(std::make_unique<TenantMixSource>(
-                    tenants, trace_config,
-                    trace_config.total_accesses));
-            } else {
-                traces.push_back(
-                    std::make_unique<SyntheticTraceGenerator>(
-                        trace_config));
-            }
+            traces.push_back(makeTraceSource(options, trace_config));
             return traces;
         });
 }
@@ -56,30 +47,13 @@ TunedRun::TunedRun(const Benchmark &bench, const RunOptions &options,
 void
 TunedRun::buildSystem(const AsdTuning &tuning)
 {
-    if (options_.tenants.enabled) {
-        trace_ = std::make_unique<TenantMixSource>(
-            options_.tenants, trace_config_,
-            trace_config_.total_accesses);
-    } else {
-        trace_ =
-            std::make_unique<SyntheticTraceGenerator>(trace_config_);
-    }
+    trace_ = makeTraceSource(options_, trace_config_);
     SystemConfig config = sys_config_;
     config.asd = withTuning(config.asd, tuning);
     system_ = std::make_unique<System>(
         config, std::vector<TraceSource *>{trace_.get()});
     if (!system_->asd())
         fatal("TunedRun: system has no ASD prefetcher to tune");
-    if (options_.tenants.enabled) {
-        const auto *mix =
-            static_cast<const TenantMixSource *>(trace_.get());
-        system_->setTenantProbe([mix]() {
-            TenantTelemetrySample sample;
-            sample.arrivals = mix->arrivals();
-            sample.departures = mix->departures();
-            return sample;
-        });
-    }
     installHooks();
 }
 
@@ -188,14 +162,6 @@ TunedRun::result() const
 {
     TunedRunResult res;
     res.metrics = system_->collectMetrics();
-    if (options_.tenants.enabled) {
-        const auto *mix =
-            static_cast<const TenantMixSource *>(trace_.get());
-        res.metrics.tenants_enabled = true;
-        res.metrics.tenant_arrivals = mix->arrivals();
-        res.metrics.tenant_departures = mix->departures();
-        res.metrics.tenant_active = mix->activeTenants();
-    }
     if (system_->telemetry())
         res.epochs = system_->telemetry()->records();
     res.decisions = recorder_.decisions();

@@ -37,6 +37,7 @@ TenantMixSource::TenantMixSource(const TenantMixConfig &config,
         weights[i] =
             1.0 / std::pow(static_cast<double>(i + 1), config_.zipf_s);
     slot_sampler_ = std::make_unique<DiscreteSampler>(weights);
+    active_.inc(config_.slots);
     reset();
 }
 
@@ -85,7 +86,7 @@ TenantMixSource::admit(Slot &slot)
     slot.lifetime_left = drawLifetime();
     slot.generator = std::make_unique<SyntheticTraceGenerator>(
         tenantConfig(slot.asid));
-    ++arrivals_;
+    arrivals_.inc();
 }
 
 void
@@ -94,8 +95,8 @@ TenantMixSource::reset()
     rng_ = Rng(config_.seed);
     emitted_ = 0;
     next_asid_ = 0;
-    arrivals_ = 0;
-    departures_ = 0;
+    arrivals_.reset();
+    departures_.reset();
     slots_.clear();
     slots_.resize(config_.slots);
     for (Slot &slot : slots_)
@@ -110,7 +111,7 @@ TenantMixSource::next(MemAccess &out)
     ++emitted_;
     Slot &slot = slots_[slot_sampler_->sample(rng_)];
     if (config_.mean_lifetime > 0 && slot.lifetime_left == 0) {
-        ++departures_;
+        departures_.inc();
         admit(slot);
     }
     panicIfNot(slot.generator->next(out),
@@ -122,14 +123,23 @@ TenantMixSource::next(MemAccess &out)
 }
 
 void
+TenantMixSource::registerStats(StatRegistry &registry,
+                               const std::string &prefix) const
+{
+    registry.add(prefix + ".arrivals", arrivals_);
+    registry.add(prefix + ".departures", departures_);
+    registry.add(prefix + ".active", active_);
+}
+
+void
 TenantMixSource::saveState(SnapshotWriter &w) const
 {
     for (const std::uint64_t word : rng_.state())
         w.u64(word);
     w.u64(emitted_);
     w.u32(next_asid_);
-    w.u64(arrivals_);
-    w.u64(departures_);
+    w.u64(arrivals_.value());
+    w.u64(departures_.value());
     w.u32(static_cast<std::uint32_t>(slots_.size()));
     for (const Slot &slot : slots_) {
         w.u32(slot.asid);
@@ -147,8 +157,8 @@ TenantMixSource::loadState(SnapshotReader &r)
     rng_.setState(state);
     emitted_ = r.u64();
     next_asid_ = r.u32();
-    arrivals_ = r.u64();
-    departures_ = r.u64();
+    arrivals_.restore(r.u64());
+    departures_.restore(r.u64());
     SnapshotReader::check(r.u32() == slots_.size(),
                           "tenants: slot count mismatch");
     for (Slot &slot : slots_) {

@@ -68,13 +68,17 @@ class TenantMixSource : public TraceSource
     void reset() override;
 
     /** Tenants that ever started (including the initial slots). */
-    std::uint64_t arrivals() const { return arrivals_; }
+    std::uint64_t arrivals() const { return arrivals_.value(); }
 
     /** Tenants that departed. */
-    std::uint64_t departures() const { return departures_; }
+    std::uint64_t departures() const { return departures_.value(); }
 
     /** Concurrently active tenants (fixed at config.slots). */
     std::uint32_t activeTenants() const { return config_.slots; }
+
+    /** @p prefix.{arrivals,departures,active}. */
+    void registerStats(StatRegistry &registry,
+                       const std::string &prefix) const override;
 
     void saveState(SnapshotWriter &w) const override;
     void loadState(SnapshotReader &r) override;
@@ -104,8 +108,10 @@ class TenantMixSource : public TraceSource
     std::vector<Slot> slots_;
     std::uint64_t emitted_ = 0;
     std::uint32_t next_asid_ = 0;
-    std::uint64_t arrivals_ = 0;
-    std::uint64_t departures_ = 0;
+    Counter arrivals_;
+    Counter departures_;
+    // asdlint:allow(snapshot-field-coverage): config_.slots, set once at construction
+    Counter active_;
 };
 
 } // namespace asd

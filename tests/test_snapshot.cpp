@@ -226,34 +226,6 @@ splitRun(const SystemConfig &config, Cycle split,
     return system.collectMetrics();
 }
 
-void
-expectEpochsEqual(const std::vector<EpochRecord> &a,
-                  const std::vector<EpochRecord> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].epoch, b[i].epoch);
-        EXPECT_EQ(a[i].start_cycle, b[i].start_cycle);
-        EXPECT_EQ(a[i].end_cycle, b[i].end_cycle);
-        EXPECT_EQ(a[i].reads, b[i].reads);
-        EXPECT_EQ(a[i].suggested, b[i].suggested);
-        EXPECT_EQ(a[i].suppressed, b[i].suppressed);
-        EXPECT_EQ(a[i].prefetches_issued, b[i].prefetches_issued);
-        EXPECT_EQ(a[i].buffer_hits, b[i].buffer_hits);
-        EXPECT_EQ(a[i].buffer_consumed, b[i].buffer_consumed);
-        EXPECT_EQ(a[i].lpq_dropped, b[i].lpq_dropped);
-        EXPECT_EQ(a[i].policy, b[i].policy);
-        EXPECT_EQ(a[i].conflicts, b[i].conflicts);
-        EXPECT_EQ(a[i].regulars_delayed, b[i].regulars_delayed);
-        EXPECT_EQ(a[i].dram_row_hits, b[i].dram_row_hits);
-        EXPECT_EQ(a[i].dram_row_misses, b[i].dram_row_misses);
-        EXPECT_EQ(a[i].read_q_hwm, b[i].read_q_hwm);
-        EXPECT_EQ(a[i].write_q_hwm, b[i].write_q_hwm);
-        EXPECT_EQ(a[i].caq_hwm, b[i].caq_hwm);
-        EXPECT_EQ(a[i].lpq_hwm, b[i].lpq_hwm);
-    }
-}
-
 TEST(SnapshotRestore, RestoreThenRunMatchesStraightRun)
 {
     const SystemConfig config = testConfig(PrefetchMode::PMS);
@@ -277,7 +249,7 @@ TEST(SnapshotRestore, RestoreThenRunMatchesWithTelemetry)
     const RunMetrics straight = straightRun(config, &straight_epochs);
     const RunMetrics split = splitRun(config, 30000, &split_epochs);
     EXPECT_EQ(split, straight);
-    expectEpochsEqual(split_epochs, straight_epochs);
+    EXPECT_EQ(split_epochs, straight_epochs);
 }
 
 /**

@@ -71,8 +71,8 @@ TEST(Telemetry, RecordsOneRecordPerEpoch)
         }
         // Epochs are 2000 MC reads by construction.
         EXPECT_EQ(rec.reads, 2000u);
-        EXPECT_GE(rec.policy, 1);
-        EXPECT_LE(rec.policy, 5);
+        EXPECT_GE(rec.policy, 1u);
+        EXPECT_LE(rec.policy, 5u);
         EXPECT_GE(rec.accuracy_pct, 0.0);
         EXPECT_LE(rec.accuracy_pct, 100.0);
         EXPECT_GE(rec.coverage_pct, 0.0);
@@ -183,9 +183,13 @@ TEST(Telemetry, ZeroLengthEpochYieldsCleanZeroRecord)
     Dram dram(dram_config);
     MemoryController mc(McConfig{}, dram, [](std::uint64_t, Cycle) {});
     AsdPrefetcher asd{AsdConfig{}};
+    StatRegistry stats;
+    mc.registerStats(stats, "mc");
+    asd.registerStats(stats, "asd");
+    dram.registerStats(stats);
     TelemetryConfig config;
     config.enabled = true;
-    TelemetryRecorder recorder(config, asd, mc, dram);
+    TelemetryRecorder recorder(config, stats, asd, mc);
 
     recorder.onEpochEnd(1000);
     recorder.onEpochEnd(1000);
@@ -256,16 +260,29 @@ TEST(Telemetry, HookReArmsAfterSnapshotRestore)
     const std::vector<EpochRecord> &got =
         resumed.telemetry()->records();
     ASSERT_GT(got.size(), prefix);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i].epoch, want[i].epoch);
-        EXPECT_EQ(got[i].start_cycle, want[i].start_cycle);
-        EXPECT_EQ(got[i].end_cycle, want[i].end_cycle);
-        EXPECT_EQ(got[i].reads, want[i].reads);
-        EXPECT_EQ(got[i].suggested, want[i].suggested);
-        EXPECT_EQ(got[i].prefetches_issued,
-                  want[i].prefetches_issued);
-        EXPECT_EQ(got[i].policy, want[i].policy);
+    EXPECT_EQ(got, want);
+}
+
+TEST(Telemetry, EveryColumnStatResolves)
+{
+    // A mistyped stat name in the column table would read as a silent
+    // all-zero column; in a PMS machine with the OS model and a
+    // tenant mix, every named stat is registered.
+    RunOptions options;
+    options.mode = PrefetchMode::PMS;
+    options.os.enabled = true;
+    options.tenants.enabled = true;
+    options.telemetry.enabled = true;
+    SyntheticConfig trace_config = findBenchmark("tpcc").trace;
+    trace_config.total_accesses = 1000;
+    const auto trace = makeTraceSource(options, trace_config);
+    System system(makeSystemConfig(options), {trace.get()});
+    ASSERT_NE(system.telemetry(), nullptr);
+    for (const TelemetryColumn &column : kTelemetryColumns) {
+        SCOPED_TRACE(column.name);
+        EXPECT_NE(column.stat == nullptr, column.gauge == nullptr);
+        for (const std::string &stat : columnStats(column))
+            EXPECT_TRUE(system.stats().has(stat)) << stat;
     }
 }
 
