@@ -14,15 +14,10 @@ AsdPrefetcher::ThreadState::ThreadState(const AsdConfig &config)
 }
 
 AsdPrefetcher::AsdPrefetcher(const AsdConfig &config)
-    : config_(config),
-      buffer_(config.buffer_lines, config.buffer_ways),
-      sched_(config.sched),
-      stream_hist_(config.lht_entries)
+    : BufferedMcPrefetcher(config), stream_hist_(config.lht_entries)
 {
     if (config_.threads == 0)
         fatal("AsdPrefetcher: at least one thread required");
-    if (config_.epoch_reads == 0)
-        fatal("AsdPrefetcher: epoch length must be positive");
     if (config_.max_degree == 0)
         fatal("AsdPrefetcher: max_degree must be >= 1");
     threads_.reserve(config_.threads);
@@ -119,13 +114,12 @@ AsdPrefetcher::observeRead(LineAddr line, std::uint32_t thread,
         break;
     }
 
-    if (++reads_this_epoch_ >= config_.epoch_reads)
-        endEpoch(now);
+    countReadForEpoch(now);
     return out;
 }
 
 void
-AsdPrefetcher::endEpoch(Cycle now)
+AsdPrefetcher::onEpochEnd(Cycle)
 {
     for (auto &thread : threads_) {
         // Remaining live streams fold into LHTnext before the swap.
@@ -140,13 +134,9 @@ AsdPrefetcher::endEpoch(Cycle now)
         thread->positive.epochEnd(leftover_pos);
         thread->negative.epochEnd(leftover_neg);
     }
-    sched_.epochEnd();
-    ++epochs_done_;
-    reads_this_epoch_ = 0;
-
     if (slh_history_cap_ > 0 && slh_history_.size() < slh_history_cap_) {
         SlhSnapshot snap;
-        snap.epoch = epochs_done_;
+        snap.epoch = epochsCompleted();
         snap.positive = threads_[0]->positive.curr().counts();
         snap.negative = threads_[0]->negative.curr().counts();
         slh_history_.push_back(std::move(snap));
@@ -157,9 +147,6 @@ AsdPrefetcher::endEpoch(Cycle now)
     const std::uint64_t clamps = lhtUnderflowClamps();
     if (clamps > lht_underflow_.value())
         lht_underflow_.inc(clamps - lht_underflow_.value());
-
-    if (epoch_end_hook_)
-        epoch_end_hook_(now);
 }
 
 std::uint64_t
@@ -171,45 +158,6 @@ AsdPrefetcher::lhtUnderflowClamps() const
         clamps += thread->negative.underflowClamps();
     }
     return clamps;
-}
-
-void
-AsdPrefetcher::observeWrite(LineAddr line, Cycle now)
-{
-    (void)now;
-    buffer_.invalidateOnWrite(line);
-}
-
-bool
-AsdPrefetcher::lookupBuffer(LineAddr line)
-{
-    return buffer_.consume(line);
-}
-
-bool
-AsdPrefetcher::bufferContains(LineAddr line) const
-{
-    return buffer_.contains(line);
-}
-
-void
-AsdPrefetcher::fillBuffer(LineAddr line, Cycle now)
-{
-    (void)now;
-    buffer_.insert(line);
-}
-
-int
-AsdPrefetcher::schedulingPolicy() const
-{
-    return sched_.policy();
-}
-
-void
-AsdPrefetcher::notifyPrefetchConflict(Cycle now)
-{
-    (void)now;
-    sched_.notifyConflict();
 }
 
 void
@@ -268,10 +216,7 @@ AsdPrefetcher::saveState(SnapshotWriter &w) const
         thread->positive.saveState(w);
         thread->negative.saveState(w);
     }
-    buffer_.saveState(w);
-    sched_.saveState(w);
-    w.u32(reads_this_epoch_);
-    w.u64(epochs_done_);
+    BufferedMcPrefetcher::saveState(w);
     w.vecU64(stream_hist_.counts());
     w.u64(slh_history_cap_);
     w.u64(slh_history_.size());
@@ -297,10 +242,7 @@ AsdPrefetcher::loadState(SnapshotReader &r)
         thread->positive.loadState(r);
         thread->negative.loadState(r);
     }
-    buffer_.loadState(r);
-    sched_.loadState(r);
-    reads_this_epoch_ = r.u32();
-    epochs_done_ = r.u64();
+    BufferedMcPrefetcher::loadState(r);
     const std::vector<std::uint64_t> hist = r.vecU64();
     SnapshotReader::check(hist.size() == stream_hist_.buckets(),
                           "stream histogram size mismatch");
@@ -326,16 +268,14 @@ AsdPrefetcher::loadState(SnapshotReader &r)
 }
 
 void
-AsdPrefetcher::registerStats(StatRegistry &registry,
-                             const std::string &prefix) const
+AsdPrefetcher::registerStats(StatRegistry &registry) const
 {
-    registry.add(prefix + ".suggested", prefetches_suggested_);
-    registry.add(prefix + ".suppressed", decisions_negative_);
-    registry.add(prefix + ".overflow_reads", overflow_reads_);
-    registry.add(prefix + ".stream_merges", stream_merges_);
-    registry.add(prefix + ".lht_underflow", lht_underflow_);
-    buffer_.registerStats(registry, prefix + ".buffer");
-    sched_.registerStats(registry, prefix + ".sched");
+    BufferedMcPrefetcher::registerStats(registry);
+    registry.add("asd.suggested", prefetches_suggested_);
+    registry.add("asd.suppressed", decisions_negative_);
+    registry.add("asd.overflow_reads", overflow_reads_);
+    registry.add("asd.stream_merges", stream_merges_);
+    registry.add("asd.lht_underflow", lht_underflow_);
 }
 
 } // namespace asd

@@ -4,29 +4,23 @@
 /**
  * @file
  * The Adaptive Stream Detection memory-side prefetcher (the paper's
- * primary contribution, sections 3.1-3.5) packaged behind the memory
- * controller's MemSidePrefetcher interface.
+ * primary contribution, sections 3.1-3.3) on the shared Prefetch
+ * Buffer, Adaptive Scheduling and epoch clock of BufferedMcPrefetcher.
  *
  * Per hardware thread: one Stream Filter and one LHTcurr/LHTnext pair
- * per stream direction. Shared across threads: the Prefetch Buffer
- * and the Adaptive Scheduling policy selector. Epochs are counted in
- * Read commands observed by the controller.
+ * per stream direction. Epochs are counted in Read commands observed
+ * by the controller.
  */
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/histogram.hpp"
 #include "common/stats.hpp"
-#include "core/adaptive_scheduler.hpp"
-#include "core/asd_config.hpp"
+#include "core/buffered_prefetcher.hpp"
 #include "core/likelihood_table.hpp"
-#include "core/prefetch_buffer.hpp"
 #include "core/stream_filter.hpp"
-#include "mc/prefetcher_iface.hpp"
 
 namespace asd
 {
@@ -40,7 +34,7 @@ struct SlhSnapshot
 };
 
 /** The ASD prefetcher. */
-class AsdPrefetcher : public MemSidePrefetcher
+class AsdPrefetcher : public BufferedMcPrefetcher
 {
   public:
     explicit AsdPrefetcher(const AsdConfig &config);
@@ -49,28 +43,11 @@ class AsdPrefetcher : public MemSidePrefetcher
     std::vector<LineAddr> observeRead(LineAddr line,
                                       std::uint32_t thread,
                                       Cycle now) override;
-    void observeWrite(LineAddr line, Cycle now) override;
-    bool lookupBuffer(LineAddr line) override;
-    bool bufferContains(LineAddr line) const override;
-    void fillBuffer(LineAddr line, Cycle now) override;
-    int schedulingPolicy() const override;
-    void notifyPrefetchConflict(Cycle now) override;
     void tick(Cycle now) override;
     void saveState(SnapshotWriter &w) const override;
     void loadState(SnapshotReader &r) override;
 
     // Introspection for figures, benches and tests -------------------
-
-    /**
-     * Called once per epoch boundary, after the SLH swap and the
-     * Adaptive Scheduling policy step, with the boundary cycle. The
-     * telemetry recorder hangs off this; at most one hook.
-     */
-    void
-    setEpochEndHook(std::function<void(Cycle)> hook)
-    {
-        epoch_end_hook_ = std::move(hook);
-    }
 
     /** Keep per-epoch SLH snapshots (costs memory; off by default). */
     void enableSlhHistory(std::size_t max_epochs);
@@ -88,39 +65,16 @@ class AsdPrefetcher : public MemSidePrefetcher
     const LikelihoodTable &lhtCurr(std::uint32_t thread,
                                    StreamDir dir) const;
 
-    const PrefetchBuffer &buffer() const { return buffer_; }
-    const AdaptiveScheduler &scheduler() const { return sched_; }
-    std::uint64_t epochsCompleted() const { return epochs_done_; }
     std::uint32_t threadCount() const
     {
         return static_cast<std::uint32_t>(threads_.size());
     }
 
-    // Raw counter values (telemetry recorder takes per-epoch deltas).
-    std::uint64_t suggested() const
-    {
-        return prefetches_suggested_.value();
-    }
-    std::uint64_t suppressed() const
-    {
-        return decisions_negative_.value();
-    }
-    std::uint64_t overflowReads() const
-    {
-        return overflow_reads_.value();
-    }
-    std::uint64_t streamMerges() const
-    {
-        return stream_merges_.value();
-    }
-
     /** LHT depletion clamps summed over threads and directions. */
     std::uint64_t lhtUnderflowClamps() const;
 
-    void registerStats(StatRegistry &registry,
-                       const std::string &prefix) const;
-
-    const AsdConfig &config() const { return config_; }
+    /** The shared "ms.*" stats plus ASD's own "asd.*" counters. */
+    void registerStats(StatRegistry &registry) const override;
 
     // Online reconfiguration -----------------------------------------
 
@@ -162,15 +116,14 @@ class AsdPrefetcher : public MemSidePrefetcher
     void decide(ThreadState &state, const StreamObservation &obs,
                 LineAddr line, std::vector<LineAddr> &out);
 
-    void endEpoch(Cycle now);
+    /**
+     * Flush live streams into LHTnext, swap the LHTs, snapshot the
+     * SLH and sync the underflow counter (the scheduler has already
+     * stepped; none of this touches it).
+     */
+    void onEpochEnd(Cycle now) override;
 
-    AsdConfig config_;
     std::vector<std::unique_ptr<ThreadState>> threads_;
-    PrefetchBuffer buffer_;
-    AdaptiveScheduler sched_;
-
-    std::uint32_t reads_this_epoch_ = 0;
-    std::uint64_t epochs_done_ = 0;
 
     Histogram stream_hist_;
     std::vector<SlhSnapshot> slh_history_;
@@ -181,8 +134,6 @@ class AsdPrefetcher : public MemSidePrefetcher
     Counter overflow_reads_;
     Counter stream_merges_;  //!< filter slots retired by convergence
     Counter lht_underflow_;  //!< mirror of lhtUnderflowClamps()
-
-    std::function<void(Cycle)> epoch_end_hook_;
 };
 
 } // namespace asd

@@ -153,9 +153,8 @@ DspatchMcPrefetcher::observeRead(LineAddr line, std::uint32_t thread,
                                  Cycle now)
 {
     (void)thread; // regions are shared across hardware threads
-    (void)now;
     ++reads_seen_;
-    countReadForEpoch();
+    countReadForEpoch(now);
     expireRegions();
 
     const std::uint64_t tag = tagOf(line);

@@ -27,7 +27,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "prefetch/mc_baselines.hpp"
+#include "core/buffered_prefetcher.hpp"
 
 namespace asd
 {

@@ -162,8 +162,7 @@ GhbMcPrefetcher::observeRead(LineAddr line, std::uint32_t thread,
                              Cycle now)
 {
     (void)thread;
-    (void)now;
-    countReadForEpoch();
+    countReadForEpoch(now);
     return config_.delta_correlate ? correlateDeltas(line)
                                    : correlateAddress(line);
 }

@@ -5,74 +5,12 @@
 namespace asd
 {
 
-BufferedMcPrefetcher::BufferedMcPrefetcher(const AsdConfig &config)
-    : config_(config),
-      buffer_(config.buffer_lines, config.buffer_ways),
-      sched_(config.sched)
-{
-}
-
-void
-BufferedMcPrefetcher::observeWrite(LineAddr line, Cycle now)
-{
-    (void)now;
-    buffer_.invalidateOnWrite(line);
-}
-
-bool
-BufferedMcPrefetcher::lookupBuffer(LineAddr line)
-{
-    return buffer_.consume(line);
-}
-
-bool
-BufferedMcPrefetcher::bufferContains(LineAddr line) const
-{
-    return buffer_.contains(line);
-}
-
-void
-BufferedMcPrefetcher::fillBuffer(LineAddr line, Cycle now)
-{
-    (void)now;
-    buffer_.insert(line);
-}
-
-int
-BufferedMcPrefetcher::schedulingPolicy() const
-{
-    return sched_.policy();
-}
-
-void
-BufferedMcPrefetcher::notifyPrefetchConflict(Cycle now)
-{
-    (void)now;
-    sched_.notifyConflict();
-}
-
-void
-BufferedMcPrefetcher::tick(Cycle now)
-{
-    (void)now; // the shared plumbing has no per-cycle state
-}
-
-void
-BufferedMcPrefetcher::countReadForEpoch()
-{
-    if (++epoch_reads_seen_ >= config_.epoch_reads) {
-        epoch_reads_seen_ = 0;
-        sched_.epochEnd();
-    }
-}
-
 std::vector<LineAddr>
 NextLineMcPrefetcher::observeRead(LineAddr line, std::uint32_t thread,
                                   Cycle now)
 {
     (void)thread;
-    (void)now;
-    countReadForEpoch();
+    countReadForEpoch(now);
     return {line + 1};
 }
 
@@ -103,7 +41,7 @@ P5StyleMcPrefetcher::observeRead(LineAddr line, std::uint32_t thread,
         if (target >= 0)
             out.push_back(static_cast<LineAddr>(target));
     }
-    countReadForEpoch();
+    countReadForEpoch(now);
     return out;
 }
 
@@ -112,22 +50,6 @@ P5StyleMcPrefetcher::tick(Cycle now)
 {
     for (auto &filter : filters_)
         filter.expireLifetimes(now);
-}
-
-void
-BufferedMcPrefetcher::saveState(SnapshotWriter &w) const
-{
-    buffer_.saveState(w);
-    sched_.saveState(w);
-    w.u32(epoch_reads_seen_);
-}
-
-void
-BufferedMcPrefetcher::loadState(SnapshotReader &r)
-{
-    buffer_.loadState(r);
-    sched_.loadState(r);
-    epoch_reads_seen_ = r.u32();
 }
 
 void

@@ -159,7 +159,7 @@ PerceptronMcPrefetcher::observeRead(LineAddr line,
     panicIfNot(thread < filters_.size(),
                "PerceptronMcPrefetcher: bad thread index");
     ++reads_seen_;
-    countReadForEpoch();
+    countReadForEpoch(now);
     expirePending();
     // A demand read reaching the controller missed the buffer; if a
     // record for this line is pending it was a suppressed candidate

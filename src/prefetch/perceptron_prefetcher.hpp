@@ -25,8 +25,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/buffered_prefetcher.hpp"
 #include "core/stream_filter.hpp"
-#include "prefetch/mc_baselines.hpp"
 
 namespace asd
 {

@@ -35,8 +35,7 @@ StrideMcPrefetcher::observeRead(LineAddr line, std::uint32_t thread,
                                 Cycle now)
 {
     (void)thread;
-    (void)now;
-    countReadForEpoch();
+    countReadForEpoch(now);
     ++reads_seen_;
 
     std::vector<LineAddr> out;

@@ -33,15 +33,6 @@ encodeId(ReqKind kind, std::uint32_t thread, LineAddr line)
 
 } // namespace
 
-template <typename P, typename... Args>
-void
-System::buildMs(const Args &...args)
-{
-    auto prefetcher = std::make_unique<P>(args...);
-    buffer_ = &prefetcher->buffer();
-    ms_ = std::move(prefetcher);
-}
-
 System::System(const SystemConfig &config,
                std::vector<TraceSource *> traces)
     : config_(config),
@@ -66,31 +57,41 @@ System::System(const SystemConfig &config,
         asd_config.threads = threads;
         switch (config_.mc_prefetcher) {
           case McPrefetcherKind::Asd:
-            buildMs<AsdPrefetcher>(asd_config);
+            ms_ = std::make_unique<AsdPrefetcher>(asd_config);
             break;
           case McPrefetcherKind::NextLine:
-            buildMs<NextLineMcPrefetcher>(asd_config);
+            ms_ = std::make_unique<NextLineMcPrefetcher>(asd_config);
             break;
           case McPrefetcherKind::P5Style:
-            buildMs<P5StyleMcPrefetcher>(asd_config);
+            ms_ = std::make_unique<P5StyleMcPrefetcher>(asd_config);
             break;
           case McPrefetcherKind::Ghb:
-            buildMs<GhbMcPrefetcher>(asd_config, config_.ghb);
+            ms_ = std::make_unique<GhbMcPrefetcher>(asd_config, config_.ghb);
             break;
           case McPrefetcherKind::Stride:
-            buildMs<StrideMcPrefetcher>(asd_config, config_.stride);
+            ms_ = std::make_unique<StrideMcPrefetcher>(asd_config,
+                                                       config_.stride);
             break;
           case McPrefetcherKind::Dspatch:
-            buildMs<DspatchMcPrefetcher>(asd_config, config_.dspatch);
+            ms_ = std::make_unique<DspatchMcPrefetcher>(asd_config,
+                                                        config_.dspatch);
             break;
           case McPrefetcherKind::Perceptron:
-            buildMs<PerceptronMcPrefetcher>(asd_config, config_.perceptron);
+            ms_ = std::make_unique<PerceptronMcPrefetcher>(
+                asd_config, config_.perceptron);
             break;
         }
         mc_.attachPrefetcher(ms_.get());
         asd_ = dynamic_cast<AsdPrefetcher *>(ms_.get());
-        if (asd_)
-            asd_->registerStats(registry_, "asd");
+        ms_->registerStats(registry_);
+        // Telemetry first, so the System hook sees the completed
+        // epoch's record.
+        ms_->setEpochEndHook([this](Cycle now) {
+            if (telemetry_)
+                telemetry_->onEpochEnd(now);
+            if (epoch_hook_)
+                epoch_hook_(now);
+        });
     }
 
     // The OS model when enabled, else VM mode: the same kernel and
@@ -141,18 +142,9 @@ System::System(const SystemConfig &config,
         trace->registerStats(registry_, "tenants");
 
     // Last: the recorder resolves its columns against the registry.
-    if (config_.telemetry.enabled) {
-        if (asd_) {
-            telemetry_ = std::make_unique<TelemetryRecorder>(
-                config_.telemetry, registry_, *asd_, mc_);
-            asd_->setEpochEndHook([this](Cycle now) {
-                telemetry_->onEpochEnd(now);
-            });
-        } else {
-            warn("telemetry requested but the memory-side prefetcher "
-                 "is not ASD; no epochs to record");
-        }
-    }
+    if (config_.telemetry.enabled && ms_)
+        telemetry_ = std::make_unique<TelemetryRecorder>(
+            config_.telemetry, registry_, *ms_, asd_, mc_);
 }
 
 bool
@@ -286,16 +278,6 @@ void
 System::setEpochEndHook(std::function<void(Cycle)> hook)
 {
     epoch_hook_ = std::move(hook);
-    if (!asd_)
-        return;
-    // Re-install the chained prefetcher hook: telemetry first (so the
-    // user hook sees the completed epoch's record), then the user.
-    asd_->setEpochEndHook([this](Cycle now) {
-        if (telemetry_)
-            telemetry_->onEpochEnd(now);
-        if (epoch_hook_)
-            epoch_hook_(now);
-    });
 }
 
 void
@@ -392,11 +374,11 @@ System::collectMetrics() const
     metrics.buffer_hits = mc_.bufferHits();
     metrics.lpq_drops = mc_.lpqDrops();
 
-    if (buffer_) {
+    if (ms_) {
         // Useful = consumed from the buffer + forwarded straight to a
         // merged demand read, over all memory-side prefetches issued.
         const std::uint64_t useful =
-            buffer_->consumed() + mc_.prefetchesMergedUseful();
+            ms_->buffer().consumed() + mc_.prefetchesMergedUseful();
         if (metrics.ms_prefetches_issued > 0) {
             metrics.useful_prefetch_pct =
                 100.0 * static_cast<double>(useful) /

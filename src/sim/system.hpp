@@ -109,8 +109,9 @@ class System : public MemPort
     const AsdPrefetcher *asd() const { return asd_; }
 
     /**
-     * Non-null when SystemConfig::telemetry.enabled and the MC
-     * prefetcher is ASD (epochs are an ASD notion).
+     * Non-null when SystemConfig::telemetry.enabled and there is a
+     * memory-side prefetcher (any contender: the epoch clock is the
+     * shared BufferedMcPrefetcher's).
      */
     const TelemetryRecorder *telemetry() const
     {
@@ -124,11 +125,12 @@ class System : public MemPort
 
     // Tuner hooks ---------------------------------------------------
     /**
-     * Install a callback fired at every ASD epoch boundary, AFTER the
-     * telemetry recorder (when present) has appended its record — so
-     * the hook can read the freshly completed epoch via telemetry().
-     * No-op when the MC prefetcher is not ASD (epochs are an ASD
-     * notion). At most one System-level hook; installing replaces.
+     * Install a callback fired at every memory-side prefetcher epoch
+     * boundary, AFTER the telemetry recorder (when present) has
+     * appended its record — so the hook can read the freshly
+     * completed epoch via telemetry(). Never fires without a
+     * memory-side prefetcher. At most one System-level hook;
+     * installing replaces.
      */
     void setEpochEndHook(std::function<void(Cycle)> hook);
 
@@ -154,18 +156,13 @@ class System : public MemPort
      */
     void armPrefetcher();
 
-    /** Install memory-side prefetcher @p P, built from @p args. */
-    template <typename P, typename... Args>
-    void buildMs(const Args &...args);
-
     SystemConfig config_;
     Dram dram_;
     MemoryController mc_;
     CacheHierarchy hierarchy_;
 
-    std::unique_ptr<MemSidePrefetcher> ms_;
-    AsdPrefetcher *asd_ = nullptr;           //!< ms_ when it is ASD
-    const PrefetchBuffer *buffer_ = nullptr; //!< ms_'s buffer
+    std::unique_ptr<BufferedMcPrefetcher> ms_;
+    AsdPrefetcher *asd_ = nullptr; //!< ms_ when it is ASD
     std::unique_ptr<TelemetryRecorder> telemetry_;
     std::function<void(Cycle)> epoch_hook_; //!< after telemetry
     std::function<void(Cycle)> loop_hook_;  //!< top of runUntil loop

@@ -86,8 +86,8 @@ struct SystemConfig
     OsConfig os;
 
     /**
-     * Per-epoch telemetry recorder (ASD memory-side prefetcher only,
-     * since epochs are an ASD notion). Disabled by default; when off,
+     * Per-epoch telemetry recorder (any memory-side prefetcher; the
+     * epochs are its shared epoch clock). Disabled by default; when off,
      * the recorder is never constructed and simulation output is
      * byte-identical to a build without the telemetry layer.
      */

@@ -57,8 +57,11 @@ namespace asd
  * v6: the "tel" section follows the telemetry column table: one
  * baseline value per column, and per epoch the column values in
  * table order (the derived percentages are recomputed on load).
+ * v7: every memory-side contender saves the shared buffer/scheduler
+ * state with its epochs completed (the "ms" section of the non-ASD
+ * contenders gains one u64; ASD's bytes are unchanged).
  */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 6;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 7;
 
 /**
  * Any way a snapshot can be unusable: truncated or corrupt bytes,

@@ -1,5 +1,7 @@
 #include "telemetry/recorder.hpp"
 
+#include "core/asd_prefetcher.hpp"
+
 namespace asd
 {
 
@@ -43,9 +45,10 @@ columnStats(const TelemetryColumn &column)
 
 TelemetryRecorder::TelemetryRecorder(const TelemetryConfig &config,
                                      const StatRegistry &stats,
-                                     const AsdPrefetcher &asd,
+                                     const BufferedMcPrefetcher &ms,
+                                     const AsdPrefetcher *asd,
                                      MemoryController &mc)
-    : config_(config), asd_(asd), mc_(mc)
+    : config_(config), ms_(ms), asd_(asd), mc_(mc)
 {
     for (std::size_t i = 0; i < kTelemetryColumns.size(); ++i) {
         for (const std::string &name : columnStats(kTelemetryColumns[i]))
@@ -78,25 +81,25 @@ TelemetryRecorder::onEpochEnd(Cycle now)
 
     const ColumnValues sample = sampleCounters();
     EpochRecord rec;
-    rec.epoch = asd_.epochsCompleted();
+    rec.epoch = ms_.epochsCompleted();
     rec.start_cycle = baseline_cycle_;
     rec.end_cycle = now;
     for (std::size_t i = 0; i < kTelemetryColumns.size(); ++i) {
         const TelemetryColumn &column = kTelemetryColumns[i];
-        rec.*column.field = column.gauge ? column.gauge(asd_, mc_)
+        rec.*column.field = column.gauge ? column.gauge(ms_, mc_)
                                          : sample[i] - baseline_[i];
     }
     mc_.resetQueueHighWater();
     derivePercentages(rec);
 
-    if (config_.capture_slh) {
-        for (std::uint32_t t = 0; t < asd_.threadCount(); ++t) {
+    if (config_.capture_slh && asd_) {
+        for (std::uint32_t t = 0; t < asd_->threadCount(); ++t) {
             EpochLht lht;
             lht.thread = t;
             lht.positive =
-                asd_.lhtCurr(t, StreamDir::Positive).counts();
+                asd_->lhtCurr(t, StreamDir::Positive).counts();
             lht.negative =
-                asd_.lhtCurr(t, StreamDir::Negative).counts();
+                asd_->lhtCurr(t, StreamDir::Negative).counts();
             rec.slh.push_back(std::move(lht));
         }
     }

@@ -7,13 +7,14 @@
  * dynamics — the SLH adapting (Fig. 2), the Adaptive Scheduler
  * walking its five policies, accuracy/coverage trading off
  * (Figs. 10-11) — so the recorder samples every counter the epoch
- * machinery touches at each AsdPrefetcher epoch boundary and turns
+ * machinery touches at each memory-side prefetcher epoch boundary
+ * (any contender; the clock is BufferedMcPrefetcher's) and turns
  * them into one EpochRecord of deltas. One column table
  * (kTelemetryColumns) names each column, its EpochRecord member and
  * the stat-registry counter it is the delta of; the recorder, its
  * snapshot and every sink loop over it, so a new per-epoch column is
  * one table line. sim::System installs the recorder via
- * AsdPrefetcher::setEpochEndHook; it only reads (plus resetting the
+ * BufferedMcPrefetcher::setEpochEndHook; it only reads (plus resetting the
  * controller's queue high-water marks), so an enabled recorder never
  * changes simulation results.
  */
@@ -27,13 +28,15 @@
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "core/asd_prefetcher.hpp"
+#include "core/buffered_prefetcher.hpp"
 #include "mc/memory_controller.hpp"
 #include "snapshot/snapshot.hpp"
 #include "telemetry/telemetry_config.hpp"
 
 namespace asd
 {
+
+class AsdPrefetcher;
 
 /** One thread's LHTcurr snapshot inside an epoch record. */
 struct EpochLht
@@ -102,14 +105,17 @@ struct EpochRecord
     std::uint64_t tenant_arrivals = 0;
     std::uint64_t tenant_departures = 0;
 
-    /** Per-thread LHTcurr snapshots (TelemetryConfig::capture_slh). */
+    /**
+     * Per-thread LHTcurr snapshots (TelemetryConfig::capture_slh;
+     * ASD only).
+     */
     std::vector<EpochLht> slh;
 
     bool operator==(const EpochRecord &) const = default;
 };
 
 /** Reads a gauge column's value at the epoch boundary. */
-using TelemetryGauge = std::uint64_t (*)(const AsdPrefetcher &,
+using TelemetryGauge = std::uint64_t (*)(const BufferedMcPrefetcher &,
                                          const MemoryController &);
 
 /** One integer column of the per-epoch record. */
@@ -120,7 +126,8 @@ struct TelemetryColumn
     /**
      * Registry stat the column is the per-epoch delta of ('+' joins
      * stats that are summed); null for a gauge. A stat the System
-     * did not register (e.g. os.* outside the OS model) reads as 0.
+     * did not register (os.* outside the OS model, asd.* under
+     * another contender) reads as 0.
      */
     const char *stat;
     TelemetryGauge gauge = nullptr; //!< set iff stat is null
@@ -144,7 +151,7 @@ inline constexpr auto kTelemetryColumns = std::to_array<TelemetryColumn>({
     {"buffer_hits", &EpochRecord::buffer_hits,
      "mc.buffer_hits_entry+mc.buffer_hits_caq+mc.merged_with_prefetch"},
     {"buffer_consumed", &EpochRecord::buffer_consumed,
-     "asd.buffer.consumed"},
+     "ms.buffer.consumed"},
     {"merged_useful", &EpochRecord::merged_useful,
      "mc.prefetches_merged_useful"},
     {"lpq_dropped", &EpochRecord::lpq_dropped, "mc.lpq_dropped"},
@@ -152,28 +159,28 @@ inline constexpr auto kTelemetryColumns = std::to_array<TelemetryColumn>({
     // this is the (possibly stepped) policy entering the next epoch —
     // the value the paper's Fig. 13-style timelines plot.
     {"policy", &EpochRecord::policy, nullptr,
-     [](const AsdPrefetcher &asd, const MemoryController &) {
-         return static_cast<std::uint64_t>(asd.scheduler().policy());
+     [](const BufferedMcPrefetcher &ms, const MemoryController &) {
+         return static_cast<std::uint64_t>(ms.scheduler().policy());
      }},
-    {"conflicts", &EpochRecord::conflicts, "asd.sched.conflicts"},
+    {"conflicts", &EpochRecord::conflicts, "ms.sched.conflicts"},
     {"regulars_delayed", &EpochRecord::regulars_delayed,
      "mc.regulars_delayed"},
     {"dram_row_hits", &EpochRecord::dram_row_hits, "dram.row_hits"},
     {"dram_row_misses", &EpochRecord::dram_row_misses, "dram.row_misses"},
     {"read_q_hwm", &EpochRecord::read_q_hwm, nullptr,
-     [](const AsdPrefetcher &, const MemoryController &mc) {
+     [](const BufferedMcPrefetcher &, const MemoryController &mc) {
          return static_cast<std::uint64_t>(mc.readQHighWater());
      }},
     {"write_q_hwm", &EpochRecord::write_q_hwm, nullptr,
-     [](const AsdPrefetcher &, const MemoryController &mc) {
+     [](const BufferedMcPrefetcher &, const MemoryController &mc) {
          return static_cast<std::uint64_t>(mc.writeQHighWater());
      }},
     {"caq_hwm", &EpochRecord::caq_hwm, nullptr,
-     [](const AsdPrefetcher &, const MemoryController &mc) {
+     [](const BufferedMcPrefetcher &, const MemoryController &mc) {
          return static_cast<std::uint64_t>(mc.caqHighWater());
      }},
     {"lpq_hwm", &EpochRecord::lpq_hwm, nullptr,
-     [](const AsdPrefetcher &, const MemoryController &mc) {
+     [](const BufferedMcPrefetcher &, const MemoryController &mc) {
          return static_cast<std::uint64_t>(mc.lpqHighWater());
      }},
     {"os_minor_faults", &EpochRecord::os_minor_faults, "os.minor_faults"},
@@ -202,12 +209,15 @@ class TelemetryRecorder : public Snapshottable
      * Resolves every column's stats in @p stats once, so construct
      * it after everything is registered. All references must outlive
      * the recorder; the controller is mutable only to read-and-reset
-     * its queue high-water marks. The delta baseline starts at zero,
-     * so epoch 1 includes everything counted before construction.
+     * its queue high-water marks. @p asd is @p ms viewed as ASD, or
+     * null for another contender; it only feeds SLH capture. The
+     * delta baseline starts at zero, so epoch 1 includes everything
+     * counted before construction.
      */
     TelemetryRecorder(const TelemetryConfig &config,
                       const StatRegistry &stats,
-                      const AsdPrefetcher &asd, MemoryController &mc);
+                      const BufferedMcPrefetcher &ms,
+                      const AsdPrefetcher *asd, MemoryController &mc);
 
     /** Epoch boundary at @p now: append one EpochRecord. */
     void onEpochEnd(Cycle now);
@@ -236,7 +246,8 @@ class TelemetryRecorder : public Snapshottable
     ColumnValues sampleCounters() const;
 
     TelemetryConfig config_;
-    const AsdPrefetcher &asd_;
+    const BufferedMcPrefetcher &ms_;
+    const AsdPrefetcher *asd_; //!< null unless ms_ is ASD
     MemoryController &mc_;
     // asdlint:allow(snapshot-field-coverage): wiring resolved from the registry at construction; the sampled values live in baseline_
     std::vector<std::pair<std::size_t, const Counter *>> counters_;

@@ -1,5 +1,7 @@
 #include "tuner/tuned_run.hpp"
 
+#include <cstdint>
+#include <string>
 #include <utility>
 
 #include "common/log.hpp"
@@ -201,16 +203,36 @@ void
 TunedRun::loadSnapshot(SnapshotReader &r)
 {
     r.openSection("tun");
+    // The restored tuning rebuilds the machine, whose constructors
+    // fatal (or panic) on a shape no tuner could adopt; reject one
+    // here as a malformed snapshot instead.
+    const auto shape = [&r](std::uint32_t max, const char *what) {
+        const std::uint32_t v = r.u32();
+        SnapshotReader::check(v >= 1 && v <= max,
+                              std::string("tuned snapshot ") + what +
+                                  " out of range");
+        return v;
+    };
+    const auto policy = [&r] {
+        const std::int64_t v = r.i64();
+        SnapshotReader::check(v >= 1 && v <= 5,
+                              "tuned snapshot policy outside 1..5");
+        return static_cast<int>(v);
+    };
+    constexpr std::uint32_t kMaxShape = 1u << 20; // the option bound
     AsdTuning t;
-    t.max_degree = r.u32();
-    t.epoch_reads = r.u32();
-    t.filter_slots = r.u32();
-    t.buffer_lines = r.u32();
+    t.max_degree = shape(kMaxShape, "degree");
+    t.epoch_reads = shape(UINT32_MAX, "epoch length");
+    t.filter_slots = shape(kMaxShape, "filter slots");
+    t.buffer_lines = shape(kMaxShape, "buffer lines");
     t.sched.adaptive = r.b();
-    t.sched.fixed_policy = static_cast<int>(r.i64());
-    t.sched.start_policy = static_cast<int>(r.i64());
+    t.sched.fixed_policy = policy();
+    t.sched.start_policy = policy();
     t.sched.high_watermark = r.u32();
     t.sched.low_watermark = r.u32();
+    SnapshotReader::check(
+        t.sched.low_watermark <= t.sched.high_watermark,
+        "tuned snapshot low watermark above high watermark");
     pending_decision_ = r.b();
     pending_epoch_ = r.u64();
     pending_phase_ = r.u64();

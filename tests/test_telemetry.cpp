@@ -12,6 +12,7 @@
 
 #include "common/json.hpp"
 #include "sim/experiment.hpp"
+#include "sim/run_options_schema.hpp"
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
 #include "telemetry/recorder.hpp"
@@ -119,13 +120,59 @@ TEST(Telemetry, MaxEpochsCapsTheSeries)
     EXPECT_EQ(epochs.size(), 1u);
 }
 
-TEST(Telemetry, NonAsdPrefetcherRecordsNothing)
+TEST(Telemetry, RecordsEpochsForEveryContender)
 {
-    RunOptions options;
-    options.mode = PrefetchMode::MS;
-    options.mc_prefetcher = McPrefetcherKind::NextLine;
-    const auto epochs = recordedRun(options);
-    EXPECT_TRUE(epochs.empty());
+    // The epoch clock, buffer and scheduler are shared by every
+    // memory-side contender, so each one records a gapless series
+    // whose buffer and scheduler deltas add up to the registry's
+    // totals at the last boundary; ASD's own columns stay zero.
+    for (const auto &[kind, name] : enumNames(McPrefetcherKind{})) {
+        if (kind == McPrefetcherKind::Asd)
+            continue;
+        SCOPED_TRACE(name);
+        RunOptions options;
+        options.mode = PrefetchMode::MS;
+        options.mc_prefetcher = kind;
+        options.telemetry.enabled = true;
+        SyntheticConfig trace_config = findBenchmark("bwaves").trace;
+        trace_config.total_accesses = 60000;
+        SyntheticTraceGenerator trace(trace_config);
+        System system(makeSystemConfig(options), {&trace});
+        std::uint64_t consumed = 0;
+        std::uint64_t conflicts = 0;
+        system.setEpochEndHook([&](Cycle) {
+            consumed = system.stats().value("ms.buffer.consumed");
+            conflicts = system.stats().value("ms.sched.conflicts");
+        });
+        system.run();
+        ASSERT_NE(system.telemetry(), nullptr);
+        const std::vector<EpochRecord> &epochs =
+            system.telemetry()->records();
+        ASSERT_GE(epochs.size(), 2u);
+
+        std::uint64_t consumed_sum = 0;
+        std::uint64_t conflicts_sum = 0;
+        for (std::size_t i = 0; i < epochs.size(); ++i) {
+            const EpochRecord &rec = epochs[i];
+            EXPECT_EQ(rec.epoch, i + 1);
+            EXPECT_LT(rec.start_cycle, rec.end_cycle);
+            if (i > 0) {
+                EXPECT_EQ(rec.start_cycle, epochs[i - 1].end_cycle);
+            }
+            EXPECT_GE(rec.policy, 1u);
+            EXPECT_LE(rec.policy, 5u);
+            EXPECT_EQ(rec.suggested, 0u);
+            EXPECT_EQ(rec.suppressed, 0u);
+            EXPECT_EQ(rec.overflow_reads, 0u);
+            EXPECT_EQ(rec.stream_merges, 0u);
+            EXPECT_EQ(rec.lht_underflow_clamps, 0u);
+            EXPECT_TRUE(rec.slh.empty());
+            consumed_sum += rec.buffer_consumed;
+            conflicts_sum += rec.conflicts;
+        }
+        EXPECT_EQ(consumed_sum, consumed);
+        EXPECT_EQ(conflicts_sum, conflicts);
+    }
 }
 
 TEST(Telemetry, RecordingDoesNotPerturbTheRun)
@@ -185,11 +232,11 @@ TEST(Telemetry, ZeroLengthEpochYieldsCleanZeroRecord)
     AsdPrefetcher asd{AsdConfig{}};
     StatRegistry stats;
     mc.registerStats(stats, "mc");
-    asd.registerStats(stats, "asd");
+    asd.registerStats(stats);
     dram.registerStats(stats);
     TelemetryConfig config;
     config.enabled = true;
-    TelemetryRecorder recorder(config, stats, asd, mc);
+    TelemetryRecorder recorder(config, stats, asd, &asd, mc);
 
     recorder.onEpochEnd(1000);
     recorder.onEpochEnd(1000);
@@ -267,22 +314,31 @@ TEST(Telemetry, EveryColumnStatResolves)
 {
     // A mistyped stat name in the column table would read as a silent
     // all-zero column; in a PMS machine with the OS model and a
-    // tenant mix, every named stat is registered.
-    RunOptions options;
-    options.mode = PrefetchMode::PMS;
-    options.os.enabled = true;
-    options.tenants.enabled = true;
-    options.telemetry.enabled = true;
-    SyntheticConfig trace_config = findBenchmark("tpcc").trace;
-    trace_config.total_accesses = 1000;
-    const auto trace = makeTraceSource(options, trace_config);
-    System system(makeSystemConfig(options), {trace.get()});
-    ASSERT_NE(system.telemetry(), nullptr);
-    for (const TelemetryColumn &column : kTelemetryColumns) {
-        SCOPED_TRACE(column.name);
-        EXPECT_NE(column.stat == nullptr, column.gauge == nullptr);
-        for (const std::string &stat : columnStats(column))
-            EXPECT_TRUE(system.stats().has(stat)) << stat;
+    // tenant mix, every named stat is registered, except that only
+    // ASD registers asd.* (every contender registers ms.*).
+    for (const auto &[kind, name] : enumNames(McPrefetcherKind{})) {
+        SCOPED_TRACE(name);
+        RunOptions options;
+        options.mode = PrefetchMode::PMS;
+        options.mc_prefetcher = kind;
+        options.os.enabled = true;
+        options.tenants.enabled = true;
+        options.telemetry.enabled = true;
+        SyntheticConfig trace_config = findBenchmark("tpcc").trace;
+        trace_config.total_accesses = 1000;
+        const auto trace = makeTraceSource(options, trace_config);
+        System system(makeSystemConfig(options), {trace.get()});
+        ASSERT_NE(system.telemetry(), nullptr);
+        const bool asd = kind == McPrefetcherKind::Asd;
+        for (const TelemetryColumn &column : kTelemetryColumns) {
+            SCOPED_TRACE(column.name);
+            EXPECT_NE(column.stat == nullptr, column.gauge == nullptr);
+            for (const std::string &stat : columnStats(column)) {
+                const bool own = stat.rfind("asd.", 0) == 0;
+                EXPECT_EQ(system.stats().has(stat), asd || !own)
+                    << stat;
+            }
+        }
     }
 }
 

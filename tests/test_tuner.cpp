@@ -6,7 +6,11 @@
  * semantics, and checkpoint/restore of a whole tuned run.
  */
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -403,6 +407,86 @@ TEST(TunedRun, SnapshotSplitMatchesStraightRun)
     // means the full decision logs (including realized measurements
     // queued across the split) are identical.
     EXPECT_EQ(tunerJson(got.decisions), tunerJson(want.decisions));
+}
+
+/**
+ * @p bytes with the "tun" section payload rewritten by @p edit and its
+ * CRC refreshed, so only the tuned-run checks can reject it.
+ */
+std::vector<std::uint8_t>
+withTunEdit(std::vector<std::uint8_t> bytes,
+            const std::function<void(std::uint8_t *)> &edit)
+{
+    const std::string name = "tun";
+    const auto it =
+        std::search(bytes.begin(), bytes.end(), name.begin(), name.end());
+    EXPECT_NE(it, bytes.end());
+    // Section name, then u64 payload length, u32 CRC, payload.
+    const auto at = static_cast<std::size_t>(it - bytes.begin()) +
+                    name.size();
+    std::uint64_t length = 0;
+    for (std::size_t i = 8; i-- > 0;)
+        length = (length << 8) | bytes[at + i];
+    std::uint8_t *payload = bytes.data() + at + 12;
+    edit(payload);
+    const std::uint32_t crc =
+        crc32(payload, static_cast<std::size_t>(length));
+    for (std::size_t i = 0; i < 4; ++i)
+        bytes[at + 8 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    return bytes;
+}
+
+/** Store little-endian @p value over @p width bytes at @p at. */
+void
+put(std::uint8_t *at, std::uint64_t value, std::size_t width)
+{
+    for (std::size_t i = 0; i < width; ++i)
+        at[i] = static_cast<std::uint8_t>(value >> (8 * i));
+}
+
+TEST(TunedRun, MalformedTuningSnapshotIsRejected)
+{
+    const Benchmark bench = findBenchmark("GemsFDTD");
+    RunOptions options;
+    options.mode = PrefetchMode::MS;
+    options.tuner.enabled = true;
+    const std::uint64_t accesses = 20000;
+
+    TunedRun first(bench, options, accesses);
+    first.runUntil(50000);
+    SnapshotWriter w;
+    first.saveSnapshot(w);
+    const std::vector<std::uint8_t> bytes = w.finish(0);
+
+    // The "tun" payload opens with u32 degree, epoch, slots, lines,
+    // a bool, i64 fixed and start policies, u32 high and low marks.
+    const std::vector<std::pair<std::string,
+                                std::function<void(std::uint8_t *)>>>
+        edits = {
+            {"degree 0", [](std::uint8_t *p) { put(p, 0, 4); }},
+            {"degree huge", [](std::uint8_t *p) { put(p, 1u << 30, 4); }},
+            {"epoch 0", [](std::uint8_t *p) { put(p + 4, 0, 4); }},
+            {"slots 0", [](std::uint8_t *p) { put(p + 8, 0, 4); }},
+            {"lines 0", [](std::uint8_t *p) { put(p + 12, 0, 4); }},
+            {"fixed policy 0", [](std::uint8_t *p) { put(p + 17, 0, 8); }},
+            {"fixed policy 2^32+1",
+             [](std::uint8_t *p) { put(p + 17, (1ULL << 32) + 1, 8); }},
+            {"start policy 6", [](std::uint8_t *p) { put(p + 25, 6, 8); }},
+            {"low above high", [](std::uint8_t *p) { put(p + 33, 0, 4); }},
+        };
+
+    {
+        // The rewrite itself is sound: an unchanged payload loads.
+        TunedRun second(bench, options, accesses);
+        SnapshotReader r(withTunEdit(bytes, [](std::uint8_t *) {}));
+        EXPECT_NO_THROW(second.loadSnapshot(r));
+    }
+    for (const auto &[what, edit] : edits) {
+        SCOPED_TRACE(what);
+        TunedRun second(bench, options, accesses);
+        SnapshotReader r(withTunEdit(bytes, edit));
+        EXPECT_THROW(second.loadSnapshot(r), SnapshotError);
+    }
 }
 
 } // namespace

@@ -17,8 +17,6 @@
 # With --split-at CYCLE the second run is checkpointed: it saves a
 # snapshot at CYCLE, then restores and finishes from it — so the diff
 # proves restore-then-run is byte-identical to an uninterrupted run.
-# (Split mode records telemetry, so the configuration needs the ASD
-# memory-side prefetcher, as the default one has.)
 #
 # With --bakeoff the target is the asdbakeoff driver instead: the same
 # grid runs once on 1 thread and once on 4, and the ranked report
