@@ -16,6 +16,7 @@
 
 #include "common/table.hpp"
 #include "sim/experiment.hpp"
+#include "tuner/run.hpp"
 
 int
 main()

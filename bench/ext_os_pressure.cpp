@@ -35,7 +35,7 @@
 #include "sim/experiment.hpp"
 #include "sim/system.hpp"
 #include "trace/synthetic.hpp"
-#include "tuner/tuned_run.hpp"
+#include "tuner/run.hpp"
 #include "workloads/profiles.hpp"
 #include "workloads/tenant_mix.hpp"
 
@@ -189,8 +189,8 @@ runTunedAsd(const Benchmark &bench, RunOptions options)
     options.tuner.space.epoch_reads = {2000};
     options.tuner.space.policies = {0};
 
-    TunedRun tuned(bench, options);
-    const TunedRunResult result = tuned.run();
+    BenchmarkRun tuned(bench, options);
+    const RunResult result = tuned.run();
     ContenderResult out;
     out.metrics = result.metrics;
     out.decisions = result.decisions.size();

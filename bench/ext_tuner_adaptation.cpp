@@ -28,7 +28,7 @@
 #include "common/log.hpp"
 #include "sim/experiment.hpp"
 #include "trace/synthetic.hpp"
-#include "tuner/tuned_run.hpp"
+#include "tuner/run.hpp"
 #include "workloads/profiles.hpp"
 
 namespace
@@ -159,8 +159,8 @@ main(int argc, char **argv)
     tuned_options.tuner.space.buffer_lines = {16};
     tuned_options.tuner.space.epoch_reads = {2000};
     tuned_options.tuner.space.policies = {0};
-    TunedRun tuned(bench, tuned_options);
-    const TunedRunResult result = tuned.run();
+    BenchmarkRun tuned(bench, tuned_options);
+    const RunResult result = tuned.run();
     const Cycle tuner_cycles = result.metrics.cycles;
 
     std::uint64_t shadow_cycles_total = 0;

@@ -11,6 +11,7 @@
 
 #include "common/table.hpp"
 #include "sim/experiment.hpp"
+#include "tuner/run.hpp"
 
 namespace
 {

@@ -19,6 +19,7 @@
 
 #include "common/table.hpp"
 #include "sim/experiment.hpp"
+#include "tuner/run.hpp"
 
 int
 main()

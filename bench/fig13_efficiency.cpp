@@ -13,6 +13,7 @@
 
 #include "common/table.hpp"
 #include "sim/experiment.hpp"
+#include "tuner/run.hpp"
 
 int
 main()

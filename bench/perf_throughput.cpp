@@ -29,6 +29,7 @@
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
 #include "trace/synthetic.hpp"
+#include "tuner/run.hpp"
 #include "workloads/profiles.hpp"
 
 namespace

@@ -15,7 +15,6 @@
 
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -30,8 +29,7 @@
 #include "sim/snapshot_io.hpp"
 #include "sim/system.hpp"
 #include "telemetry/sinks.hpp"
-#include "trace/synthetic.hpp"
-#include "tuner/tuned_run.hpp"
+#include "tuner/run.hpp"
 
 namespace
 {
@@ -144,66 +142,6 @@ listBenchmarks()
 }
 
 /**
- * The machine of one (non-SMT) run: a TunedRun when tuning (its "tun"
- * snapshot section rides along), else a System over the benchmark's
- * trace or tenant mix.
- */
-class Machine
-{
-  public:
-    Machine(const Benchmark &bench, const RunOptions &options,
-            std::uint64_t accesses)
-    {
-        if (options.tuner.enabled) {
-            tuned_ = std::make_unique<TunedRun>(bench, options, accesses);
-            return;
-        }
-        SyntheticConfig trace_config = bench.trace;
-        trace_config.total_accesses = accesses;
-        trace_ = makeTraceSource(options, trace_config);
-        system_ = std::make_unique<System>(
-            makeSystemConfig(options),
-            std::vector<TraceSource *>{trace_.get()});
-    }
-
-    System &system() { return tuned_ ? tuned_->system() : *system_; }
-
-    void
-    save(SnapshotWriter &w)
-    {
-        tuned_ ? tuned_->saveSnapshot(w) : system_->saveSnapshot(w);
-    }
-
-    void
-    load(SnapshotReader &r)
-    {
-        tuned_ ? tuned_->loadSnapshot(r) : system_->loadSnapshot(r);
-    }
-
-    /** Run to completion; epochs and tuner decisions go to the outs. */
-    RunMetrics
-    finish(std::vector<EpochRecord> &epochs,
-           std::vector<TunerDecision> &decisions)
-    {
-        system().runUntil(kNoCycle);
-        if (tuned_) {
-            TunedRunResult res = tuned_->result();
-            epochs = std::move(res.epochs);
-            decisions = std::move(res.decisions);
-            return res.metrics;
-        }
-        if (system_->telemetry())
-            epochs = system_->telemetry()->records();
-        return system_->collectMetrics();
-    }
-
-  private:
-    std::unique_ptr<TunedRun> tuned_;
-    std::unique_ptr<TraceSource> trace_;
-    std::unique_ptr<System> system_;
-};
-
-/**
  * One non-SMT run: of the command line's benchmark and options, or
  * with --load-snapshot of the image's own metadata (the command line
  * then only picks the outputs). With --save-snapshot the run stops at
@@ -211,12 +149,10 @@ class Machine
  * the machine sections — instead of finishing. Informational output
  * goes to stderr so a restored run's stdout byte-compares against an
  * uninterrupted run's.
- * @return false when a checkpoint was saved (no report follows).
+ * @return nullopt when a checkpoint was saved (no report follows).
  */
-bool
-runMachine(const CliArgs &args, RunRecord &run, RunMetrics &metrics,
-           std::vector<EpochRecord> &epochs,
-           std::vector<TunerDecision> &decisions)
+std::optional<RunResult>
+runMachine(const CliArgs &args, RunRecord &run)
 {
     try {
         std::optional<SnapshotReader> reader;
@@ -233,28 +169,26 @@ runMachine(const CliArgs &args, RunRecord &run, RunMetrics &metrics,
         const Benchmark &bench = findBenchmark(run.bench);
         if (!reader)
             run.accesses = scaledAccesses(bench, run.options);
-        Machine machine(bench, run.options, run.accesses);
+        BenchmarkRun machine(bench, run.options, run.accesses);
         if (reader) {
-            machine.load(*reader);
+            machine.loadSnapshot(*reader);
             std::cerr << "asdsim_cli: restored " << run.bench
                       << " at cycle " << machine.system().nowCycle()
                       << " from " << args.load_path << "\n";
         }
-        if (args.save_path.empty()) {
-            metrics = machine.finish(epochs, decisions);
-            return true;
-        }
-        machine.system().runUntil(args.save_cycle);
+        if (args.save_path.empty())
+            return machine.run();
+        machine.runUntil(args.save_cycle);
         SnapshotWriter writer;
         saveCliSection(writer, run);
-        machine.save(writer);
+        machine.saveSnapshot(writer);
         writeSnapshotFile(args.save_path,
                           writer.finish(runConfigHash(
                               run.bench, run.accesses, run.options)));
         std::cerr << "asdsim_cli: saved " << run.bench << " at cycle "
                   << machine.system().nowCycle() << " to "
                   << args.save_path << "\n";
-        return false;
+        return std::nullopt;
     } catch (const SnapshotError &e) {
         fatal(std::string("snapshot ") +
               (args.load_path.empty() ? "save" : "load") +
@@ -333,13 +267,14 @@ main(int argc, char **argv)
               "exclusive");
 
     RunRecord run{args.bench, 0, args.options};
-    std::vector<EpochRecord> epochs;
-    std::vector<TunerDecision> decisions;
-    RunMetrics m;
+    RunResult result;
     if (args.smt) {
         const Benchmark &bench = findBenchmark(args.bench);
-        m = runSmtPair(bench, bench, args.options, &epochs);
-    } else if (!runMachine(args, run, m, epochs, decisions)) {
+        result.metrics =
+            runSmtPair(bench, bench, args.options, &result.epochs);
+    } else if (std::optional<RunResult> finished = runMachine(args, run)) {
+        result = std::move(*finished);
+    } else {
         return 0;
     }
     const bool telemetry_on = run.options.telemetry.enabled;
@@ -347,33 +282,34 @@ main(int argc, char **argv)
 
     if (run.options.tuner.enabled) {
         if (!args.tuner_csv.empty())
-            saveTunerCsv(decisions, args.tuner_csv);
+            saveTunerCsv(result.decisions, args.tuner_csv);
         if (!args.tuner_json.empty())
-            saveTunerJson(decisions, args.tuner_json);
+            saveTunerJson(result.decisions, args.tuner_json);
     } else if (!args.tuner_csv.empty() || !args.tuner_json.empty()) {
         fatal("--tuner-csv/--tuner-json need --tune (or a snapshot "
               "taken with it)");
     }
 
     if (telemetry_on) {
-        if (epochs.empty())
+        if (result.epochs.empty())
             warn("telemetry enabled but no epochs were recorded");
         if (!args.telemetry_csv.empty())
-            saveTelemetryCsv(epochs, args.telemetry_csv);
+            saveTelemetryCsv(result.epochs, args.telemetry_csv);
         if (!args.telemetry_json.empty())
-            saveTelemetryJson(epochs, args.telemetry_json);
+            saveTelemetryJson(result.epochs, args.telemetry_json);
         if (!args.telemetry_trace.empty())
-            saveTelemetryChromeTrace(epochs, args.telemetry_trace);
+            saveTelemetryChromeTrace(result.epochs,
+                                     args.telemetry_trace);
     }
 
     if (!args.json_path.empty()) {
         std::ofstream out(args.json_path, std::ios::binary);
         if (!out)
             fatal("cannot write " + args.json_path);
-        out << toJson(m) << "\n";
+        out << toJson(result.metrics) << "\n";
     }
 
-    const auto rows = reportRows(bench_name, m);
+    const auto rows = reportRows(bench_name, result.metrics);
     if (args.csv) {
         for (std::size_t i = 0; i < rows.size(); ++i)
             std::cout << (i ? "," : "") << rows[i].second;

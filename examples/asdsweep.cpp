@@ -32,10 +32,9 @@
 #include "common/log.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/sweep_runner.hpp"
-#include "runner/thread_pool.hpp"
 #include "sim/serialize.hpp"
 #include "telemetry/sinks.hpp"
-#include "tuner/tuned_run.hpp"
+#include "tuner/run.hpp"
 
 namespace
 {
@@ -121,7 +120,7 @@ parseArgs(int argc, char **argv)
         switchFlag("--csv", "also write <out>/sweep.csv", cli.csv),
         switchFlag("--telemetry",
                    "per-epoch telemetry per job under <out>/telemetry/ "
-                   "(ASD jobs only)",
+                   "(MS and PMS jobs)",
                    cli.telemetry),
         switchFlag("--quiet", "no progress line", cli.quiet),
     };
@@ -166,33 +165,20 @@ selectBenchmarks(const CliConfig &cli)
 }
 
 /**
- * Give @p job a body that mirrors the default one (seed override +
- * runBenchmark), routes tuned jobs through TunedRun (runBenchmark
- * ignores options.tuner), and with telemetry writes the per-epoch
- * series as <out>/telemetry/<id>.csv and <id>.trace.json.
+ * Give @p job a body that runs it as the default body does and also
+ * writes the per-epoch series as <out>/telemetry/<id>.csv and
+ * <id>.trace.json.
  */
 void
-attachBody(JobSpec &job, const std::string &out_dir)
+attachTelemetryBody(JobSpec &job, const std::string &out_dir)
 {
     const std::string stem = out_dir + "/telemetry/" + job.id;
     job.body = [stem](const JobSpec &spec) {
-        Benchmark bench = spec.bench;
-        if (spec.seed)
-            bench.trace.seed = *spec.seed;
-        std::vector<EpochRecord> epochs;
-        RunMetrics metrics;
-        if (spec.options.tuner.enabled) {
-            TunedRunResult result = TunedRun(bench, spec.options).run();
-            metrics = result.metrics;
-            epochs = std::move(result.epochs);
-        } else {
-            metrics = runBenchmark(bench, spec.options, &epochs);
-        }
-        if (spec.options.telemetry.enabled) {
-            saveTelemetryCsv(epochs, stem + ".csv");
-            saveTelemetryChromeTrace(epochs, stem + ".trace.json");
-        }
-        return metrics;
+        const RunResult result =
+            BenchmarkRun(effectiveBench(spec), spec.options).run();
+        saveTelemetryCsv(result.epochs, stem + ".csv");
+        saveTelemetryChromeTrace(result.epochs, stem + ".trace.json");
+        return result.metrics;
     };
 }
 
@@ -213,12 +199,13 @@ buildJobs(const CliConfig &cli)
     std::vector<JobSpec> jobs;
     for (const Benchmark &bench : selectBenchmarks(cli)) {
         for (RunOptions options : grid) {
-            if (cli.telemetry &&
-                options.mc_prefetcher == McPrefetcherKind::Asd)
+            // Every memory-side contender records an epoch series.
+            if (cli.telemetry && (options.mode == PrefetchMode::MS ||
+                                  options.mode == PrefetchMode::PMS))
                 options.telemetry.enabled = true;
             JobSpec job = makeJob(bench, options, cli.seed);
-            if (options.tuner.enabled || options.telemetry.enabled)
-                attachBody(job, cli.out_dir);
+            if (options.telemetry.enabled)
+                attachTelemetryBody(job, cli.out_dir);
             jobs.push_back(std::move(job));
         }
     }

@@ -15,6 +15,7 @@
 #include "sim/experiment.hpp"
 #include "sim/system.hpp"
 #include "trace/synthetic.hpp"
+#include "tuner/run.hpp"
 
 int
 main()

@@ -12,6 +12,7 @@
 
 #include "common/table.hpp"
 #include "sim/experiment.hpp"
+#include "tuner/run.hpp"
 
 int
 main(int argc, char **argv)

@@ -7,33 +7,12 @@
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "sim/serialize.hpp"
-#include "tuner/tuned_run.hpp"
 
 namespace asd
 {
 
 namespace
 {
-
-/**
- * Route tuner-enabled specs through TunedRun (runBenchmark never
- * consults options.tuner). The body also opts the job out of
- * warm-start sharing, which is correct: a tuned run's telemetry
- * baseline must see its own warm-up boundary.
- */
-JobSpec
-withTunerBody(JobSpec spec)
-{
-    if (!spec.options.tuner.enabled)
-        return spec;
-    spec.body = [](const JobSpec &job) {
-        Benchmark bench = job.bench;
-        if (job.seed)
-            bench.trace.seed = *job.seed;
-        return TunedRun(bench, job.options).run().metrics;
-    };
-    return spec;
-}
 
 /**
  * Recover the metrics of an adopted result record: parse the record
@@ -165,9 +144,9 @@ BakeoffRunner::run()
         specs.push_back(makeJob(workload.bench,
                                 workloadOptions(workload, np)));
         for (const PrefetcherInfo *info : contenders_) {
-            specs.push_back(withTunerBody(makeJob(
+            specs.push_back(makeJob(
                 workload.bench,
-                workloadOptions(workload, info->defaults))));
+                workloadOptions(workload, info->defaults)));
         }
     }
     result.total_jobs = specs.size();

@@ -1,4 +1,4 @@
-#include "runner/thread_pool.hpp"
+#include "common/thread_pool.hpp"
 
 #include <cstdlib>
 

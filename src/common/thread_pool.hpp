@@ -1,12 +1,13 @@
-#ifndef ASD_RUNNER_THREAD_POOL_HPP
-#define ASD_RUNNER_THREAD_POOL_HPP
+#ifndef ASD_COMMON_THREAD_POOL_HPP
+#define ASD_COMMON_THREAD_POOL_HPP
 
 /**
  * @file
  * Fixed-size worker pool over a shared task queue. Tasks are opaque
  * callables taking the worker index (for telemetry); they must not
  * throw — the sweep runner wraps all simulation work in runJob(),
- * which converts exceptions into structured failure records.
+ * which converts exceptions into structured failure records, and the
+ * shadow tuner marks a throwing fork invalid.
  */
 
 #include <condition_variable>
@@ -21,9 +22,9 @@ namespace asd
 {
 
 /**
- * Worker-thread count for sweeps: the ASD_SWEEP_THREADS environment
- * variable when set to a positive integer, otherwise
- * std::thread::hardware_concurrency() (at least 1).
+ * Default worker-thread count (sweeps, shadow forks): the
+ * ASD_SWEEP_THREADS environment variable when set to a positive
+ * integer, otherwise std::thread::hardware_concurrency() (at least 1).
  */
 unsigned defaultThreadCount();
 
@@ -68,4 +69,4 @@ class ThreadPool
 
 } // namespace asd
 
-#endif // ASD_RUNNER_THREAD_POOL_HPP
+#endif // ASD_COMMON_THREAD_POOL_HPP

@@ -72,7 +72,7 @@ constexpr std::string_view kLayerOrder[] = {
     "common", "lint",  "snapshot", "trace",    "vm",
     "os",     "dram",  "cache",    "mc",       "core",
     "prefetch", "telemetry", "cpu", "workloads", "sim",
-    "runner", "tuner", "arena",
+    "tuner", "runner", "arena",
 };
 } // namespace
 

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <exception>
 
+#include "tuner/run.hpp"
+
 namespace asd
 {
 
@@ -14,6 +16,15 @@ makeJobId(const Benchmark &bench, const RunOptions &options,
     if (seed)
         id += ".seed" + std::to_string(*seed);
     return id;
+}
+
+Benchmark
+effectiveBench(const JobSpec &job)
+{
+    Benchmark bench = job.bench;
+    if (job.seed)
+        bench.trace.seed = *job.seed;
+    return bench;
 }
 
 JobSpec
@@ -36,14 +47,9 @@ runJob(const JobSpec &job)
 
     const auto start = std::chrono::steady_clock::now();
     try {
-        if (job.body) {
-            result.metrics = job.body(job);
-        } else {
-            Benchmark bench = job.bench;
-            if (job.seed)
-                bench.trace.seed = *job.seed;
-            result.metrics = runBenchmark(bench, job.options);
-        }
+        result.metrics = job.body
+                             ? job.body(job)
+                             : runBenchmark(effectiveBench(job), job.options);
         result.status = JobStatus::Ok;
     } catch (const std::exception &e) {
         result.status = JobStatus::Failed;

@@ -49,8 +49,9 @@ struct JobSpec
 
     /**
      * Custom work body; when empty the job runs
-     * runBenchmark(bench-with-seed, options). Lets harnesses reuse
-     * the pool for SMT pairs or fault-injection tests.
+     * runBenchmark(effectiveBench(job), options), which honours every
+     * RunOptions field, the tuner included. Lets harnesses reuse the
+     * pool for SMT pairs, side outputs or fault-injection tests.
      */
     std::function<RunMetrics(const JobSpec &)> body;
 };
@@ -99,13 +100,16 @@ struct JobResult
 std::string makeJobId(const Benchmark &bench, const RunOptions &options,
                       std::optional<std::uint64_t> seed = std::nullopt);
 
+/** @p job's benchmark with the job's seed override applied. */
+Benchmark effectiveBench(const JobSpec &job);
+
 /** Build a JobSpec with makeJobId() as its id. */
 JobSpec makeJob(const Benchmark &bench, const RunOptions &options,
                 std::optional<std::uint64_t> seed = std::nullopt);
 
 /**
- * Execute @p job on the calling thread: apply the seed override, run
- * the body (default: runBenchmark), capture exceptions as Failed
+ * Execute @p job on the calling thread: run the body (default:
+ * runBenchmark of effectiveBench(job)), capture exceptions as Failed
  * records and enforce the soft timeout. Never throws.
  */
 JobResult runJob(const JobSpec &job);

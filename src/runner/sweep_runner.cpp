@@ -6,7 +6,7 @@
 #include <mutex>
 #include <utility>
 
-#include "runner/thread_pool.hpp"
+#include "common/thread_pool.hpp"
 #include "runner/warm_start.hpp"
 
 namespace asd

@@ -6,25 +6,14 @@
 #include "common/log.hpp"
 #include "sim/serialize.hpp"
 #include "sim/snapshot_io.hpp"
-#include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
-#include "trace/synthetic.hpp"
+#include "tuner/run.hpp"
 
 namespace asd
 {
 
 namespace
 {
-
-/** The benchmark with any per-job seed override applied. */
-Benchmark
-effectiveBench(const JobSpec &job)
-{
-    Benchmark bench = job.bench;
-    if (job.seed)
-        bench.trace.seed = *job.seed;
-    return bench;
-}
 
 /**
  * The configuration the warm-up runs under: the job's options with
@@ -68,44 +57,33 @@ warmupKey(const JobSpec &job)
 bool
 warmStartEligible(const JobSpec &job)
 {
-    // Tenant mixes run through a TenantMixSource; the warm-up
-    // fork path below rebuilds a plain SyntheticTraceGenerator, so
-    // those jobs always cold-start.
+    // Tenant mixes and tuned runs always cold-start: the warm-up key
+    // does not cover a tenant mix's trace, and a tuned run's
+    // telemetry baseline must see its own warm-up boundary.
     return !job.body && job.options.warmup_cycles > 0 &&
-           !job.options.tenants.enabled;
+           !job.options.tenants.enabled && !job.options.tuner.enabled;
 }
 
 SnapshotBytes
 simulateWarmup(const JobSpec &job)
 {
-    const Benchmark bench = effectiveBench(job);
-    SyntheticConfig trace_config = bench.trace;
-    trace_config.total_accesses = scaledAccesses(bench, job.options);
-    SyntheticTraceGenerator trace(trace_config);
-
-    System system(makeSystemConfig(warmupOptions(job)), {&trace});
-    system.runUntil(job.options.warmup_cycles);
+    BenchmarkRun warmup(effectiveBench(job), warmupOptions(job));
+    warmup.runUntil(job.options.warmup_cycles);
 
     SnapshotWriter writer;
-    system.saveSnapshot(writer);
+    warmup.saveSnapshot(writer);
     return writer.finish(fnv1a64(warmupKey(job)));
 }
 
 RunMetrics
 runFromSnapshot(const JobSpec &job, const SnapshotBytes &bytes)
 {
-    const Benchmark bench = effectiveBench(job);
-    SyntheticConfig trace_config = bench.trace;
-    trace_config.total_accesses = scaledAccesses(bench, job.options);
-    SyntheticTraceGenerator trace(trace_config);
-
     SnapshotReader reader(bytes);
     reader.requireConfigHash(fnv1a64(warmupKey(job)));
 
-    System system(makeSystemConfig(job.options), {&trace});
-    system.loadSnapshot(reader);
-    system.runUntil(kNoCycle);
-    return system.collectMetrics();
+    BenchmarkRun run(effectiveBench(job), job.options);
+    run.loadSnapshot(reader);
+    return run.run().metrics;
 }
 
 // --- WarmupCache ---------------------------------------------------

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/log.hpp"
+#include "sim/run_options_schema.hpp"
 #include "sim/system.hpp"
 #include "trace/synthetic.hpp"
 
@@ -79,21 +80,6 @@ makeSystemConfig(const RunOptions &options)
     return config;
 }
 
-namespace
-{
-
-void
-copyEpochs(const System &system, std::vector<EpochRecord> *out)
-{
-    if (!out)
-        return;
-    out->clear();
-    if (system.telemetry())
-        *out = system.telemetry()->records();
-}
-
-} // namespace
-
 std::unique_ptr<TraceSource>
 makeTraceSource(const RunOptions &options, const SyntheticConfig &trace)
 {
@@ -104,37 +90,12 @@ makeTraceSource(const RunOptions &options, const SyntheticConfig &trace)
 }
 
 RunMetrics
-runBenchmark(const Benchmark &bench, const RunOptions &options)
-{
-    return runBenchmark(bench, options, nullptr);
-}
-
-RunMetrics
-runBenchmark(const Benchmark &bench, const RunOptions &options,
-             std::vector<EpochRecord> *epochs_out)
-{
-    SyntheticConfig trace_config = bench.trace;
-    trace_config.total_accesses = scaledAccesses(bench, options);
-
-    const auto trace = makeTraceSource(options, trace_config);
-    System system(makeSystemConfig(options), {trace.get()});
-    const RunMetrics metrics = system.run();
-    copyEpochs(system, epochs_out);
-    return metrics;
-}
-
-RunMetrics
-runSmtPair(const Benchmark &a, const Benchmark &b,
-           const RunOptions &options)
-{
-    return runSmtPair(a, b, options, nullptr);
-}
-
-RunMetrics
 runSmtPair(const Benchmark &a, const Benchmark &b,
            const RunOptions &options,
            std::vector<EpochRecord> *epochs_out)
 {
+    if (const CliError error = validate(options, RunContext{.smt = true}))
+        fatal("runSmtPair: " + *error);
     SyntheticConfig config_a = a.trace;
     SyntheticConfig config_b = b.trace;
     config_a.total_accesses = scaledAccesses(a, options);
@@ -147,7 +108,9 @@ runSmtPair(const Benchmark &a, const Benchmark &b,
 
     System system(makeSystemConfig(options), {&trace_a, &trace_b});
     const RunMetrics metrics = system.run();
-    copyEpochs(system, epochs_out);
+    if (epochs_out)
+        *epochs_out = system.telemetry() ? system.telemetry()->records()
+                                         : std::vector<EpochRecord>{};
     return metrics;
 }
 

@@ -3,10 +3,11 @@
 
 /**
  * @file
- * Convenience layer used by the bench binaries and examples: build a
- * System for a named benchmark in a given configuration, run it, and
- * return metrics. Centralizes the paper's defaults so every figure
- * runs the same machine.
+ * The paper's default machine and trace for a benchmark in a given
+ * configuration: RunOptions, the SystemConfig and trace source they
+ * resolve to, and the SMT-pair run. Centralizes the paper's defaults
+ * so every figure runs the same machine; single-threaded runs go
+ * through BenchmarkRun (tuner/run.hpp).
  */
 
 #include <cstdint>
@@ -96,28 +97,15 @@ SystemConfig makeSystemConfig(const RunOptions &options);
 std::unique_ptr<TraceSource> makeTraceSource(const RunOptions &options,
                                              const SyntheticConfig &trace);
 
-/** Run one benchmark single-threaded. */
-RunMetrics runBenchmark(const Benchmark &bench,
-                        const RunOptions &options);
-
 /**
- * Like runBenchmark, additionally copying the telemetry time-series
- * into @p epochs_out (cleared first; empty when
- * options.telemetry.enabled is false or the MC prefetcher is not
- * ASD). Null @p epochs_out is allowed.
+ * Run two benchmark threads on one core (SMT experiments). A non-null
+ * @p epochs_out receives the telemetry time-series (empty when
+ * options.telemetry.enabled is false). fatal() when @p options break
+ * a validate() rule for SMT (tuner, tenant mix).
  */
-RunMetrics runBenchmark(const Benchmark &bench,
-                        const RunOptions &options,
-                        std::vector<EpochRecord> *epochs_out);
-
-/** Run two benchmark threads on one core (SMT experiments). */
-RunMetrics runSmtPair(const Benchmark &a, const Benchmark &b,
-                      const RunOptions &options);
-
-/** SMT variant with a telemetry out-param (see runBenchmark). */
 RunMetrics runSmtPair(const Benchmark &a, const Benchmark &b,
                       const RunOptions &options,
-                      std::vector<EpochRecord> *epochs_out);
+                      std::vector<EpochRecord> *epochs_out = nullptr);
 
 /**
  * Global trace-length multiplier from the ASD_BENCH_SCALE environment

@@ -1,4 +1,4 @@
-#include "tuner/tuned_run.hpp"
+#include "tuner/run.hpp"
 
 #include <cstdint>
 #include <string>
@@ -10,65 +10,60 @@
 namespace asd
 {
 
-TunedRun::TunedRun(const Benchmark &bench, const RunOptions &options,
-                   std::uint64_t total_accesses)
-    : bench_(bench), options_(options), detector_(options.tuner)
+BenchmarkRun::BenchmarkRun(const Benchmark &bench,
+                           const RunOptions &options,
+                           std::uint64_t total_accesses)
+    : options_(options), sys_config_(makeSystemConfig(options)),
+      detector_(options.tuner)
 {
-    if (!options_.tuner.enabled)
-        fatal("TunedRun: options.tuner.enabled must be set");
     if (const CliError error = validate(options_))
-        fatal("TunedRun: " + *error);
+        fatal("BenchmarkRun: " + *error);
 
-    sys_config_ = makeSystemConfig(options_);
-    // The controller reads phases off epoch telemetry, so force the
-    // recorder on (it only observes — results are unchanged) and
-    // uncapped; SLH capture would be dead weight unless asked for.
-    if (!sys_config_.telemetry.enabled) {
-        sys_config_.telemetry.enabled = true;
-        sys_config_.telemetry.capture_slh = false;
-    }
-    sys_config_.telemetry.max_epochs = 0;
-
-    trace_config_ = bench_.trace;
+    trace_config_ = bench.trace;
     trace_config_.total_accesses =
         total_accesses != 0 ? total_accesses
-                            : scaledAccesses(bench_, options_);
+                            : scaledAccesses(bench, options_);
 
-    current_ = tuningOf(sys_config_.asd);
-    buildSystem(current_);
-
-    shadow_ = std::make_unique<ShadowTuner>(
-        options_.tuner, sys_config_,
-        [options = options_, trace_config = trace_config_]() {
-            std::vector<std::unique_ptr<TraceSource>> traces;
-            traces.push_back(makeTraceSource(options, trace_config));
-            return traces;
-        });
+    if (options_.tuner.enabled) {
+        // The controller reads phases off epoch telemetry, so force
+        // the recorder on (it only observes — results are unchanged)
+        // and uncapped; SLH capture would be dead weight unless
+        // asked for.
+        if (!sys_config_.telemetry.enabled) {
+            sys_config_.telemetry.enabled = true;
+            sys_config_.telemetry.capture_slh = false;
+        }
+        sys_config_.telemetry.max_epochs = 0;
+        current_ = tuningOf(sys_config_.asd);
+        shadow_ = std::make_unique<ShadowTuner>(
+            options_.tuner, sys_config_,
+            [options = options_, trace_config = trace_config_]() {
+                std::vector<std::unique_ptr<TraceSource>> traces;
+                traces.push_back(makeTraceSource(options, trace_config));
+                return traces;
+            });
+    }
+    buildSystem();
 }
 
 void
-TunedRun::buildSystem(const AsdTuning &tuning)
+BenchmarkRun::buildSystem()
 {
     trace_ = makeTraceSource(options_, trace_config_);
     SystemConfig config = sys_config_;
-    config.asd = withTuning(config.asd, tuning);
+    if (shadow_)
+        config.asd = withTuning(config.asd, current_);
     system_ = std::make_unique<System>(
         config, std::vector<TraceSource *>{trace_.get()});
-    if (!system_->asd())
-        fatal("TunedRun: system has no ASD prefetcher to tune");
-    installHooks();
-}
-
-void
-TunedRun::installHooks()
-{
+    if (!shadow_)
+        return;
     system_->setEpochEndHook(
         [this](Cycle now) { onEpochEnd(now); });
     system_->setLoopHook([this](Cycle now) { onLoopTop(now); });
 }
 
 void
-TunedRun::onEpochEnd(Cycle now)
+BenchmarkRun::onEpochEnd(Cycle now)
 {
     (void)now;
     const TelemetryRecorder *telemetry = system_->telemetry();
@@ -91,7 +86,7 @@ TunedRun::onEpochEnd(Cycle now)
 }
 
 void
-TunedRun::onLoopTop(Cycle now)
+BenchmarkRun::onLoopTop(Cycle now)
 {
     while (!realize_queue_.empty() &&
            now >= realize_queue_.front().due) {
@@ -106,7 +101,7 @@ TunedRun::onLoopTop(Cycle now)
 }
 
 void
-TunedRun::decide(Cycle now)
+BenchmarkRun::decide(Cycle now)
 {
     const ShadowVerdict verdict =
         shadow_->evaluate(*system_, current_);
@@ -141,28 +136,28 @@ TunedRun::decide(Cycle now)
 }
 
 std::uint64_t
-TunedRun::liveAccesses() const
+BenchmarkRun::liveAccesses() const
 {
     return system_->collectMetrics().accesses;
 }
 
 void
-TunedRun::runUntil(Cycle target)
+BenchmarkRun::runUntil(Cycle target)
 {
     system_->runUntil(target);
 }
 
-TunedRunResult
-TunedRun::run()
+RunResult
+BenchmarkRun::run()
 {
     runUntil(kNoCycle);
     return result();
 }
 
-TunedRunResult
-TunedRun::result() const
+RunResult
+BenchmarkRun::result() const
 {
-    TunedRunResult res;
+    RunResult res;
     res.metrics = system_->collectMetrics();
     if (system_->telemetry())
         res.epochs = system_->telemetry()->records();
@@ -171,8 +166,12 @@ TunedRun::result() const
 }
 
 void
-TunedRun::saveSnapshot(SnapshotWriter &w) const
+BenchmarkRun::saveSnapshot(SnapshotWriter &w) const
 {
+    if (!shadow_) {
+        system_->saveSnapshot(w);
+        return;
+    }
     w.beginSection("tun");
     w.u32(current_.max_degree);
     w.u32(current_.epoch_reads);
@@ -200,8 +199,12 @@ TunedRun::saveSnapshot(SnapshotWriter &w) const
 }
 
 void
-TunedRun::loadSnapshot(SnapshotReader &r)
+BenchmarkRun::loadSnapshot(SnapshotReader &r)
 {
+    if (!shadow_) {
+        system_->loadSnapshot(r);
+        return;
+    }
     r.openSection("tun");
     // The restored tuning rebuilds the machine, whose constructors
     // fatal (or panic) on a shape no tuner could adopt; reject one
@@ -255,8 +258,14 @@ TunedRun::loadSnapshot(SnapshotReader &r)
     // Rebuild the live machine in the adopted shape, then restore
     // into it — shapes now match the snapshot's sections.
     current_ = t;
-    buildSystem(current_);
+    buildSystem();
     system_->loadSnapshot(r);
+}
+
+RunMetrics
+runBenchmark(const Benchmark &bench, const RunOptions &options)
+{
+    return BenchmarkRun(bench, options).run().metrics;
 }
 
 } // namespace asd

@@ -1,10 +1,14 @@
-#ifndef ASD_TUNER_TUNED_RUN_HPP
-#define ASD_TUNER_TUNED_RUN_HPP
+#ifndef ASD_TUNER_RUN_HPP
+#define ASD_TUNER_RUN_HPP
 
 /**
  * @file
- * The online phase-adaptive reconfiguration loop: one TunedRun wraps
- * one live System and closes the control loop
+ * One benchmark run: the single way the CLIs, the sweep runner, the
+ * arena and the benches drive a single-threaded machine. A
+ * BenchmarkRun builds the trace and the System from a RunOptions and
+ * honours every field of it, the phase-adaptive tuner included.
+ *
+ * With options.tuner.enabled it also closes the tuner's control loop
  *
  *     telemetry epoch -> PhaseDetector -> (phase change?)
  *         -> snapshot + ShadowTuner fork race -> adopt winner
@@ -16,13 +20,11 @@
  * run resumes at exactly, so tuned runs checkpoint/restore
  * byte-identically. One shadow horizon after each decision the
  * realized live progress is recorded against the winner's prediction
- * (TunerDecision::realized_accesses).
- *
- * Requirements: the memory-side prefetcher must be ASD (epochs and
- * the apply-path are ASD notions) and the run is single-threaded
- * (no SMT). Telemetry is forced on internally — the recorder only
- * reads the machine, so results are unchanged — but the caller's
- * RunOptions are reported unmodified.
+ * (TunerDecision::realized_accesses). Telemetry is forced on
+ * internally — the recorder only reads the machine, so results are
+ * unchanged — but the caller's RunOptions are reported unmodified.
+ * An untuned run has no shadow pool, no hooks and no forced
+ * telemetry: it is exactly a System over the benchmark's trace.
  */
 
 #include <cstdint>
@@ -42,67 +44,68 @@
 namespace asd
 {
 
-/** Everything a finished tuned run produced. */
-struct TunedRunResult
+/** Everything a finished run produced. */
+struct RunResult
 {
     RunMetrics metrics;
-    std::vector<EpochRecord> epochs;
-    std::vector<TunerDecision> decisions;
+    std::vector<EpochRecord> epochs;       //!< empty without telemetry
+    std::vector<TunerDecision> decisions; //!< empty when untuned
 };
 
-/** One benchmark run under the phase-adaptive tuner. */
-class TunedRun
+/** One single-threaded run of a benchmark. */
+class BenchmarkRun
 {
   public:
     /**
-     * @p options.tuner.enabled must be set; fatal() otherwise.
+     * fatal() when @p options break a validate() rule.
      * @p total_accesses pins the exact trace length (snapshot
      *    restore); 0 derives it from options/ASD_BENCH_SCALE.
      */
-    TunedRun(const Benchmark &bench, const RunOptions &options,
-             std::uint64_t total_accesses = 0);
+    BenchmarkRun(const Benchmark &bench, const RunOptions &options,
+                 std::uint64_t total_accesses = 0);
+
+    // The System's hooks point back at this object.
+    BenchmarkRun(const BenchmarkRun &) = delete;
+    BenchmarkRun &operator=(const BenchmarkRun &) = delete;
 
     /** Run to completion and report. */
-    TunedRunResult run();
+    RunResult run();
 
     /** Advance to @p target (kNoCycle = completion); resumable. */
     void runUntil(Cycle target);
 
-    TunedRunResult result() const;
+    RunResult result() const;
 
     System &system() { return *system_; }
     const System &system() const { return *system_; }
 
-    const TunerRecorder &recorder() const { return recorder_; }
-
     /**
-     * Serialize controller state (a "tun" section: adopted tuning,
-     * phase detector, decision log, pending work) followed by the
-     * live machine's sections. finish()/config-hash handling belongs
-     * to the caller, as with System::saveSnapshot.
+     * Serialize the run: when tuned, controller state first (a "tun"
+     * section: adopted tuning, phase detector, decision log, pending
+     * work), then the live machine's sections. finish()/config-hash
+     * handling belongs to the caller, as with System::saveSnapshot.
      */
     void saveSnapshot(SnapshotWriter &w) const;
 
     /**
-     * Restore a tuned checkpoint. Reads the "tun" section first to
-     * learn the tuning adopted before the save, rebuilds the live
+     * Restore a checkpoint. A tuned run reads the "tun" section first
+     * to learn the tuning adopted before the save, rebuilds the live
      * machine in that shape, then restores it — the same two-step
-     * the shadow forks use. The TunedRun must have been constructed
-     * from the identical benchmark and options.
+     * the shadow forks use. The BenchmarkRun must have been
+     * constructed from the identical benchmark and options.
      */
     void loadSnapshot(SnapshotReader &r);
 
   private:
-    void buildSystem(const AsdTuning &tuning);
-    void installHooks();
+    /** The live trace and machine, hooked into the tuner if on. */
+    void buildSystem();
     void onEpochEnd(Cycle now);
     void onLoopTop(Cycle now);
     void decide(Cycle now);
     std::uint64_t liveAccesses() const;
 
-    Benchmark bench_;
     RunOptions options_;
-    SystemConfig sys_config_; //!< telemetry forced on
+    SystemConfig sys_config_; //!< telemetry forced on when tuned
     SyntheticConfig trace_config_;
 
     /**
@@ -113,7 +116,7 @@ class TunedRun
      */
     std::unique_ptr<TraceSource> trace_;
     std::unique_ptr<System> system_;
-    std::unique_ptr<ShadowTuner> shadow_;
+    std::unique_ptr<ShadowTuner> shadow_; //!< null iff untuned
     PhaseDetector detector_;
     TunerRecorder recorder_;
 
@@ -135,6 +138,9 @@ class TunedRun
     std::deque<PendingRealize> realize_queue_;
 };
 
+/** Run one benchmark single-threaded: BenchmarkRun(...).run().metrics. */
+RunMetrics runBenchmark(const Benchmark &bench, const RunOptions &options);
+
 } // namespace asd
 
-#endif // ASD_TUNER_TUNED_RUN_HPP
+#endif // ASD_TUNER_RUN_HPP

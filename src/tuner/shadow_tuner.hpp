@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "core/asd_config.hpp"
-#include "runner/thread_pool.hpp"
+#include "common/thread_pool.hpp"
 #include "sim/system_config.hpp"
 #include "sim/tuner_config.hpp"
 #include "trace/trace_source.hpp"

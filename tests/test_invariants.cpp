@@ -13,6 +13,7 @@
 #include "sim/experiment.hpp"
 #include "sim/system.hpp"
 #include "trace/synthetic.hpp"
+#include "tuner/run.hpp"
 #include "workloads/profiles.hpp"
 
 namespace asd

@@ -23,6 +23,7 @@
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
 #include "trace/synthetic.hpp"
+#include "tuner/run.hpp"
 #include "vm/tlb.hpp"
 #include "workloads/profiles.hpp"
 #include "workloads/tenant_mix.hpp"

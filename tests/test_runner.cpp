@@ -20,7 +20,7 @@
 #include "common/json.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/sweep_runner.hpp"
-#include "runner/thread_pool.hpp"
+#include "common/thread_pool.hpp"
 #include "runner/warm_start.hpp"
 #include "sim/serialize.hpp"
 #include "snapshot/snapshot.hpp"

@@ -12,6 +12,7 @@
 #include "sim/experiment.hpp"
 #include "sim/system.hpp"
 #include "trace/synthetic.hpp"
+#include "tuner/run.hpp"
 #include "workloads/profiles.hpp"
 
 namespace asd
@@ -282,6 +283,31 @@ TEST(Experiment, SmtPairUsesDistinctSeeds)
     options.accesses = 10000;
     const RunMetrics m = runSmtPair(bench, bench, options);
     EXPECT_EQ(m.accesses, 20000u);
+}
+
+// An SMT pair replays two plain traces on one bare System; options it
+// cannot honour are rejected, never silently dropped.
+TEST(Experiment, SmtPairRejectsTheTuner)
+{
+    const Benchmark &bench = findBenchmark("bwaves");
+    RunOptions options;
+    options.mode = PrefetchMode::MS;
+    options.accesses = 2000;
+    options.tuner.enabled = true;
+    EXPECT_EXIT(runSmtPair(bench, bench, options),
+                testing::ExitedWithCode(1),
+                "--tune cannot be combined with --smt");
+}
+
+TEST(Experiment, SmtPairRejectsATenantMix)
+{
+    const Benchmark &bench = findBenchmark("bwaves");
+    RunOptions options;
+    options.accesses = 2000;
+    options.tenants.enabled = true;
+    EXPECT_EXIT(runSmtPair(bench, bench, options),
+                testing::ExitedWithCode(1),
+                "--tenants cannot be combined with --smt");
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include "telemetry/recorder.hpp"
 #include "telemetry/sinks.hpp"
 #include "trace/synthetic.hpp"
+#include "tuner/run.hpp"
 #include "workloads/profiles.hpp"
 
 namespace asd
@@ -31,9 +32,7 @@ recordedRun(RunOptions options, const char *bench = "bwaves",
 {
     options.telemetry.enabled = true;
     options.accesses = accesses;
-    std::vector<EpochRecord> epochs;
-    runBenchmark(findBenchmark(bench), options, &epochs);
-    return epochs;
+    return BenchmarkRun(findBenchmark(bench), options).run().epochs;
 }
 
 TEST(Telemetry, OffByDefaultRecordsNothing)
@@ -41,9 +40,8 @@ TEST(Telemetry, OffByDefaultRecordsNothing)
     RunOptions options;
     options.mode = PrefetchMode::MS;
     options.accesses = 30000;
-    std::vector<EpochRecord> epochs = {EpochRecord{}}; // stale junk
-    runBenchmark(findBenchmark("bwaves"), options, &epochs);
-    EXPECT_TRUE(epochs.empty()); // cleared, nothing recorded
+    EXPECT_TRUE(
+        BenchmarkRun(findBenchmark("bwaves"), options).run().epochs.empty());
 }
 
 TEST(Telemetry, DisabledSystemHasNoRecorder)
@@ -184,9 +182,7 @@ TEST(Telemetry, RecordingDoesNotPerturbTheRun)
     const RunMetrics plain = runBenchmark(bench, options);
 
     options.telemetry.enabled = true;
-    std::vector<EpochRecord> epochs;
-    const RunMetrics recorded =
-        runBenchmark(bench, options, &epochs);
+    const RunMetrics recorded = runBenchmark(bench, options);
 
     EXPECT_EQ(plain.cycles, recorded.cycles);
     EXPECT_EQ(plain.mc_reads, recorded.mc_reads);
@@ -201,20 +197,19 @@ TEST(Telemetry, EpochDeltasSumBelowRunTotals)
     options.mode = PrefetchMode::MS;
     options.telemetry.enabled = true;
     options.accesses = 40000;
-    std::vector<EpochRecord> epochs;
-    const RunMetrics m =
-        runBenchmark(findBenchmark("bwaves"), options, &epochs);
-    ASSERT_FALSE(epochs.empty());
+    const RunResult res =
+        BenchmarkRun(findBenchmark("bwaves"), options).run();
+    ASSERT_FALSE(res.epochs.empty());
     std::uint64_t reads = 0;
     std::uint64_t issued = 0;
-    for (const EpochRecord &rec : epochs) {
+    for (const EpochRecord &rec : res.epochs) {
         reads += rec.reads;
         issued += rec.prefetches_issued;
     }
     // The tail after the last epoch boundary is not recorded, so the
     // per-epoch sums are bounded by the run totals.
-    EXPECT_LE(reads, m.mc_reads);
-    EXPECT_LE(issued, m.ms_prefetches_issued);
+    EXPECT_LE(reads, res.metrics.mc_reads);
+    EXPECT_LE(issued, res.metrics.ms_prefetches_issued);
     EXPECT_GE(reads, 2000u);
 }
 

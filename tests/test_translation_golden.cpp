@@ -31,7 +31,7 @@
 #include "snapshot/snapshot.hpp"
 #include "telemetry/sinks.hpp"
 #include "trace/synthetic.hpp"
-#include "tuner/tuned_run.hpp"
+#include "tuner/run.hpp"
 #include "workloads/profiles.hpp"
 
 using namespace asd;
@@ -116,10 +116,8 @@ osOptions(PageWalkerKind walker)
 Outcome
 single(const std::string &bench, const RunOptions &options)
 {
-    std::vector<EpochRecord> epochs;
-    const RunMetrics m =
-        runBenchmark(findBenchmark(bench), options, &epochs);
-    return outcomeOf(m, epochs);
+    const RunResult res = BenchmarkRun(findBenchmark(bench), options).run();
+    return outcomeOf(res.metrics, res.epochs);
 }
 
 Outcome
@@ -171,8 +169,8 @@ tuned(RunOptions options)
     options.tuner.min_epochs_between = 1;
     options.tuner.shadow_horizon = 20000;
     options.tuner.phase_threshold_milli_pct = 5000;
-    const TunedRunResult res =
-        TunedRun(findBenchmark("tpcc"), options).run();
+    const RunResult res =
+        BenchmarkRun(findBenchmark("tpcc"), options).run();
     return outcomeOf(res.metrics, res.epochs);
 }
 

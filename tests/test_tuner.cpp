@@ -3,7 +3,8 @@
  * Tests for the phase-adaptive tuner (src/tuner/): change-point
  * detection over epoch telemetry, the shadow candidate neighborhood,
  * the per-decision recorder and its sinks, live applyTuning
- * semantics, and checkpoint/restore of a whole tuned run.
+ * semantics, checkpoint/restore of a whole tuned run, and every run
+ * entry point honouring the tuner.
  */
 
 #include <algorithm>
@@ -16,11 +17,12 @@
 
 #include "common/json.hpp"
 #include "core/asd_prefetcher.hpp"
+#include "runner/job.hpp"
 #include "sim/experiment.hpp"
 #include "snapshot/snapshot.hpp"
 #include "tuner/phase_detector.hpp"
 #include "tuner/shadow_tuner.hpp"
-#include "tuner/tuned_run.hpp"
+#include "tuner/run.hpp"
 #include "tuner/tuner_recorder.hpp"
 
 namespace asd
@@ -360,9 +362,9 @@ TEST(ApplyTuning, PinnedPolicyTakesEffectImmediately)
     EXPECT_EQ(pf.schedulingPolicy(), 5);
 }
 
-// --- TunedRun checkpoint/restore ------------------------------------
+// --- BenchmarkRun checkpoint/restore --------------------------------
 
-TEST(TunedRun, SnapshotSplitMatchesStraightRun)
+TEST(BenchmarkRun, SnapshotSplitMatchesStraightRun)
 {
     const Benchmark bench = findBenchmark("GemsFDTD");
     RunOptions options;
@@ -379,23 +381,23 @@ TEST(TunedRun, SnapshotSplitMatchesStraightRun)
     options.tuner.space.policies = {};
     const std::uint64_t accesses = 150000;
 
-    TunedRun straight(bench, options, accesses);
-    const TunedRunResult want = straight.run();
+    BenchmarkRun straight(bench, options, accesses);
+    const RunResult want = straight.run();
     // The split must land mid-run with the tuner already active,
     // otherwise this test degenerates to the plain snapshot test.
     ASSERT_GE(want.decisions.size(), 1u);
 
-    TunedRun first(bench, options, accesses);
+    BenchmarkRun first(bench, options, accesses);
     first.runUntil(want.metrics.cycles / 2);
     SnapshotWriter w;
     first.saveSnapshot(w);
     const std::vector<std::uint8_t> bytes = w.finish(0);
 
-    TunedRun second(bench, options, accesses);
+    BenchmarkRun second(bench, options, accesses);
     SnapshotReader r(bytes);
     second.loadSnapshot(r);
     second.runUntil(kNoCycle);
-    const TunedRunResult got = second.result();
+    const RunResult got = second.result();
 
     EXPECT_EQ(got.metrics.cycles, want.metrics.cycles);
     EXPECT_EQ(got.metrics.accesses, want.metrics.accesses);
@@ -444,7 +446,7 @@ put(std::uint8_t *at, std::uint64_t value, std::size_t width)
         at[i] = static_cast<std::uint8_t>(value >> (8 * i));
 }
 
-TEST(TunedRun, MalformedTuningSnapshotIsRejected)
+TEST(BenchmarkRun, MalformedTuningSnapshotIsRejected)
 {
     const Benchmark bench = findBenchmark("GemsFDTD");
     RunOptions options;
@@ -452,7 +454,7 @@ TEST(TunedRun, MalformedTuningSnapshotIsRejected)
     options.tuner.enabled = true;
     const std::uint64_t accesses = 20000;
 
-    TunedRun first(bench, options, accesses);
+    BenchmarkRun first(bench, options, accesses);
     first.runUntil(50000);
     SnapshotWriter w;
     first.saveSnapshot(w);
@@ -477,16 +479,56 @@ TEST(TunedRun, MalformedTuningSnapshotIsRejected)
 
     {
         // The rewrite itself is sound: an unchanged payload loads.
-        TunedRun second(bench, options, accesses);
+        BenchmarkRun second(bench, options, accesses);
         SnapshotReader r(withTunEdit(bytes, [](std::uint8_t *) {}));
         EXPECT_NO_THROW(second.loadSnapshot(r));
     }
     for (const auto &[what, edit] : edits) {
         SCOPED_TRACE(what);
-        TunedRun second(bench, options, accesses);
+        BenchmarkRun second(bench, options, accesses);
         SnapshotReader r(withTunEdit(bytes, edit));
         EXPECT_THROW(second.loadSnapshot(r), SnapshotError);
     }
+}
+
+// --- one run path ---------------------------------------------------
+
+/**
+ * tpcc under the translation golden test's tuner settings, without
+ * the OS model: the tuner adopts changes within the first epochs.
+ */
+RunOptions
+tunedTpccOptions()
+{
+    RunOptions options;
+    options.accesses = 30000;
+    options.telemetry.enabled = true;
+    options.tuner.enabled = true;
+    options.tuner.phase_window = 1;
+    options.tuner.min_epochs_between = 1;
+    options.tuner.shadow_horizon = 20000;
+    options.tuner.phase_threshold_milli_pct = 5000;
+    return options;
+}
+
+TEST(BenchmarkRun, EveryEntryPointHonoursTheTuner)
+{
+    const Benchmark &bench = findBenchmark("tpcc");
+    const RunOptions options = tunedTpccOptions();
+    const RunResult tuned = BenchmarkRun(bench, options).run();
+    // The tuner must change the run, or an entry point that silently
+    // runs untuned would pass unnoticed.
+    ASSERT_TRUE(std::any_of(
+        tuned.decisions.begin(), tuned.decisions.end(),
+        [](const TunerDecision &d) { return d.adopted_change; }));
+    RunOptions untuned = options;
+    untuned.tuner.enabled = false;
+    ASSERT_NE(BenchmarkRun(bench, untuned).run().metrics, tuned.metrics);
+
+    EXPECT_EQ(runBenchmark(bench, options), tuned.metrics);
+    const JobResult job = runJob(makeJob(bench, options));
+    ASSERT_EQ(job.status, JobStatus::Ok) << job.error;
+    EXPECT_EQ(job.metrics, tuned.metrics);
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include "sim/system.hpp"
 #include "os/os_mmu.hpp"
 #include "trace/synthetic.hpp"
+#include "tuner/run.hpp"
 #include "vm/frame_allocator.hpp"
 #include "vm/tlb.hpp"
 
