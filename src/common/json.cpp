@@ -188,225 +188,6 @@ JsonWriter::null()
     return *this;
 }
 
-// --- jsonParseCheck ------------------------------------------------
-
-namespace
-{
-
-/** Recursive-descent syntax checker over a raw character range. */
-class JsonChecker
-{
-  public:
-    explicit JsonChecker(std::string_view text) : text_(text) {}
-
-    bool
-    checkDocument()
-    {
-        skipWs();
-        if (!checkValue(0))
-            return false;
-        skipWs();
-        return pos_ == text_.size();
-    }
-
-  private:
-    static constexpr int kMaxDepth = 128;
-
-    bool
-    eof() const
-    {
-        return pos_ >= text_.size();
-    }
-
-    char
-    peek() const
-    {
-        return text_[pos_];
-    }
-
-    void
-    skipWs()
-    {
-        while (!eof() && (peek() == ' ' || peek() == '\t' ||
-                          peek() == '\n' || peek() == '\r'))
-            ++pos_;
-    }
-
-    bool
-    literal(std::string_view word)
-    {
-        if (text_.substr(pos_, word.size()) != word)
-            return false;
-        pos_ += word.size();
-        return true;
-    }
-
-    bool
-    checkString()
-    {
-        if (eof() || peek() != '"')
-            return false;
-        ++pos_;
-        while (!eof()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (static_cast<unsigned char>(c) < 0x20)
-                return false;
-            if (c == '\\') {
-                if (eof())
-                    return false;
-                const char esc = text_[pos_++];
-                if (esc == 'u') {
-                    for (int i = 0; i < 4; ++i) {
-                        if (eof() || !std::isxdigit(static_cast<
-                                         unsigned char>(peek())))
-                            return false;
-                        ++pos_;
-                    }
-                } else if (esc != '"' && esc != '\\' && esc != '/' &&
-                           esc != 'b' && esc != 'f' && esc != 'n' &&
-                           esc != 'r' && esc != 't') {
-                    return false;
-                }
-            }
-        }
-        return false;
-    }
-
-    bool
-    digits()
-    {
-        if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
-            return false;
-        while (!eof() &&
-               std::isdigit(static_cast<unsigned char>(peek())))
-            ++pos_;
-        return true;
-    }
-
-    bool
-    checkNumber()
-    {
-        if (!eof() && peek() == '-')
-            ++pos_;
-        if (eof())
-            return false;
-        if (peek() == '0')
-            ++pos_;
-        else if (!digits())
-            return false;
-        if (!eof() && peek() == '.') {
-            ++pos_;
-            if (!digits())
-                return false;
-        }
-        if (!eof() && (peek() == 'e' || peek() == 'E')) {
-            ++pos_;
-            if (!eof() && (peek() == '+' || peek() == '-'))
-                ++pos_;
-            if (!digits())
-                return false;
-        }
-        return true;
-    }
-
-    bool
-    checkValue(int depth)
-    {
-        if (eof() || depth > kMaxDepth)
-            return false;
-        const char c = peek();
-        if (c == '{')
-            return checkObject(depth);
-        if (c == '[')
-            return checkArray(depth);
-        if (c == '"')
-            return checkString();
-        if (c == 't')
-            return literal("true");
-        if (c == 'f')
-            return literal("false");
-        if (c == 'n')
-            return literal("null");
-        return checkNumber();
-    }
-
-    bool
-    checkObject(int depth)
-    {
-        ++pos_; // '{'
-        skipWs();
-        if (!eof() && peek() == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (!checkString())
-                return false;
-            skipWs();
-            if (eof() || peek() != ':')
-                return false;
-            ++pos_;
-            skipWs();
-            if (!checkValue(depth + 1))
-                return false;
-            skipWs();
-            if (eof())
-                return false;
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    checkArray(int depth)
-    {
-        ++pos_; // '['
-        skipWs();
-        if (!eof() && peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (!checkValue(depth + 1))
-                return false;
-            skipWs();
-            if (eof())
-                return false;
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == ']') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
-};
-
-} // namespace
-
-bool
-jsonParseCheck(std::string_view text)
-{
-    return JsonChecker(text).checkDocument();
-}
-
 // --- JsonValue -----------------------------------------------------
 
 std::optional<bool>
@@ -530,8 +311,8 @@ namespace
 {
 
 /**
- * Recursive-descent DOM builder. Mirrors JsonChecker's grammar; any
- * deviation returns nullopt all the way up.
+ * Recursive-descent DOM builder (RFC 8259 grammar, recursion depth
+ * capped); any deviation returns nullopt all the way up.
  */
 class JsonParser
 {

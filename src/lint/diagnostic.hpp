@@ -13,7 +13,7 @@
 namespace asd::lint
 {
 
-/** How bad a finding is; both fail the lint gate unless baselined. */
+/** How bad a finding is; both fail the lint gate unless suppressed. */
 enum class Severity : std::uint8_t
 {
     Warning,
@@ -39,7 +39,8 @@ struct Diagnostic
     /**
      * Semantic anchor, e.g. "PhaseDetector::window_" for a member
      * finding or "writeJson" for a function finding. Empty for plain
-     * token-rule diagnostics; surfaced in the asdlint/v2 report.
+     * token-rule diagnostics. The CLI does not print it; tests use
+     * it to check which symbol a finding names.
      */
     std::string symbol;
 };

@@ -39,18 +39,18 @@ struct Token
 };
 
 /**
- * A suppression comment: `// asdlint:allow(rule-a,rule-b)` or
- * `asdlint:allow(*)` anywhere inside a comment. It silences matching
- * diagnostics on its own line and on the following line (so a marker
- * may sit on the line above the code it excuses). Text after the
- * closing parenthesis (an optional `:` separator, then prose) is the
- * justification; semantic rules refuse to honor an allow without one.
+ * A suppression comment: `// asdlint:allow(rule-a,rule-b): reason`
+ * anywhere inside a comment. It silences the named rules' diagnostics
+ * on its own line and on the following line (so a marker may sit on
+ * the line above the code it excuses). Text after the closing
+ * parenthesis (an optional `:` separator, then prose) is the
+ * justification; the linter honors no allow without one.
  */
 struct Suppression
 {
     std::uint32_t line;
-    std::vector<std::string> rules; //!< "*" means every rule
-    std::string reason;             //!< prose after the marker
+    std::vector<std::string> rules;
+    std::string reason; //!< prose after the marker
 };
 
 /** Token stream plus the suppression markers found along the way. */

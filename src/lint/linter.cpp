@@ -5,7 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/json.hpp"
 #include "common/log.hpp"
 #include "lint/decl_index.hpp"
 #include "lint/lexer.hpp"
@@ -18,21 +17,30 @@ namespace
 {
 
 /**
- * A suppression applies on its own line or the next one. Semantic
- * rules additionally demand a justification: an allow without a
- * reason is inert (and flagged by allow-missing-reason).
+ * A suppression applies on its own line or the next one, and only
+ * with a justification: an allow without a reason is inert (and
+ * flagged by allow-missing-reason).
  */
 bool
 suppresses(const Suppression &sup, const Diagnostic &diag)
 {
     if (diag.line != sup.line && diag.line != sup.line + 1)
         return false;
-    if (sup.reason.empty() && isSemanticRule(diag.rule))
+    if (sup.reason.empty())
         return false;
-    for (const std::string &rule : sup.rules)
-        if (rule == "*" || rule == diag.rule)
-            return true;
-    return false;
+    return std::find(sup.rules.begin(), sup.rules.end(), diag.rule) !=
+           sup.rules.end();
+}
+
+/** True when one of @p suppressions silences @p diag. */
+bool
+silenced(const std::vector<Suppression> &suppressions,
+         const Diagnostic &diag)
+{
+    return std::any_of(suppressions.begin(), suppressions.end(),
+                       [&](const Suppression &sup) {
+                           return suppresses(sup, diag);
+                       });
 }
 
 void
@@ -48,15 +56,6 @@ sortDiagnostics(std::vector<Diagnostic> &diagnostics)
               });
 }
 
-bool
-ruleSelected(const LintOptions &options, const std::string &name)
-{
-    return options.only_rules.empty() ||
-           std::find(options.only_rules.begin(),
-                     options.only_rules.end(),
-                     name) != options.only_rules.end();
-}
-
 /** One lexed source ready for both passes. */
 struct LexedSource
 {
@@ -68,27 +67,17 @@ struct LexedSource
  * Run the token rules on one lexed file; suppressions applied.
  */
 std::vector<Diagnostic>
-tokenPass(const LexedSource &src, const LintOptions &options)
+tokenPass(const LexedSource &src)
 {
     SourceFile file{src.path, src.lexed.tokens};
     std::vector<Diagnostic> raw;
-    for (const Rule &rule : ruleRegistry()) {
-        if (!ruleSelected(options, rule.name))
-            continue;
+    for (const Rule &rule : ruleRegistry())
         rule.check(file, raw);
-    }
     std::vector<Diagnostic> kept;
     kept.reserve(raw.size());
-    for (Diagnostic &diag : raw) {
-        const bool allowed = std::any_of(
-            src.lexed.suppressions.begin(),
-            src.lexed.suppressions.end(),
-            [&](const Suppression &sup) {
-                return suppresses(sup, diag);
-            });
-        if (!allowed)
+    for (Diagnostic &diag : raw)
+        if (!silenced(src.lexed.suppressions, diag))
             kept.push_back(std::move(diag));
-    }
     return kept;
 }
 
@@ -97,8 +86,7 @@ tokenPass(const LexedSource &src, const LintOptions &options)
  * per finding against the file the finding lands in.
  */
 std::vector<Diagnostic>
-semanticPass(const std::vector<LexedSource> &sources,
-             const LintOptions &options)
+semanticPass(const std::vector<LexedSource> &sources)
 {
     std::vector<IndexedFile> files;
     files.reserve(sources.size());
@@ -112,200 +100,22 @@ semanticPass(const std::vector<LexedSource> &sources,
     const DeclIndex index = buildDeclIndex(std::move(files));
 
     std::vector<Diagnostic> raw;
-    for (const SemanticRule &rule : semanticRuleRegistry()) {
-        if (!ruleSelected(options, rule.name))
-            continue;
+    for (const SemanticRule &rule : semanticRuleRegistry())
         rule.check(index, raw);
-    }
     std::vector<Diagnostic> kept;
     kept.reserve(raw.size());
     for (Diagnostic &diag : raw) {
         const IndexedFile *file = index.findFile(diag.file);
-        const bool allowed =
-            file && std::any_of(file->suppressions.begin(),
-                                file->suppressions.end(),
-                                [&](const Suppression &sup) {
-                                    return suppresses(sup, diag);
-                                });
-        if (!allowed)
+        if (!file || !silenced(file->suppressions, diag))
             kept.push_back(std::move(diag));
     }
     return kept;
 }
 
-// --- incremental cache ---------------------------------------------
-
-std::uint64_t
-fnv1a(std::string_view text, std::uint64_t seed = 1469598103934665603ull)
-{
-    std::uint64_t hash = seed;
-    for (const char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
-std::string
-toHex(std::uint64_t value)
-{
-    static const char *digits = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = digits[value & 0xf];
-        value >>= 4;
-    }
-    return out;
-}
-
-std::string
-rulesetSignature(const LintOptions &options)
-{
-    if (options.only_rules.empty())
-        return "all";
-    std::vector<std::string> sorted = options.only_rules;
-    std::sort(sorted.begin(), sorted.end());
-    std::string sig;
-    for (const std::string &rule : sorted)
-        sig += (sig.empty() ? "" : ",") + rule;
-    return sig;
-}
-
-/** Parsed --cache file: per-file token findings + tree findings. */
-struct LintCache
-{
-    std::string signature;
-    std::string tree_hash;
-    std::map<std::string, std::string> file_hashes;
-    std::map<std::string, std::vector<Diagnostic>> token_diags;
-    std::vector<Diagnostic> semantic_diags;
-    bool has_semantic = false;
-};
-
-Severity
-severityFromName(const std::string &name)
-{
-    return name == "warning" ? Severity::Warning : Severity::Error;
-}
-
-/** Split @p line on tabs. */
-std::vector<std::string>
-splitTabs(const std::string &line)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t tab = line.find('\t', start);
-        if (tab == std::string::npos) {
-            out.push_back(line.substr(start));
-            return out;
-        }
-        out.push_back(line.substr(start, tab - start));
-        start = tab + 1;
-    }
-}
-
-LintCache
-loadCache(const std::string &path)
-{
-    LintCache cache;
-    std::ifstream in(path);
-    if (!in)
-        return cache; // first run: empty cache
-    std::string line;
-    std::string current_file;
-    bool in_semantic = false;
-    while (std::getline(in, line)) {
-        if (line.rfind("# asdlint-cache/v2 ", 0) == 0) {
-            cache.signature = line.substr(19);
-        } else if (line.rfind("tree ", 0) == 0) {
-            cache.tree_hash = line.substr(5);
-        } else if (line.rfind("file ", 0) == 0) {
-            const std::size_t space = line.find(' ', 5);
-            if (space == std::string::npos)
-                return LintCache{}; // malformed: start over
-            current_file = line.substr(space + 1);
-            cache.file_hashes[current_file] =
-                line.substr(5, space - 5);
-            cache.token_diags[current_file];
-            in_semantic = false;
-        } else if (line == "semantic") {
-            in_semantic = true;
-            cache.has_semantic = true;
-        } else if (line.rfind("d\t", 0) == 0) {
-            const std::vector<std::string> parts =
-                splitTabs(line.substr(2));
-            Diagnostic diag;
-            std::size_t at = 0;
-            if (in_semantic) {
-                if (parts.size() != 6)
-                    return LintCache{};
-                diag.file = parts[at++];
-            } else {
-                if (parts.size() != 5 || current_file.empty())
-                    return LintCache{};
-                diag.file = current_file;
-            }
-            diag.line = static_cast<std::uint32_t>(
-                std::stoul(parts[at]));
-            diag.rule = parts[at + 1];
-            diag.severity = severityFromName(parts[at + 2]);
-            diag.symbol = parts[at + 3] == "-" ? "" : parts[at + 3];
-            diag.message = parts[at + 4];
-            if (in_semantic)
-                cache.semantic_diags.push_back(std::move(diag));
-            else
-                cache.token_diags[current_file].push_back(
-                    std::move(diag));
-        }
-    }
-    return cache;
-}
-
-void
-appendDiagLine(std::string &out, const Diagnostic &diag,
-               bool with_file)
-{
-    out += "d\t";
-    if (with_file)
-        out += diag.file + "\t";
-    out += std::to_string(diag.line) + "\t" + diag.rule + "\t" +
-           severityName(diag.severity) + "\t" +
-           (diag.symbol.empty() ? "-" : diag.symbol) + "\t" +
-           diag.message + "\n";
-}
-
-void
-saveCache(const std::string &path, const std::string &signature,
-          const std::string &tree_hash,
-          const std::vector<std::pair<std::string, std::string>>
-              &file_hashes,
-          const std::map<std::string, std::vector<Diagnostic>>
-              &token_diags,
-          const std::vector<Diagnostic> &semantic_diags)
-{
-    std::string out = "# asdlint-cache/v2 " + signature + "\n";
-    out += "tree " + tree_hash + "\n";
-    for (const auto &[file, hash] : file_hashes) {
-        out += "file " + hash + " " + file + "\n";
-        const auto found = token_diags.find(file);
-        if (found != token_diags.end())
-            for (const Diagnostic &diag : found->second)
-                appendDiagLine(out, diag, false);
-    }
-    out += "semantic\n";
-    for (const Diagnostic &diag : semantic_diags)
-        appendDiagLine(out, diag, true);
-    std::ofstream file(path, std::ios::binary | std::ios::trunc);
-    if (file)
-        file << out; // cache write failures are not fatal
-}
-
 } // namespace
 
 std::vector<Diagnostic>
-lintSources(const std::vector<SourceInput> &sources,
-            const LintOptions &options)
+lintSources(const std::vector<SourceInput> &sources)
 {
     std::vector<LexedSource> lexed;
     lexed.reserve(sources.size());
@@ -314,25 +124,22 @@ lintSources(const std::vector<SourceInput> &sources,
 
     std::vector<Diagnostic> all;
     for (const LexedSource &src : lexed)
-        for (Diagnostic &diag : tokenPass(src, options))
+        for (Diagnostic &diag : tokenPass(src))
             all.push_back(std::move(diag));
-    for (Diagnostic &diag : semanticPass(lexed, options))
+    for (Diagnostic &diag : semanticPass(lexed))
         all.push_back(std::move(diag));
     sortDiagnostics(all);
     return all;
 }
 
 std::vector<Diagnostic>
-lintSource(const std::string &path, std::string_view content,
-           const LintOptions &options)
+lintSource(const std::string &path, std::string_view content)
 {
-    return lintSources({{path, std::string(content)}}, options);
+    return lintSources({{path, std::string(content)}});
 }
 
 std::vector<Diagnostic>
-lintFiles(
-    const std::vector<std::pair<std::string, std::string>> &files,
-    const LintOptions &options)
+lintFiles(const std::vector<std::pair<std::string, std::string>> &files)
 {
     std::vector<SourceInput> sources;
     sources.reserve(files.size());
@@ -344,82 +151,13 @@ lintFiles(
         buffer << in.rdbuf();
         sources.push_back({display_path, buffer.str()});
     }
-    if (options.cache_path.empty())
-        return lintSources(sources, options);
-
-    // Incremental mode: per-file content hashes gate the token-rule
-    // findings; the whole-tree hash gates the semantic findings (a
-    // one-file edit can move cross-TU findings in another file).
-    const std::string signature = rulesetSignature(options);
-    std::vector<std::pair<std::string, std::string>> hashes;
-    std::uint64_t tree_seed = 1469598103934665603ull;
-    for (const SourceInput &src : sources) {
-        hashes.emplace_back(src.path, toHex(fnv1a(src.content)));
-        tree_seed = fnv1a(src.path, tree_seed);
-        tree_seed = fnv1a(hashes.back().second, tree_seed);
-    }
-    const std::string tree_hash = toHex(tree_seed);
-
-    LintCache cache = loadCache(options.cache_path);
-    const bool cache_valid = cache.signature == signature;
-
-    if (cache_valid && cache.has_semantic &&
-        cache.tree_hash == tree_hash) {
-        std::vector<Diagnostic> all;
-        for (const auto &[file, hash] : hashes) {
-            (void)hash;
-            const auto found = cache.token_diags.find(file);
-            if (found != cache.token_diags.end())
-                for (const Diagnostic &diag : found->second)
-                    all.push_back(diag);
-        }
-        for (const Diagnostic &diag : cache.semantic_diags)
-            all.push_back(diag);
-        sortDiagnostics(all);
-        return all;
-    }
-
-    std::vector<LexedSource> lexed;
-    lexed.reserve(sources.size());
-    for (const SourceInput &src : sources)
-        lexed.push_back({src.path, lex(src.content)});
-
-    std::map<std::string, std::vector<Diagnostic>> token_diags;
-    for (std::size_t i = 0; i < lexed.size(); ++i) {
-        const std::string &file_hash = hashes[i].second;
-        const auto cached_hash =
-            cache.file_hashes.find(lexed[i].path);
-        if (cache_valid && cached_hash != cache.file_hashes.end() &&
-            cached_hash->second == file_hash) {
-            token_diags[lexed[i].path] =
-                cache.token_diags[lexed[i].path];
-        } else {
-            token_diags[lexed[i].path] =
-                tokenPass(lexed[i], options);
-        }
-    }
-    std::vector<Diagnostic> semantic = semanticPass(lexed, options);
-
-    saveCache(options.cache_path, signature, tree_hash, hashes,
-              token_diags, semantic);
-
-    std::vector<Diagnostic> all;
-    for (auto &[file, diags] : token_diags) {
-        (void)file;
-        for (Diagnostic &diag : diags)
-            all.push_back(std::move(diag));
-    }
-    for (Diagnostic &diag : semantic)
-        all.push_back(std::move(diag));
-    sortDiagnostics(all);
-    return all;
+    return lintSources(sources);
 }
 
 std::vector<Diagnostic>
-lintFile(const std::string &display_path, const std::string &fs_path,
-         const LintOptions &options)
+lintFile(const std::string &display_path, const std::string &fs_path)
 {
-    return lintFiles({{display_path, fs_path}}, options);
+    return lintFiles({{display_path, fs_path}});
 }
 
 std::vector<std::string>
@@ -451,149 +189,6 @@ collectSources(const std::string &path)
     }
     std::sort(out.begin(), out.end());
     return out;
-}
-
-BaselineCounts
-countByFileRule(const std::vector<Diagnostic> &diagnostics)
-{
-    BaselineCounts counts;
-    for (const Diagnostic &diag : diagnostics)
-        ++counts[{diag.file, diag.rule}];
-    return counts;
-}
-
-BaselineCounts
-loadBaseline(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("asdlint: cannot read baseline " + path);
-    BaselineCounts counts;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty() || line[0] == '#')
-            continue;
-        const std::size_t tab1 = line.find('\t');
-        const std::size_t tab2 =
-            tab1 == std::string::npos ? std::string::npos
-                                      : line.find('\t', tab1 + 1);
-        if (tab2 == std::string::npos)
-            fatal("asdlint: malformed baseline line " +
-                  std::to_string(lineno) + " in " + path);
-        const std::string file = line.substr(0, tab1);
-        const std::string rule =
-            line.substr(tab1 + 1, tab2 - tab1 - 1);
-        const std::size_t count = static_cast<std::size_t>(
-            std::stoull(line.substr(tab2 + 1)));
-        counts[{file, rule}] += count;
-    }
-    return counts;
-}
-
-std::string
-formatBaseline(const BaselineCounts &counts)
-{
-    std::string out =
-        "# asdlint baseline: file<TAB>rule<TAB>count, regenerate "
-        "with\n"
-        "#   asdlint --write-baseline tools/asdlint_baseline.txt "
-        "src bench examples tests\n";
-    for (const auto &[key, count] : counts)
-        out += key.first + "\t" + key.second + "\t" +
-               std::to_string(count) + "\n";
-    return out;
-}
-
-std::vector<Diagnostic>
-aboveBaseline(const std::vector<Diagnostic> &diagnostics,
-              const BaselineCounts &baseline)
-{
-    // diagnostics are sorted per file; skip the first baseline[key]
-    // findings of each (file, rule) so longstanding counts pass while
-    // anything new fails.
-    BaselineCounts seen;
-    std::vector<Diagnostic> fresh;
-    for (const Diagnostic &diag : diagnostics) {
-        const auto key = std::make_pair(diag.file, diag.rule);
-        const auto allowed = baseline.find(key);
-        const std::size_t budget =
-            allowed == baseline.end() ? 0 : allowed->second;
-        if (seen[key]++ >= budget)
-            fresh.push_back(diag);
-    }
-    return fresh;
-}
-
-std::string
-formatBaselineDiff(const BaselineCounts &old,
-                   const BaselineCounts &fresh)
-{
-    std::string out;
-    for (const auto &[key, count] : fresh) {
-        const auto was = old.find(key);
-        const std::size_t before =
-            was == old.end() ? 0 : was->second;
-        if (count > before)
-            out += key.first + "\t" + key.second + "\t+" +
-                   std::to_string(count - before) + "\n";
-    }
-    return out;
-}
-
-std::string
-formatExpectMismatch(const BaselineCounts &expected,
-                     const BaselineCounts &actual)
-{
-    std::string out;
-    for (const auto &[key, count] : expected) {
-        const auto got = actual.find(key);
-        const std::size_t have =
-            got == actual.end() ? 0 : got->second;
-        if (have != count)
-            out += key.first + "\t" + key.second + "\texpected " +
-                   std::to_string(count) + ", got " +
-                   std::to_string(have) + "\n";
-    }
-    for (const auto &[key, count] : actual) {
-        if (expected.find(key) == expected.end())
-            out += key.first + "\t" + key.second + "\texpected 0" +
-                   ", got " + std::to_string(count) + "\n";
-    }
-    return out;
-}
-
-std::string
-reportJson(const std::vector<Diagnostic> &diagnostics,
-           std::size_t files_scanned)
-{
-    std::size_t errors = 0;
-    std::size_t warnings = 0;
-    for (const Diagnostic &diag : diagnostics)
-        (diag.severity == Severity::Error ? errors : warnings) += 1;
-
-    JsonWriter w;
-    w.beginObject();
-    w.key("schema").value("asdlint/v2");
-    w.key("files_scanned")
-        .value(static_cast<std::uint64_t>(files_scanned));
-    w.key("errors").value(static_cast<std::uint64_t>(errors));
-    w.key("warnings").value(static_cast<std::uint64_t>(warnings));
-    w.key("diagnostics").beginArray();
-    for (const Diagnostic &diag : diagnostics) {
-        w.beginObject();
-        w.key("file").value(diag.file);
-        w.key("line").value(static_cast<std::uint64_t>(diag.line));
-        w.key("rule").value(diag.rule);
-        w.key("severity").value(severityName(diag.severity));
-        w.key("symbol").value(diag.symbol);
-        w.key("message").value(diag.message);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    return w.str();
 }
 
 } // namespace asd::lint

@@ -4,13 +4,11 @@
 /**
  * @file
  * The asdlint driver: lex the sources, run the per-file token rules
- * and the cross-TU semantic rules, honor `// asdlint:allow(rule)`
- * suppressions (semantic rules require a justification), compare
- * against a committed baseline, and render reports (text is the
- * CLI's job; JSON comes from here via common/json).
+ * and the cross-TU semantic rules, and honor
+ * `// asdlint:allow(rule): reason` suppressions (an allow without a
+ * reason is inert). Rendering the findings is the CLI's job.
  */
 
-#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -21,21 +19,6 @@
 
 namespace asd::lint
 {
-
-/** Linter configuration. */
-struct LintOptions
-{
-    /** Run only these rules; empty means the whole registry. */
-    std::vector<std::string> only_rules;
-
-    /**
-     * Incremental-cache path; empty disables caching. Files whose
-     * content hash is unchanged reuse their token-rule findings;
-     * the semantic findings are reused only when the whole tree is
-     * unchanged (a one-file edit can move cross-TU findings).
-     */
-    std::string cache_path;
-};
 
 /** One in-memory source fed to the linter. */
 struct SourceInput
@@ -48,35 +31,30 @@ struct SourceInput
  * Lint a set of in-memory sources together: token rules per file,
  * then the semantic rules over the cross-TU declaration index. The
  * paths need not exist on disk (the unit tests feed fixture
- * strings). LintOptions::cache_path is ignored here.
+ * strings).
  */
 std::vector<Diagnostic> lintSources(
-    const std::vector<SourceInput> &sources,
-    const LintOptions &options = {});
+    const std::vector<SourceInput> &sources);
 
 /**
  * Lint one in-memory source (a one-element lintSources(); semantic
  * rules see a single-file tree).
  */
 std::vector<Diagnostic> lintSource(const std::string &path,
-                                   std::string_view content,
-                                   const LintOptions &options = {});
+                                   std::string_view content);
 
 /**
  * Lint files on disk as one tree. Each entry is (display path used
  * in diagnostics, filesystem path read). Fatal on unreadable files.
- * Honors LintOptions::cache_path.
  */
 std::vector<Diagnostic> lintFiles(
-    const std::vector<std::pair<std::string, std::string>> &files,
-    const LintOptions &options = {});
+    const std::vector<std::pair<std::string, std::string>> &files);
 
 /**
  * Lint a single file on disk (one-element lintFiles()).
  */
 std::vector<Diagnostic> lintFile(const std::string &display_path,
-                                 const std::string &fs_path,
-                                 const LintOptions &options = {});
+                                 const std::string &fs_path);
 
 /**
  * Recursively collect lintable sources (.hpp/.h/.cpp/.cc) under
@@ -87,56 +65,6 @@ std::vector<Diagnostic> lintFile(const std::string &display_path,
  * named explicitly.
  */
 std::vector<std::string> collectSources(const std::string &path);
-
-/**
- * Violation counts keyed by (file, rule) — the baseline currency.
- * Only counts survive edits to unrelated lines, so a committed
- * baseline does not rot every time line numbers shift.
- */
-using BaselineCounts =
-    std::map<std::pair<std::string, std::string>, std::size_t>;
-
-/** Aggregate @p diagnostics into per-(file, rule) counts. */
-BaselineCounts countByFileRule(
-    const std::vector<Diagnostic> &diagnostics);
-
-/**
- * Parse a baseline file: `file<TAB>rule<TAB>count` lines, '#'
- * comments and blank lines ignored. Fatal on malformed lines.
- */
-BaselineCounts loadBaseline(const std::string &path);
-
-/** Serialize @p counts in the loadBaseline() format. */
-std::string formatBaseline(const BaselineCounts &counts);
-
-/**
- * Diagnostics in excess of the baseline: for each (file, rule), the
- * first `count - baseline[file, rule]` findings (by line) are new.
- */
-std::vector<Diagnostic> aboveBaseline(
-    const std::vector<Diagnostic> &diagnostics,
-    const BaselineCounts &baseline);
-
-/**
- * New findings in @p fresh relative to @p old, as
- * `file<TAB>rule<TAB>+delta` lines sorted by path then rule. Empty
- * when nothing new was introduced (reduced or vanished counts are
- * not reported — they are improvements, not regressions).
- */
-std::string formatBaselineDiff(const BaselineCounts &old,
-                               const BaselineCounts &fresh);
-
-/**
- * Mismatches between @p expected and @p actual counts, in both
- * directions, as human-readable lines sorted by path then rule.
- * Empty when the two agree exactly — the fixture-corpus gate.
- */
-std::string formatExpectMismatch(const BaselineCounts &expected,
-                                 const BaselineCounts &actual);
-
-/** JSON report (schema asdlint/v2) for @p diagnostics. */
-std::string reportJson(const std::vector<Diagnostic> &diagnostics,
-                       std::size_t files_scanned);
 
 } // namespace asd::lint
 

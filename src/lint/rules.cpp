@@ -276,13 +276,4 @@ ruleRegistry()
     return rules;
 }
 
-const Rule *
-findRule(const std::string &name)
-{
-    for (const Rule &rule : ruleRegistry())
-        if (rule.name == name)
-            return &rule;
-    return nullptr;
-}
-
 } // namespace asd::lint

@@ -52,9 +52,6 @@ struct Rule
 /** Every rule in the pack, in stable (alphabetical) order. */
 const std::vector<Rule> &ruleRegistry();
 
-/** @return the registry entry for @p name, or nullptr. */
-const Rule *findRule(const std::string &name);
-
 } // namespace asd::lint
 
 #endif // ASD_LINT_RULES_HPP

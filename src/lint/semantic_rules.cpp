@@ -388,19 +388,16 @@ checkAllowMissingReason(const DeclIndex &index,
         for (const Suppression &sup : file.suppressions) {
             if (!sup.reason.empty())
                 continue;
-            for (const std::string &rule : sup.rules) {
-                if (!isSemanticRule(rule))
-                    continue;
-                out.push_back(
-                    {file.path, sup.line, "allow-missing-reason",
-                     Severity::Error,
-                     "asdlint:allow(" + rule +
-                         ") needs a justification — add ': why' "
-                         "after the closing parenthesis; without one "
-                         "the suppression is inert",
-                     rule});
-                break;
-            }
+            std::string rules;
+            for (const std::string &rule : sup.rules)
+                rules += (rules.empty() ? "" : ",") + rule;
+            out.push_back({file.path, sup.line, "allow-missing-reason",
+                           Severity::Error,
+                           "asdlint:allow(" + rules +
+                               ") needs a justification — add ': why' "
+                               "after the closing parenthesis; without "
+                               "one the suppression is inert",
+                           sup.rules.front()});
         }
     }
 }
@@ -412,7 +409,7 @@ semanticRuleRegistry()
 {
     static const std::vector<SemanticRule> rules = {
         {"allow-missing-reason", Severity::Error,
-         "semantic-rule suppressions must carry a justification",
+         "suppressions must carry a justification",
          checkAllowMissingReason},
         {"snapshot-field-coverage", Severity::Error,
          "Snapshottable members must be saved and restored "
@@ -427,21 +424,6 @@ semanticRuleRegistry()
          checkWallClockAndEnv},
     };
     return rules;
-}
-
-const SemanticRule *
-findSemanticRule(const std::string &name)
-{
-    for (const SemanticRule &rule : semanticRuleRegistry())
-        if (rule.name == name)
-            return &rule;
-    return nullptr;
-}
-
-bool
-isSemanticRule(const std::string &name)
-{
-    return findSemanticRule(name) != nullptr;
 }
 
 } // namespace asd::lint

@@ -22,9 +22,9 @@
  *                            container in a function connected (as
  *                            caller or callee, within the TU) to an
  *                            output-emitting sink
- *   allow-missing-reason     an asdlint:allow naming a semantic rule
- *                            must carry a justification; without one
- *                            the suppression is inert
+ *   allow-missing-reason     every asdlint:allow must carry a
+ *                            justification; without one the
+ *                            suppression is inert
  */
 
 #include <string>
@@ -47,12 +47,6 @@ struct SemanticRule
 
 /** Every semantic rule, in stable (alphabetical) order. */
 const std::vector<SemanticRule> &semanticRuleRegistry();
-
-/** @return the registry entry for @p name, or nullptr. */
-const SemanticRule *findSemanticRule(const std::string &name);
-
-/** True when @p name names a semantic rule. */
-bool isSemanticRule(const std::string &name);
 
 } // namespace asd::lint
 

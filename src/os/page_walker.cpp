@@ -174,7 +174,7 @@ HashedWalker::loadState(SnapshotReader &r)
                           "os: hashed walker bucket count mismatch");
     for (std::vector<Entry> &chain : buckets_) {
         chain.clear();
-        const std::uint64_t len = r.u64();
+        const std::uint64_t len = r.count(16); // (key, pfn) entries
         chain.reserve(len);
         for (std::uint64_t i = 0; i < len; ++i) {
             Entry entry;

@@ -383,17 +383,22 @@ SnapshotReader::str()
 std::vector<std::uint64_t>
 SnapshotReader::vecU64()
 {
-    const std::uint64_t count = u64();
-    // An 8-byte-per-element lower bound rejects absurd counts before
-    // any allocation.
-    if (count > (end_ - cursor_) / 8)
-        throw SnapshotError("snapshot section \"" + open_name_ +
-                            "\" has an oversized array");
+    const std::uint64_t n = count(8);
     std::vector<std::uint64_t> v;
-    v.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i)
+    v.reserve(static_cast<std::size_t>(n));
+    for (std::uint64_t i = 0; i < n; ++i)
         v.push_back(u64());
     return v;
+}
+
+std::uint64_t
+SnapshotReader::count(std::size_t item_bytes)
+{
+    const std::uint64_t n = u64();
+    if (n > (end_ - cursor_) / item_bytes)
+        throw SnapshotError("snapshot section \"" + open_name_ +
+                            "\" has an oversized array");
+    return n;
 }
 
 void

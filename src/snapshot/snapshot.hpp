@@ -159,6 +159,14 @@ class SnapshotReader
     std::string str();
     std::vector<std::uint64_t> vecU64();
 
+    /**
+     * Read an element count for a sequence whose elements take at
+     * least @p item_bytes each; throws SnapshotError when that many
+     * elements cannot fit in the rest of the section, so a corrupt
+     * count is rejected before anything is allocated for it.
+     */
+    std::uint64_t count(std::size_t item_bytes);
+
     /** Throw SnapshotError(@p what) unless @p ok (shape checks). */
     static void check(bool ok, const std::string &what);
 

@@ -147,7 +147,10 @@ TelemetryRecorder::loadState(SnapshotReader &r)
         value = r.u64();
     baseline_cycle_ = r.u64();
     capped_ = r.b();
-    const std::uint64_t count = r.u64();
+    // A record is at least its epoch, two cycle stamps, the column
+    // values and its LHT count.
+    const std::uint64_t count =
+        r.count((4 + kTelemetryColumns.size()) * 8);
     records_.clear();
     records_.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {

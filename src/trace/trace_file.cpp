@@ -1,7 +1,8 @@
 #include "trace/trace_file.hpp"
 
 #include <array>
-#include <cstring>
+#include <cstdio>
+#include <memory>
 
 #include "common/log.hpp"
 
@@ -18,9 +19,6 @@ constexpr std::size_t kRecordBytes = 8 + 4 + 1;
 
 /** Bytes before the first record: magic + u32 version + u64 count. */
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
-
-/** Records decoded per fread in streamed mode. */
-constexpr std::size_t kStreamChunk = 4096;
 
 struct FileCloser
 {
@@ -174,96 +172,6 @@ readTraceFile(const std::string &path)
         out.push_back(decodeRecord(buf));
     }
     return out;
-}
-
-FileTraceSource::FileTraceSource(const std::string &path,
-                                 TraceReadMode mode)
-    : mode_(mode), path_(path)
-{
-    if (mode_ == TraceReadMode::Eager) {
-        accesses_ = readTraceFile(path);
-        total_ = accesses_.size();
-        return;
-    }
-    file_ = std::fopen(path.c_str(), "rb");
-    if (!file_)
-        fatal("cannot open trace file: " + path);
-    total_ = readHeader(file_, path);
-    accesses_.reserve(kStreamChunk);
-}
-
-FileTraceSource::~FileTraceSource()
-{
-    if (file_)
-        std::fclose(file_);
-}
-
-void
-FileTraceSource::refill()
-{
-    const std::size_t want =
-        std::min(kStreamChunk, total_ - consumed_);
-    std::vector<unsigned char> raw(want * kRecordBytes);
-    if (std::fread(raw.data(), 1, raw.size(), file_) != raw.size())
-        fatal("trace file: truncated record: " + path_);
-    accesses_.clear();
-    for (std::size_t i = 0; i < want; ++i)
-        accesses_.push_back(decodeRecord(&raw[i * kRecordBytes]));
-    consumed_ += want;
-    pos_ = 0;
-}
-
-bool
-FileTraceSource::next(MemAccess &out)
-{
-    if (pos_ >= accesses_.size()) {
-        if (mode_ == TraceReadMode::Eager || consumed_ >= total_)
-            return false;
-        refill();
-        if (accesses_.empty())
-            return false;
-    }
-    out = accesses_[pos_++];
-    return true;
-}
-
-void
-FileTraceSource::saveState(SnapshotWriter &w) const
-{
-    const std::size_t produced =
-        mode_ == TraceReadMode::Eager
-            ? pos_
-            : consumed_ - (accesses_.size() - pos_);
-    w.u64(produced);
-}
-
-void
-FileTraceSource::loadState(SnapshotReader &r)
-{
-    const std::uint64_t produced = r.u64();
-    SnapshotReader::check(produced <= total_,
-                          "trace file cursor out of range");
-    reset();
-    MemAccess skipped;
-    for (std::uint64_t i = 0; i < produced; ++i) {
-        if (!next(skipped))
-            SnapshotReader::check(false,
-                                  "trace file ended while restoring "
-                                  "the cursor");
-    }
-}
-
-void
-FileTraceSource::reset()
-{
-    pos_ = 0;
-    if (mode_ == TraceReadMode::Streamed) {
-        accesses_.clear();
-        consumed_ = 0;
-        if (std::fseek(file_, static_cast<long>(kHeaderBytes),
-                       SEEK_SET) != 0)
-            fatal("trace file: cannot seek: " + path_);
-    }
 }
 
 } // namespace asd

@@ -15,8 +15,6 @@
  * message instead of feeding garbage into a simulation.
  */
 
-#include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,62 +33,17 @@ void writeTraceFile(const std::string &path,
 /** Read a whole trace file; fatal() on I/O or format errors. */
 std::vector<MemAccess> readTraceFile(const std::string &path);
 
-/** How FileTraceSource holds the trace. */
-enum class TraceReadMode : std::uint8_t
-{
-    /** Load the whole file into memory up front (default). */
-    Eager,
-
-    /**
-     * Keep the file open and decode records through a fixed-size
-     * buffer, so multi-GB traces never have to be materialized.
-     * Produces exactly the access sequence of the eager mode
-     * (tested).
-     */
-    Streamed,
-};
-
-/** TraceSource over a binary trace file. */
-class FileTraceSource : public TraceSource
+/**
+ * TraceSource over a binary trace file: the whole trace is read by
+ * readTraceFile() on construction, then served and checkpointed as a
+ * VectorTraceSource (the snapshot state is the cursor).
+ */
+class FileTraceSource : public VectorTraceSource
 {
   public:
-    explicit FileTraceSource(const std::string &path,
-                             TraceReadMode mode = TraceReadMode::Eager);
-    ~FileTraceSource() override;
-
-    FileTraceSource(const FileTraceSource &) = delete;
-    FileTraceSource &operator=(const FileTraceSource &) = delete;
-
-    bool next(MemAccess &out) override;
-    void reset() override;
-
-    /**
-     * Checkpointing: the state is the logical cursor (records already
-     * produced). loadState() rewinds and re-skips, which works in
-     * both read modes without storing buffered data.
-     */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-
-    /** Total records in the trace (both modes). */
-    std::size_t size() const { return total_; }
-
-  private:
-    void refill();
-
-    TraceReadMode mode_;
-    // asdlint:allow(snapshot-field-coverage): ctor configuration; loadState only re-reads the trace the path points at
-    std::string path_;
-    std::size_t total_ = 0;
-
-    // Eager state: the whole trace.
-    // Streamed state: the current buffered chunk.
-    std::vector<MemAccess> accesses_;
-    std::size_t pos_ = 0; //!< index into accesses_
-
-    // Streamed-only state.
-    std::FILE *file_ = nullptr;
-    std::size_t consumed_ = 0; //!< records decoded from the file
+    explicit FileTraceSource(const std::string &path)
+        : VectorTraceSource(readTraceFile(path))
+    {}
 };
 
 } // namespace asd

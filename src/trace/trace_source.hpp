@@ -44,7 +44,10 @@ class TraceSource : public Snapshottable
     {}
 };
 
-/** TraceSource over a caller-provided vector; used by tests. */
+/**
+ * TraceSource over a caller-provided vector; used by tests and, via
+ * FileTraceSource, for trace files.
+ */
 class VectorTraceSource : public TraceSource
 {
   public:
@@ -62,6 +65,9 @@ class VectorTraceSource : public TraceSource
     }
 
     void reset() override { pos_ = 0; }
+
+    /** Total records in the trace. */
+    std::size_t size() const { return accesses_.size(); }
 
     void
     saveState(SnapshotWriter &w) const override

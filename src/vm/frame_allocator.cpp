@@ -116,7 +116,7 @@ FrameAllocator::loadState(SnapshotReader &r)
         word = r.u64();
     rng_.setState(state);
     used_ = r.u64();
-    const std::uint64_t count = r.u64();
+    const std::uint64_t count = r.count(16); // (pos, frame) pairs
     shuffle_.clear();
     shuffle_.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {

@@ -265,9 +265,9 @@ TEST(Table, NumFormatsPrecision)
     EXPECT_EQ(Table::num(2.0), "2.0");
 }
 
-// Edge cases surfaced while building the asdlint JSON sink: escaping
-// of backslash and control characters, 64-bit extremes, and deep
-// nesting against the checker's recursion cap.
+// JSON edge cases: escaping of backslash and control characters,
+// 64-bit extremes, and deep nesting against the parser's recursion
+// cap.
 
 TEST(Json, EscapesBackslashQuoteAndControlChars)
 {
@@ -277,11 +277,11 @@ TEST(Json, EscapesBackslashQuoteAndControlChars)
     EXPECT_EQ(jsonEscape("nl\nend"), "nl\\nend");
     EXPECT_EQ(jsonEscape(std::string("nul\0!", 5)), "nul\\u0000!");
     EXPECT_EQ(jsonEscape("\x01\x1f"), "\\u0001\\u001f");
-    // A Windows-style path survives a writer -> checker round trip.
+    // A Windows-style path survives a writer -> parser round trip.
     JsonWriter w;
     w.beginObject().key("path").value("C:\\tmp\\x.json").endObject();
     EXPECT_EQ(w.str(), "{\"path\":\"C:\\\\tmp\\\\x.json\"}");
-    EXPECT_TRUE(jsonParseCheck(w.str()));
+    EXPECT_TRUE(jsonParse(w.str()).has_value());
 }
 
 TEST(Json, Uint64MaxRoundTrips)
@@ -295,7 +295,7 @@ TEST(Json, Uint64MaxRoundTrips)
         .endObject();
     EXPECT_EQ(w.str(), "{\"max\":18446744073709551615,"
                        "\"min\":-9223372036854775808}");
-    EXPECT_TRUE(jsonParseCheck(w.str()));
+    EXPECT_TRUE(jsonParse(w.str()).has_value());
 }
 
 TEST(Json, DeeplyNestedArraysWithinCheckerCap)
@@ -306,7 +306,7 @@ TEST(Json, DeeplyNestedArraysWithinCheckerCap)
     doc += '1';
     for (int i = 0; i < 100; ++i)
         doc += ']';
-    EXPECT_TRUE(jsonParseCheck(doc));
+    EXPECT_TRUE(jsonParse(doc).has_value());
 }
 
 TEST(Json, AbsurdNestingIsRejectedNotOverflowed)
@@ -317,9 +317,9 @@ TEST(Json, AbsurdNestingIsRejectedNotOverflowed)
     doc += '1';
     for (int i = 0; i < 100000; ++i)
         doc += ']';
-    // The checker bounds recursion depth instead of crashing; a
+    // The parser bounds recursion depth instead of crashing; a
     // 100k-deep document is rejected as unparseable.
-    EXPECT_FALSE(jsonParseCheck(doc));
+    EXPECT_FALSE(jsonParse(doc).has_value());
 }
 
 TEST(Json, WriterHandlesDeepNestingAndEmptyContainers)
@@ -330,7 +330,7 @@ TEST(Json, WriterHandlesDeepNestingAndEmptyContainers)
     w.beginObject().endObject();
     for (int i = 0; i < 64; ++i)
         w.endArray();
-    EXPECT_TRUE(jsonParseCheck(w.str()));
+    EXPECT_TRUE(jsonParse(w.str()).has_value());
     EXPECT_EQ(w.str().substr(0, 10), "[[[[[[[[[[");
 }
 

@@ -184,6 +184,23 @@ TEST(HashedWalker, ProbeCostGrowsWithChainDepth)
     EXPECT_EQ(cost, 20u); // chain compacted behind the unmap
 }
 
+TEST(HashedWalker, CorruptChainLengthIsASnapshotError)
+{
+    // A chain length no section could hold must surface as a
+    // SnapshotError, not as an allocation failure while reserving.
+    SnapshotWriter writer;
+    writer.beginSection("os");
+    writer.u64(1);          // buckets
+    writer.u64(1ULL << 62); // chain length of bucket 0
+    writer.u64(0);          // mapped
+    writer.u64(0);          // pages mapped
+    writer.endSection();
+    SnapshotReader reader(writer.finish(0));
+    reader.openSection("os");
+    HashedWalker walker(1, 10);
+    EXPECT_THROW(walker.loadState(reader), SnapshotError);
+}
+
 // --- kernel --------------------------------------------------------
 
 OsConfig

@@ -246,6 +246,35 @@ TEST(Telemetry, ZeroLengthEpochYieldsCleanZeroRecord)
     EXPECT_EQ(rec.coverage_pct, 0.0);
 }
 
+TEST(Telemetry, CorruptRecordCountIsASnapshotError)
+{
+    // A record count no section could hold must surface as a
+    // SnapshotError, not as an allocation failure while reserving.
+    DramConfig dram_config;
+    Dram dram(dram_config);
+    MemoryController mc(McConfig{}, dram, [](std::uint64_t, Cycle) {});
+    AsdPrefetcher asd{AsdConfig{}};
+    StatRegistry stats;
+    mc.registerStats(stats, "mc");
+    asd.registerStats(stats);
+    dram.registerStats(stats);
+    TelemetryConfig config;
+    config.enabled = true;
+    TelemetryRecorder recorder(config, stats, asd, &asd, mc);
+
+    SnapshotWriter writer;
+    writer.beginSection("tel");
+    for (std::size_t i = 0; i < kTelemetryColumns.size(); ++i)
+        writer.u64(0);      // baseline
+    writer.u64(0);          // baseline cycle
+    writer.b(false);        // capped
+    writer.u64(1ULL << 62); // records
+    writer.endSection();
+    SnapshotReader reader(writer.finish(0));
+    reader.openSection("tel");
+    EXPECT_THROW(recorder.loadState(reader), SnapshotError);
+}
+
 TEST(Telemetry, WarmupRebaselineExcludesWarmupActivity)
 {
     // The recorder rebaselines when the prefetcher arms at the
@@ -363,7 +392,7 @@ TEST(TelemetrySinks, JsonIsParseableAndComplete)
     ASSERT_FALSE(epochs.empty());
 
     const std::string json = telemetryJson(epochs);
-    EXPECT_TRUE(jsonParseCheck(json));
+    EXPECT_TRUE(jsonParse(json).has_value());
     EXPECT_NE(json.find("\"schema\":\"asdsim/telemetry/v1\""),
               std::string::npos);
     EXPECT_NE(json.find("\"slh\""), std::string::npos);
@@ -377,7 +406,7 @@ TEST(TelemetrySinks, ChromeTraceIsParseable)
     ASSERT_FALSE(epochs.empty());
 
     const std::string trace = telemetryChromeTrace(epochs);
-    EXPECT_TRUE(jsonParseCheck(trace));
+    EXPECT_TRUE(jsonParse(trace).has_value());
     EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(trace.find("\"ph\":\"C\""), std::string::npos);
@@ -389,8 +418,8 @@ TEST(TelemetrySinks, EmptySeriesStillWellFormed)
     std::ostringstream out;
     writeTelemetryCsv(none, out);
     EXPECT_EQ(out.str().rfind("epoch,", 0), 0u);
-    EXPECT_TRUE(jsonParseCheck(telemetryJson(none)));
-    EXPECT_TRUE(jsonParseCheck(telemetryChromeTrace(none)));
+    EXPECT_TRUE(jsonParse(telemetryJson(none)).has_value());
+    EXPECT_TRUE(jsonParse(telemetryChromeTrace(none)).has_value());
 }
 
 } // namespace

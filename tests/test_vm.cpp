@@ -19,6 +19,7 @@
 #include "sim/experiment.hpp"
 #include "sim/system.hpp"
 #include "os/os_mmu.hpp"
+#include "snapshot/snapshot.hpp"
 #include "trace/synthetic.hpp"
 #include "tuner/run.hpp"
 #include "vm/frame_allocator.hpp"
@@ -83,6 +84,27 @@ TEST(FrameAllocator, RandomShuffleIsDeterministicForSeed)
     std::sort(first.begin(), first.end());
     EXPECT_EQ(std::adjacent_find(first.begin(), first.end()),
               first.end());
+}
+
+TEST(FrameAllocator, CorruptShuffleCountIsASnapshotError)
+{
+    // A shuffle-table count no section could hold must surface as a
+    // SnapshotError (which warm starts catch), not as an allocation
+    // failure while reserving for it.
+    VmConfig vm = baseVm();
+    vm.policy = FrameAllocPolicy::RandomShuffle;
+    SnapshotWriter writer;
+    writer.beginSection("vm");
+    for (std::uint64_t word = 1; word <= 4; ++word)
+        writer.u64(word);   // rng state
+    writer.u64(0);          // used
+    writer.u64(1ULL << 62); // shuffle entries
+    writer.u64(0);          // allocated
+    writer.endSection();
+    SnapshotReader reader(writer.finish(0));
+    reader.openSection("vm");
+    FrameAllocator alloc(vm);
+    EXPECT_THROW(alloc.loadState(reader), SnapshotError);
 }
 
 TEST(FrameAllocator, ExhaustionIsFatal)

@@ -3,21 +3,16 @@
  * asdlint — the project's static-analysis gate. Lints C++ sources
  * with the per-file token rules (src/lint/rules.cpp) and the
  * cross-TU semantic rules (src/lint/semantic_rules.cpp) and fails
- * (exit 1) on any unsuppressed violation not covered by the
- * committed baseline.
+ * (exit 1) on any unsuppressed violation.
  *
  * Examples:
- *   asdlint src bench examples tests
- *   asdlint --baseline tools/asdlint_baseline.txt src
- *   asdlint --rule raw-random --json report.json src
- *   asdlint --write-baseline tools/asdlint_baseline.txt src bench
- *   asdlint --expect tests/lint_fixtures/expected.txt tests/lint_fixtures
- *   asdlint --diff-baseline old_baseline.txt new_baseline.txt
+ *   asdlint src bench examples tests tools
+ *   asdlint --root tests/lint_fixtures src tools
+ *   asdlint --list-rules
  */
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -36,49 +31,23 @@ struct CliArgs
 {
     std::vector<std::string> paths;
     std::string root;
-    std::string json_path;
-    std::string baseline_path;
-    std::string write_baseline_path;
-    std::string expect_path;
-    std::string diff_old_path;
-    std::string diff_new_path;
-    LintOptions lint;
     bool list_rules = false;
-    bool quiet = false;
 };
 
 [[noreturn]] void
 usage(int code)
 {
     std::cout <<
-        "usage: asdlint [options] <file-or-dir>...\n"
-        "       asdlint --diff-baseline OLD NEW\n"
+        "usage: asdlint [--root DIR] [--list-rules] <file-or-dir>...\n"
         "  --root DIR            resolve paths and report them\n"
         "                        relative to DIR (default: cwd)\n"
-        "  --baseline PATH       tolerate violations recorded in\n"
-        "                        PATH; only new ones fail\n"
-        "  --write-baseline PATH snapshot current violations and\n"
-        "                        exit 0\n"
-        "  --diff-baseline OLD NEW\n"
-        "                        print findings NEW introduces over\n"
-        "                        OLD (file/rule/+count) and exit;\n"
-        "                        nonzero when anything is new\n"
-        "  --expect PATH         require the findings to match the\n"
-        "                        (file, rule, count) table in PATH\n"
-        "                        exactly, in both directions\n"
-        "  --cache PATH          reuse findings for unchanged files\n"
-        "                        (semantic findings recompute unless\n"
-        "                        the whole tree is unchanged)\n"
-        "  --json PATH           write a JSON report (asdlint/v2)\n"
-        "  --rule NAME           run only rule NAME (repeatable)\n"
         "  --list-rules          print the rule catalog and exit\n"
-        "  --quiet               suppress per-diagnostic output\n"
         "  --help                this text\n"
         "\n"
         "Suppress a finding in source with a trailing or preceding\n"
-        "comment: // asdlint:allow(rule-name)  or  asdlint:allow(*)\n"
-        "Semantic rules need a justification after the parenthesis:\n"
-        "// asdlint:allow(snapshot-field-coverage): why it is safe\n";
+        "comment that names the rule and says why it is safe:\n"
+        "// asdlint:allow(rule-name): why it is safe\n"
+        "An allow without a reason is inert and itself a finding.\n";
     std::exit(code);
 }
 
@@ -89,34 +58,14 @@ parseArgs(int argc, char **argv)
     std::vector<std::string> tokens(argv + 1, argv + argc);
     for (std::size_t i = 0; i < tokens.size(); ++i) {
         const std::string &tok = tokens[i];
-        auto next = [&]() -> std::string {
-            if (++i >= tokens.size())
-                fatal("missing value after " + tok);
-            return tokens[i];
-        };
         if (tok == "--help" || tok == "-h")
             usage(0);
-        else if (tok == "--root")
-            args.root = next();
-        else if (tok == "--baseline")
-            args.baseline_path = next();
-        else if (tok == "--write-baseline")
-            args.write_baseline_path = next();
-        else if (tok == "--diff-baseline") {
-            args.diff_old_path = next();
-            args.diff_new_path = next();
-        } else if (tok == "--expect")
-            args.expect_path = next();
-        else if (tok == "--cache")
-            args.lint.cache_path = next();
-        else if (tok == "--json")
-            args.json_path = next();
-        else if (tok == "--rule")
-            args.lint.only_rules.push_back(next());
-        else if (tok == "--list-rules")
+        else if (tok == "--root") {
+            if (++i >= tokens.size())
+                fatal("missing value after " + tok);
+            args.root = tokens[i];
+        } else if (tok == "--list-rules")
             args.list_rules = true;
-        else if (tok == "--quiet" || tok == "-q")
-            args.quiet = true;
         else if (!tok.empty() && tok[0] == '-')
             fatal("unknown argument: " + tok + " (try --help)");
         else
@@ -158,18 +107,8 @@ main(int argc, char **argv)
         listRules();
         return 0;
     }
-    if (!args.diff_old_path.empty()) {
-        const std::string diff =
-            formatBaselineDiff(loadBaseline(args.diff_old_path),
-                               loadBaseline(args.diff_new_path));
-        std::fputs(diff.c_str(), stdout);
-        return diff.empty() ? 0 : 1;
-    }
     if (args.paths.empty())
         usage(1);
-    for (const std::string &name : args.lint.only_rules)
-        if (!findRule(name) && !findSemanticRule(name))
-            fatal("unknown rule: " + name + " (try --list-rules)");
 
     const std::filesystem::path root =
         args.root.empty() ? std::filesystem::current_path()
@@ -186,65 +125,14 @@ main(int argc, char **argv)
         for (const std::string &file : collectSources(resolved))
             files.emplace_back(displayPath(root, file), file);
     }
-    const std::size_t files_scanned = files.size();
-    const std::vector<Diagnostic> diagnostics =
-        lintFiles(files, args.lint);
+    const std::vector<Diagnostic> diagnostics = lintFiles(files);
 
-    if (!args.write_baseline_path.empty()) {
-        std::ofstream out(args.write_baseline_path,
-                          std::ios::binary);
-        if (!out)
-            fatal("cannot write baseline " +
-                  args.write_baseline_path);
-        out << formatBaseline(countByFileRule(diagnostics));
-        inform("asdlint: baseline written to " +
-               args.write_baseline_path + " (" +
-               std::to_string(diagnostics.size()) + " findings)");
-        return 0;
-    }
-
-    if (!args.expect_path.empty()) {
-        const std::string mismatch =
-            formatExpectMismatch(loadBaseline(args.expect_path),
-                                 countByFileRule(diagnostics));
-        if (!mismatch.empty()) {
-            std::fprintf(stderr,
-                         "asdlint: findings differ from %s:\n%s",
-                         args.expect_path.c_str(), mismatch.c_str());
-            return 1;
-        }
-        std::fprintf(stderr,
-                     "asdlint: %zu file%s scanned, findings match "
-                     "%s\n",
-                     files_scanned, files_scanned == 1 ? "" : "s",
-                     args.expect_path.c_str());
-        return 0;
-    }
-
-    std::vector<Diagnostic> fresh = diagnostics;
-    if (!args.baseline_path.empty())
-        fresh = aboveBaseline(diagnostics,
-                              loadBaseline(args.baseline_path));
-
-    if (!args.json_path.empty()) {
-        std::ofstream out(args.json_path, std::ios::binary);
-        if (!out)
-            fatal("cannot write JSON report " + args.json_path);
-        out << reportJson(fresh, files_scanned) << "\n";
-    }
-
-    if (!args.quiet) {
-        for (const Diagnostic &diag : fresh)
-            std::fprintf(stderr, "%s:%u: %s [%s] %s\n",
-                         diag.file.c_str(), diag.line,
-                         severityName(diag.severity),
-                         diag.rule.c_str(), diag.message.c_str());
-    }
-    std::fprintf(stderr,
-                 "asdlint: %zu file%s scanned, %zu violation%s%s\n",
-                 files_scanned, files_scanned == 1 ? "" : "s",
-                 fresh.size(), fresh.size() == 1 ? "" : "s",
-                 args.baseline_path.empty() ? ""
-                                            : " above baseline");
-    return fresh.empty() ? 0 : 1;
+    for (const Diagnostic &diag : diagnostics)
+        std::fprintf(stderr, "%s:%u: %s [%s] %s\n", diag.file.c_str(),
+                     diag.line, severityName(diag.severity),
+                     diag.rule.c_str(), diag.message.c_str());
+    std::fprintf(stderr, "asdlint: %zu file%s scanned, %zu violation%s\n",
+                 files.size(), files.size() == 1 ? "" : "s",
+                 diagnostics.size(), diagnostics.size() == 1 ? "" : "s");
+    return diagnostics.empty() ? 0 : 1;
 }
