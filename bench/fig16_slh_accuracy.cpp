@@ -90,8 +90,7 @@ class SlhAccuracyTap : public MemSidePrefetcher
     void tick(Cycle now) override { inner_.tick(now); }
 
     // Bench-only interposer; never checkpointed.
-    void saveState(SnapshotWriter &) const override {}
-    void loadState(SnapshotReader &) override {}
+    void snapshot(SnapshotIo &) override {}
 
     const std::vector<std::vector<std::uint64_t>> &
     epochs() const

@@ -161,38 +161,20 @@ SetAssocCache::registerStats(StatRegistry &registry,
 }
 
 void
-SetAssocCache::saveState(SnapshotWriter &w) const
+SetAssocCache::snapshot(SnapshotIo &io)
 {
-    w.u64(clock_);
-    w.u64(ways_.size());
-    for (const Way &way : ways_) {
-        w.u64(way.line);
-        w.u64(way.lru);
-        w.b(way.valid);
-        w.b(way.dirty);
-        w.b(way.prefetched);
-    }
-    w.u64(hits_.value());
-    w.u64(misses_.value());
-    w.u64(prefetch_hits_.value());
-}
-
-void
-SetAssocCache::loadState(SnapshotReader &r)
-{
-    clock_ = r.u64();
-    SnapshotReader::check(r.u64() == ways_.size(),
-                          "cache geometry mismatch");
+    io.u64(clock_);
+    io.expect(ways_.size(), "cache geometry mismatch");
     for (Way &way : ways_) {
-        way.line = r.u64();
-        way.lru = r.u64();
-        way.valid = r.b();
-        way.dirty = r.b();
-        way.prefetched = r.b();
+        io.u64(way.line);
+        io.u64(way.lru);
+        io.b(way.valid);
+        io.b(way.dirty);
+        io.b(way.prefetched);
     }
-    hits_.restore(r.u64());
-    misses_.restore(r.u64());
-    prefetch_hits_.restore(r.u64());
+    io.counter(hits_);
+    io.counter(misses_);
+    io.counter(prefetch_hits_);
 }
 
 } // namespace asd

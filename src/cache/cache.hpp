@@ -108,10 +108,10 @@ class SetAssocCache : public Snapshottable
      */
     std::vector<ResidentLine> linesByRecency() const;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-
     const CacheConfig &config() const { return config_; }
+
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     struct Way

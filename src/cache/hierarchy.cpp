@@ -150,23 +150,13 @@ CacheHierarchy::registerStats(StatRegistry &registry,
 }
 
 void
-CacheHierarchy::saveState(SnapshotWriter &w) const
+CacheHierarchy::snapshot(SnapshotIo &io)
 {
-    l1_.saveState(w);
-    l2_.saveState(w);
-    l3_.saveState(w);
-    w.vecU64(writebacks_);
-    w.u64(writebacks_generated_.value());
-}
-
-void
-CacheHierarchy::loadState(SnapshotReader &r)
-{
-    l1_.loadState(r);
-    l2_.loadState(r);
-    l3_.loadState(r);
-    writebacks_ = r.vecU64();
-    writebacks_generated_.restore(r.u64());
+    io.component(l1_);
+    io.component(l2_);
+    io.component(l3_);
+    io.vecU64(writebacks_);
+    io.counter(writebacks_generated_);
 }
 
 } // namespace asd

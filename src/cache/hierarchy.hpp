@@ -88,13 +88,13 @@ class CacheHierarchy : public Snapshottable
     void registerStats(StatRegistry &registry,
                        const std::string &prefix) const;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-
     const SetAssocCache &l1() const { return l1_; }
     const SetAssocCache &l2() const { return l2_; }
     const SetAssocCache &l3() const { return l3_; }
     const HierarchyConfig &config() const { return config_; }
+
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     /** Install an L2 victim in L3; dirty L3 victims become writes. */

@@ -74,28 +74,18 @@ class MshrFile : public Snapshottable
     std::size_t inUse() const { return entries_.size(); }
     std::size_t capacity() const { return capacity_; }
 
+  protected:
     void
-    saveState(SnapshotWriter &w) const override
+    snapshot(SnapshotIo &io) override
     {
-        w.u32(static_cast<std::uint32_t>(entries_.size()));
-        for (const Entry &entry : entries_) {
-            w.u64(entry.line);
-            w.u32(entry.waiters);
-        }
-    }
-
-    void
-    loadState(SnapshotReader &r) override
-    {
-        const std::uint32_t count = r.u32();
-        SnapshotReader::check(count <= capacity_,
-                              "MSHR entry count exceeds capacity");
-        entries_.clear();
-        for (std::uint32_t i = 0; i < count; ++i) {
-            Entry entry;
-            entry.line = r.u64();
-            entry.waiters = r.u32();
-            entries_.push_back(entry);
+        auto count = static_cast<std::uint32_t>(entries_.size());
+        io.u32(count);
+        io.check(count <= capacity_, "MSHR entry count exceeds capacity");
+        if (io.loading())
+            entries_.resize(count);
+        for (Entry &entry : entries_) {
+            io.u64(entry.line);
+            io.u32(entry.waiters);
         }
     }
 
@@ -115,7 +105,6 @@ class MshrFile : public Snapshottable
         return entries_.size();
     }
 
-    // asdlint:allow(snapshot-field-coverage): ctor configuration; loadState only bounds-checks against it
     std::size_t capacity_;
     std::vector<Entry> entries_;
 };

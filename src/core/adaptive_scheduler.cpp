@@ -52,26 +52,14 @@ AdaptiveScheduler::epochEnd()
 }
 
 void
-AdaptiveScheduler::saveState(SnapshotWriter &w) const
+AdaptiveScheduler::snapshot(SnapshotIo &io)
 {
-    w.u32(static_cast<std::uint32_t>(policy_));
-    w.u32(epoch_conflicts_);
-    w.u64(total_conflicts_.value());
-    w.u64(policy_up_.value());
-    w.u64(policy_down_.value());
-}
-
-void
-AdaptiveScheduler::loadState(SnapshotReader &r)
-{
-    const std::uint32_t policy = r.u32();
-    SnapshotReader::check(policy >= 1 && policy <= 5,
-                          "LPQ policy out of range");
-    policy_ = static_cast<int>(policy);
-    epoch_conflicts_ = r.u32();
-    total_conflicts_.restore(r.u64());
-    policy_up_.restore(r.u64());
-    policy_down_.restore(r.u64());
+    io.u32(policy_);
+    io.check(policy_ >= 1 && policy_ <= 5, "LPQ policy out of range");
+    io.u32(epoch_conflicts_);
+    io.counter(total_conflicts_);
+    io.counter(policy_up_);
+    io.counter(policy_down_);
 }
 
 void

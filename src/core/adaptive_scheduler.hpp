@@ -62,8 +62,8 @@ class AdaptiveScheduler : public Snapshottable
     void registerStats(StatRegistry &registry,
                        const std::string &prefix) const;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     AdaptiveSchedConfig config_;

@@ -208,63 +208,38 @@ AsdPrefetcher::lhtCurr(std::uint32_t thread, StreamDir dir) const
 }
 
 void
-AsdPrefetcher::saveState(SnapshotWriter &w) const
+AsdPrefetcher::snapshot(SnapshotIo &io)
 {
-    w.u64(threads_.size());
-    for (const auto &thread : threads_) {
-        thread->filter.saveState(w);
-        thread->positive.saveState(w);
-        thread->negative.saveState(w);
-    }
-    BufferedMcPrefetcher::saveState(w);
-    w.vecU64(stream_hist_.counts());
-    w.u64(slh_history_cap_);
-    w.u64(slh_history_.size());
-    for (const SlhSnapshot &snap : slh_history_) {
-        w.u64(snap.epoch);
-        w.vecU64(snap.positive);
-        w.vecU64(snap.negative);
-    }
-    w.u64(prefetches_suggested_.value());
-    w.u64(decisions_negative_.value());
-    w.u64(overflow_reads_.value());
-    w.u64(stream_merges_.value());
-    w.u64(lht_underflow_.value());
-}
-
-void
-AsdPrefetcher::loadState(SnapshotReader &r)
-{
-    SnapshotReader::check(r.u64() == threads_.size(),
-                          "ASD thread count mismatch");
+    io.expect(threads_.size(), "ASD thread count mismatch");
     for (auto &thread : threads_) {
-        thread->filter.loadState(r);
-        thread->positive.loadState(r);
-        thread->negative.loadState(r);
+        io.component(thread->filter);
+        io.component(thread->positive);
+        io.component(thread->negative);
     }
-    BufferedMcPrefetcher::loadState(r);
-    const std::vector<std::uint64_t> hist = r.vecU64();
-    SnapshotReader::check(hist.size() == stream_hist_.buckets(),
-                          "stream histogram size mismatch");
-    stream_hist_.restore(hist);
-    slh_history_cap_ = static_cast<std::size_t>(r.u64());
-    const std::uint64_t snaps = r.u64();
-    SnapshotReader::check(snaps <= slh_history_cap_,
-                          "SLH history longer than its cap");
-    slh_history_.clear();
-    slh_history_.reserve(slh_history_cap_);
-    for (std::uint64_t i = 0; i < snaps; ++i) {
-        SlhSnapshot snap;
-        snap.epoch = r.u64();
-        snap.positive = r.vecU64();
-        snap.negative = r.vecU64();
-        slh_history_.push_back(std::move(snap));
+    BufferedMcPrefetcher::snapshot(io);
+    std::vector<std::uint64_t> hist = stream_hist_.counts();
+    io.vecU64(hist);
+    io.check(hist.size() == stream_hist_.buckets(),
+             "stream histogram size mismatch");
+    if (io.loading())
+        stream_hist_.restore(hist);
+    io.u64(slh_history_cap_);
+    // An entry is its epoch and the two table vectors' lengths.
+    const std::uint64_t snaps = io.count(slh_history_.size(), 3 * 8);
+    io.check(snaps <= slh_history_cap_,
+             "SLH history longer than its cap");
+    if (io.loading())
+        slh_history_.resize(snaps);
+    for (SlhSnapshot &snap : slh_history_) {
+        io.u64(snap.epoch);
+        io.vecU64(snap.positive);
+        io.vecU64(snap.negative);
     }
-    prefetches_suggested_.restore(r.u64());
-    decisions_negative_.restore(r.u64());
-    overflow_reads_.restore(r.u64());
-    stream_merges_.restore(r.u64());
-    lht_underflow_.restore(r.u64());
+    io.counter(prefetches_suggested_);
+    io.counter(decisions_negative_);
+    io.counter(overflow_reads_);
+    io.counter(stream_merges_);
+    io.counter(lht_underflow_);
 }
 
 void

@@ -44,8 +44,6 @@ class AsdPrefetcher : public BufferedMcPrefetcher
                                       std::uint32_t thread,
                                       Cycle now) override;
     void tick(Cycle now) override;
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
 
     // Introspection for figures, benches and tests -------------------
 
@@ -96,6 +94,9 @@ class AsdPrefetcher : public BufferedMcPrefetcher
 
     /** The tuning currently in force. */
     AsdTuning currentTuning() const { return tuningOf(config_); }
+
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     struct ThreadState

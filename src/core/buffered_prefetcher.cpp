@@ -35,21 +35,12 @@ BufferedMcPrefetcher::registerStats(StatRegistry &registry) const
 }
 
 void
-BufferedMcPrefetcher::saveState(SnapshotWriter &w) const
+BufferedMcPrefetcher::snapshot(SnapshotIo &io)
 {
-    buffer_.saveState(w);
-    sched_.saveState(w);
-    w.u32(epoch_reads_seen_);
-    w.u64(epochs_done_);
-}
-
-void
-BufferedMcPrefetcher::loadState(SnapshotReader &r)
-{
-    buffer_.loadState(r);
-    sched_.loadState(r);
-    epoch_reads_seen_ = r.u32();
-    epochs_done_ = r.u64();
+    io.component(buffer_);
+    io.component(sched_);
+    io.u32(epoch_reads_seen_);
+    io.u64(epochs_done_);
 }
 
 } // namespace asd

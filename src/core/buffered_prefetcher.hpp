@@ -51,14 +51,6 @@ class BufferedMcPrefetcher : public MemSidePrefetcher
     void tick(Cycle) override {} // the shared plumbing has no per-cycle state
 
     /**
-     * Checkpoint the shared plumbing (buffer, adaptive scheduler,
-     * epoch read count, epochs completed). Subclasses with policy
-     * state of their own override and call the base.
-     */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-
-    /**
      * Register "ms.buffer.*" and "ms.sched.*"; a subclass with
      * counters of its own overrides and calls the base.
      */
@@ -81,6 +73,13 @@ class BufferedMcPrefetcher : public MemSidePrefetcher
     const AsdConfig &config() const { return config_; }
 
   protected:
+    /**
+     * Checkpoint the shared plumbing (buffer, adaptive scheduler,
+     * epoch read count, epochs completed). Subclasses with policy
+     * state of their own override and call the base.
+     */
+    void snapshot(SnapshotIo &io) override;
+
     /**
      * Count a read toward the epoch. The read that completes one
      * steps the scheduler, bumps epochsCompleted(), runs

@@ -84,20 +84,10 @@ LikelihoodTable::clear()
 }
 
 void
-LikelihoodTable::saveState(SnapshotWriter &w) const
+LikelihoodTable::snapshot(SnapshotIo &io)
 {
-    w.vecU64(counts_);
-    w.u64(underflow_clamps_);
-}
-
-void
-LikelihoodTable::loadState(SnapshotReader &r)
-{
-    const std::vector<std::uint64_t> counts = r.vecU64();
-    SnapshotReader::check(counts.size() == counts_.size(),
-                          "likelihood table size mismatch");
-    counts_ = counts;
-    underflow_clamps_ = r.u64();
+    io.vecU64(counts_, "likelihood table size mismatch");
+    io.u64(underflow_clamps_);
 }
 
 } // namespace asd

@@ -78,8 +78,8 @@ class LikelihoodTable : public Snapshottable
         return shouldPrefetchDegree(counts_, k, d);
     }
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     std::vector<std::uint64_t> counts_;
@@ -129,18 +129,12 @@ class LikelihoodTablePair : public Snapshottable
         return curr_.underflowClamps() + next_.underflowClamps();
     }
 
+  protected:
     void
-    saveState(SnapshotWriter &w) const override
+    snapshot(SnapshotIo &io) override
     {
-        curr_.saveState(w);
-        next_.saveState(w);
-    }
-
-    void
-    loadState(SnapshotReader &r) override
-    {
-        curr_.loadState(r);
-        next_.loadState(r);
+        io.component(curr_);
+        io.component(next_);
     }
 
   private:

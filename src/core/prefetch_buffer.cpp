@@ -106,23 +106,13 @@ PrefetchBuffer::capacityLines() const
 }
 
 void
-PrefetchBuffer::saveState(SnapshotWriter &w) const
+PrefetchBuffer::snapshot(SnapshotIo &io)
 {
-    cache_.saveState(w);
-    w.u64(inserted_.value());
-    w.u64(consumed_.value());
-    w.u64(evicted_unused_.value());
-    w.u64(write_invalidations_.value());
-}
-
-void
-PrefetchBuffer::loadState(SnapshotReader &r)
-{
-    cache_.loadState(r);
-    inserted_.restore(r.u64());
-    consumed_.restore(r.u64());
-    evicted_unused_.restore(r.u64());
-    write_invalidations_.restore(r.u64());
+    io.component(cache_);
+    io.counter(inserted_);
+    io.counter(consumed_);
+    io.counter(evicted_unused_);
+    io.counter(write_invalidations_);
 }
 
 } // namespace asd

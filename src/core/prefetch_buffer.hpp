@@ -76,8 +76,8 @@ class PrefetchBuffer : public Snapshottable
     /** Lines currently buffered (telemetry/invariants). */
     std::uint64_t occupancy() const;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     SetAssocCache cache_;

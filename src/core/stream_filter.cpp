@@ -213,35 +213,21 @@ StreamFilter::liveStreams() const
 }
 
 void
-StreamFilter::saveState(SnapshotWriter &w) const
+StreamFilter::snapshot(SnapshotIo &io)
 {
-    w.u64(table_.size());
-    for (const Slot &slot : table_) {
-        w.u64(slot.last);
-        w.u64(slot.length);
-        w.u64(slot.expires_at);
-        w.u8(static_cast<std::uint8_t>(slot.dir));
-        w.b(slot.valid);
-    }
-}
-
-void
-StreamFilter::loadState(SnapshotReader &r)
-{
-    const std::uint64_t count = r.u64();
-    SnapshotReader::check(slots_ == 0 || count == slots_,
-                          "stream filter slot count mismatch");
-    table_.assign(count, Slot{});
+    // A slot is three u64s, its direction and its valid flag.
+    const std::uint64_t count = io.count(table_.size(), 3 * 8 + 2);
+    io.check(slots_ == 0 || count == slots_,
+             "stream filter slot count mismatch");
+    if (io.loading())
+        table_.assign(count, Slot{});
     for (Slot &slot : table_) {
-        slot.last = r.u64();
-        slot.length = r.u64();
-        slot.expires_at = r.u64();
-        const std::uint8_t dir = r.u8();
-        SnapshotReader::check(
-            dir <= static_cast<std::uint8_t>(StreamDir::Negative),
-            "stream direction out of range");
-        slot.dir = static_cast<StreamDir>(dir);
-        slot.valid = r.b();
+        io.u64(slot.last);
+        io.u64(slot.length);
+        io.u64(slot.expires_at);
+        io.enumeration(slot.dir, StreamDir::Negative,
+                       "stream direction out of range");
+        io.b(slot.valid);
     }
 }
 

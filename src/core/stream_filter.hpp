@@ -111,8 +111,8 @@ class StreamFilter : public Snapshottable
 
     std::uint32_t slots() const { return slots_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     struct Slot
@@ -131,7 +131,6 @@ class StreamFilter : public Snapshottable
      */
     void mergeConverged(const Slot &winner, StreamObservation &result);
 
-    // asdlint:allow(snapshot-field-coverage): geometry knob from the ctor; loadState only validates the slot count against it
     std::uint32_t slots_; //!< 0 = unbounded
     // asdlint:allow(snapshot-field-coverage): lifetime knobs are ctor configuration, re-derived when the filter is rebuilt
     Cycles lifetime_init_;

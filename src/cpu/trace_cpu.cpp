@@ -256,82 +256,43 @@ TraceCpu::storeDone(LineAddr line, Cycle now)
 }
 
 void
-TraceCpu::saveState(SnapshotWriter &w) const
+TraceCpu::snapshot(SnapshotIo &io)
 {
-    trace_.saveState(w);
-    w.b(trace_done_);
-    w.u64(compute_left_);
-    w.u64(last_tick_);
-    w.b(pending_.valid);
-    w.u64(pending_.access.addr);
-    w.u32(pending_.access.gap);
-    w.u8(static_cast<std::uint8_t>(pending_.access.op));
-    w.b(pending_.access.dependent);
-    w.u32(pending_.access.space);
-    w.u64(pending_.line);
-    w.b(pending_.looked_up);
-    w.b(pending_.needs_memory);
-    w.b(pending_.ps_observe);
-    w.b(pending_.ps_was_miss);
-    w.u64(pending_.hit_latency);
-    w.u64(issue_ready_at_);
-    w.vecU64(timed_loads_);
-    mem_loads_.saveState(w);
-    store_rfos_.saveState(w);
-    w.u64(retry_q_.size());
-    for (const RetryEntry &entry : retry_q_) {
-        w.u64(entry.line);
-        w.b(entry.is_rfo);
+    io.component(trace_);
+    io.b(trace_done_);
+    io.u64(compute_left_);
+    io.u64(last_tick_);
+    io.b(pending_.valid);
+    io.u64(pending_.access.addr);
+    io.u32(pending_.access.gap);
+    io.enumeration(pending_.access.op, MemOp::Write,
+                   "memory op out of range");
+    io.b(pending_.access.dependent);
+    io.u32(pending_.access.space);
+    io.u64(pending_.line);
+    io.b(pending_.looked_up);
+    io.b(pending_.needs_memory);
+    io.b(pending_.ps_observe);
+    io.b(pending_.ps_was_miss);
+    io.u64(pending_.hit_latency);
+    io.u64(issue_ready_at_);
+    io.vecU64(timed_loads_);
+    io.component(mem_loads_);
+    io.component(store_rfos_);
+    // A retry entry is its line and its RFO flag.
+    const std::uint64_t retries = io.count(retry_q_.size(), 8 + 1);
+    if (io.loading())
+        retry_q_.resize(retries);
+    for (RetryEntry &entry : retry_q_) {
+        io.u64(entry.line);
+        io.b(entry.is_rfo);
     }
-    w.u64(retired_.value());
-    w.u64(load_stall_cycles_.value());
-    w.u64(store_stall_cycles_.value());
-    w.u64(dep_stall_cycles_.value());
-    w.u64(mc_reject_cycles_.value());
-    w.u64(walk_stall_cycles_.value());
-}
-
-void
-TraceCpu::loadState(SnapshotReader &r)
-{
-    trace_.loadState(r);
-    trace_done_ = r.b();
-    compute_left_ = r.u64();
-    last_tick_ = r.u64();
-    pending_.valid = r.b();
-    pending_.access.addr = r.u64();
-    pending_.access.gap = r.u32();
-    const std::uint8_t op = r.u8();
-    SnapshotReader::check(
-        op <= static_cast<std::uint8_t>(MemOp::Write),
-        "memory op out of range");
-    pending_.access.op = static_cast<MemOp>(op);
-    pending_.access.dependent = r.b();
-    pending_.access.space = r.u32();
-    pending_.line = r.u64();
-    pending_.looked_up = r.b();
-    pending_.needs_memory = r.b();
-    pending_.ps_observe = r.b();
-    pending_.ps_was_miss = r.b();
-    pending_.hit_latency = r.u64();
-    issue_ready_at_ = r.u64();
-    timed_loads_ = r.vecU64();
-    mem_loads_.loadState(r);
-    store_rfos_.loadState(r);
-    const std::uint64_t retries = r.u64();
-    retry_q_.clear();
-    for (std::uint64_t i = 0; i < retries; ++i) {
-        RetryEntry entry;
-        entry.line = r.u64();
-        entry.is_rfo = r.b();
-        retry_q_.push_back(entry);
-    }
-    retired_.restore(r.u64());
-    load_stall_cycles_.restore(r.u64());
-    store_stall_cycles_.restore(r.u64());
-    dep_stall_cycles_.restore(r.u64());
-    mc_reject_cycles_.restore(r.u64());
-    walk_stall_cycles_.restore(r.u64());
+    io.counter(retired_);
+    io.counter(load_stall_cycles_);
+    io.counter(store_stall_cycles_);
+    io.counter(dep_stall_cycles_);
+    io.counter(mc_reject_cycles_);
+    io.counter(walk_stall_cycles_);
 }
 
 void

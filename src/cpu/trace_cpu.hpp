@@ -106,13 +106,13 @@ class TraceCpu : public Snapshottable
 
     std::uint64_t retiredAccesses() const { return retired_.value(); }
 
+  protected:
     /**
      * Checkpoint the core and its trace cursor. The attached PS
      * prefetcher and MMU are snapshotted by the System in their own
      * sections (their presence depends on the machine configuration).
      */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+    void snapshot(SnapshotIo &io) override;
 
   private:
     /** The access currently being issued, with cached lookup state. */

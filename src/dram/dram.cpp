@@ -214,58 +214,26 @@ Dram::issue(LineAddr line, bool is_write, bool is_prefetch, Cycle now)
 }
 
 void
-Dram::saveState(SnapshotWriter &w) const
+Dram::snapshot(SnapshotIo &io)
 {
-    w.u64(banks_.size());
-    for (const Bank &bank : banks_) {
-        w.b(bank.open);
-        w.u64(bank.open_row);
-        w.u64(bank.ready_at);
-        w.u64(bank.activated_at);
-        w.u8(static_cast<std::uint8_t>(bank.occupant));
-    }
-    w.vecU64(next_refresh_);
-    w.vecU64(rank_blocked_to_);
-    w.vecU64(bus_free_at_);
-    w.u64(activates_.value());
-    w.u64(reads_.value());
-    w.u64(writes_.value());
-    w.u64(refreshes_.value());
-    w.u64(row_hits_.value());
-    w.u64(row_misses_.value());
-}
-
-void
-Dram::loadState(SnapshotReader &r)
-{
-    SnapshotReader::check(r.u64() == banks_.size(),
-                          "dram bank geometry mismatch");
+    io.expect(banks_.size(), "dram bank geometry mismatch");
     for (Bank &bank : banks_) {
-        bank.open = r.b();
-        bank.open_row = r.u64();
-        bank.ready_at = r.u64();
-        bank.activated_at = r.u64();
-        const std::uint8_t occ = r.u8();
-        SnapshotReader::check(
-            occ <= static_cast<std::uint8_t>(BankOccupant::Prefetch),
-            "dram bank occupant out of range");
-        bank.occupant = static_cast<BankOccupant>(occ);
+        io.b(bank.open);
+        io.u64(bank.open_row);
+        io.u64(bank.ready_at);
+        io.u64(bank.activated_at);
+        io.enumeration(bank.occupant, BankOccupant::Prefetch,
+                       "dram bank occupant out of range");
     }
-    const auto load_vec = [&r](std::vector<Cycle> &vec,
-                               const char *what) {
-        const std::vector<std::uint64_t> values = r.vecU64();
-        SnapshotReader::check(values.size() == vec.size(), what);
-        vec.assign(values.begin(), values.end());
-    };
-    load_vec(next_refresh_, "dram refresh-unit count mismatch");
-    load_vec(rank_blocked_to_, "dram rank count mismatch");
-    load_vec(bus_free_at_, "dram channel count mismatch");
-    activates_.restore(r.u64());
-    reads_.restore(r.u64());
-    writes_.restore(r.u64());
-    refreshes_.restore(r.u64());
-    row_hits_.restore(r.u64());
-    row_misses_.restore(r.u64());
+    io.vecU64(next_refresh_, "dram refresh-unit count mismatch");
+    io.vecU64(rank_blocked_to_, "dram rank count mismatch");
+    io.vecU64(bus_free_at_, "dram channel count mismatch");
+    io.counter(activates_);
+    io.counter(reads_);
+    io.counter(writes_);
+    io.counter(refreshes_);
+    io.counter(row_hits_);
+    io.counter(row_misses_);
 }
 
 void

@@ -92,8 +92,8 @@ class Dram : public Snapshottable
 
     const DramConfig &config() const { return config_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     struct Bank

@@ -81,7 +81,7 @@ struct ClassDecl
     /**
      * Every identifier referenced from @p method's body, including —
      * transitively — the bodies of same-class methods it calls. The
-     * coverage rules use this so `saveState` may delegate to private
+     * coverage rules use this so `snapshot` may delegate to private
      * helpers without losing credit for the members they touch.
      */
     std::set<std::string> referencedFrom(std::string_view method) const;

@@ -19,7 +19,7 @@ namespace
  * Members the snapshot contract exempts by design: configuration is
  * re-derived when a System is rebuilt (never saved), so const,
  * reference, raw-pointer, *Config-typed, and callback members stay
- * out of saveState/loadState.
+ * out of snapshot().
  */
 bool
 isSnapshotExempt(const MemberDecl &member)
@@ -35,43 +35,29 @@ checkSnapshotFieldCoverage(const DeclIndex &index,
                            std::vector<Diagnostic> &out)
 {
     for (const ClassDecl *cls : index.derivedFrom("Snapshottable")) {
-        const MethodDecl *save = cls->findMethod("saveState");
-        const MethodDecl *load = cls->findMethod("loadState");
-        if (!save || !load || !save->has_body || !load->has_body)
-            continue; // inherits both, or bodies were not found
-        if (save->body.empty() && load->body.empty())
+        // A class without its own snapshot() snapshots none of its
+        // members, so forgetting the method is flagged member by
+        // member like forgetting one field.
+        const MethodDecl *snapshot = cls->findMethod("snapshot");
+        if (snapshot && !snapshot->has_body)
+            continue; // the body was not found
+        if (snapshot && snapshot->body.empty())
             continue; // explicit opt-out: a deliberately empty
-                      // saveState/loadState pair (bench taps, test
-                      // doubles) declares "never checkpointed"
-        const std::set<std::string> saved =
-            cls->referencedFrom("saveState");
-        const std::set<std::string> loaded =
-            cls->referencedFrom("loadState");
+                      // snapshot() (bench taps, test doubles)
+                      // declares "never checkpointed"
+        const std::set<std::string> covered =
+            cls->referencedFrom("snapshot");
         for (const MemberDecl &member : cls->members) {
-            if (isSnapshotExempt(member))
+            if (isSnapshotExempt(member) || covered.count(member.name))
                 continue;
-            const bool in_save = saved.count(member.name) != 0;
-            const bool in_load = loaded.count(member.name) != 0;
-            if (in_save && in_load)
-                continue;
-            std::string what;
-            if (!in_save && !in_load)
-                what = "is neither saved by saveState nor restored "
-                       "by loadState";
-            else if (in_save)
-                what = "is saved by saveState but never restored by "
-                       "loadState";
-            else
-                what = "is restored by loadState but never saved by "
-                       "saveState";
             out.push_back(
                 {cls->file, member.line, "snapshot-field-coverage",
                  Severity::Error,
                  "data member '" + member.name +
-                     "' of snapshottable '" + cls->name + "' " + what +
-                     "; snapshot it symmetrically or mark it "
-                     "asdlint:allow(snapshot-field-coverage) with a "
-                     "reason",
+                     "' of snapshottable '" + cls->name +
+                     "' is never snapshotted; name it in snapshot() "
+                     "or mark it asdlint:allow(snapshot-field-coverage) "
+                     "with a reason",
                  cls->name + "::" + member.name});
         }
     }
@@ -412,8 +398,7 @@ semanticRuleRegistry()
          "suppressions must carry a justification",
          checkAllowMissingReason},
         {"snapshot-field-coverage", Severity::Error,
-         "Snapshottable members must be saved and restored "
-         "symmetrically",
+         "Snapshottable members must be named in snapshot()",
          checkSnapshotFieldCoverage},
         {"unordered-iteration", Severity::Error,
          "no unordered-container iteration reaching emitting sinks",

@@ -10,11 +10,12 @@
  *
  * Rule catalog (see docs/architecture.md for the full rationale):
  *   snapshot-field-coverage  every data member of a Snapshottable
- *                            subclass must be referenced by both
- *                            saveState and loadState (or be exempt:
- *                            const/reference/raw-pointer/config/
- *                            callback members are re-derived, never
- *                            snapshotted)
+ *                            subclass must be referenced from its
+ *                            snapshot() (or be exempt: const/
+ *                            reference/raw-pointer/config/callback
+ *                            members are re-derived, never
+ *                            snapshotted); an empty snapshot() opts
+ *                            the class out
  *   wall-clock-and-env       no wall-clock reads or getenv in the
  *                            deterministic layers (sim, core,
  *                            prefetch, tuner, arena)

@@ -423,133 +423,83 @@ namespace
 {
 
 void
-saveCommand(SnapshotWriter &w, const McCommand &cmd)
+snapshotCommand(SnapshotIo &io, McCommand &cmd)
 {
-    w.u64(cmd.line);
-    w.u64(cmd.id);
-    w.u32(cmd.thread);
-    w.u64(cmd.enqueued_at);
-    w.b(cmd.is_write);
-    w.b(cmd.is_prefetch);
-    w.b(cmd.delayed_by_prefetch);
+    io.u64(cmd.line);
+    io.u64(cmd.id);
+    io.u32(cmd.thread);
+    io.u64(cmd.enqueued_at);
+    io.b(cmd.is_write);
+    io.b(cmd.is_prefetch);
+    io.b(cmd.delayed_by_prefetch);
 }
 
-McCommand
-loadCommand(SnapshotReader &r)
-{
-    McCommand cmd;
-    cmd.line = r.u64();
-    cmd.id = r.u64();
-    cmd.thread = r.u32();
-    cmd.enqueued_at = r.u64();
-    cmd.is_write = r.b();
-    cmd.is_prefetch = r.b();
-    cmd.delayed_by_prefetch = r.b();
-    return cmd;
-}
+/** Wire bytes of one command: three u64s, a u32 and three flags. */
+constexpr std::size_t kCommandBytes = 3 * 8 + 4 + 3;
 
 void
-saveQueue(SnapshotWriter &w, const std::deque<McCommand> &queue)
+snapshotQueue(SnapshotIo &io, std::deque<McCommand> &queue,
+              std::size_t capacity, const char *what)
 {
-    w.u64(queue.size());
-    for (const McCommand &cmd : queue)
-        saveCommand(w, cmd);
-}
-
-void
-loadQueue(SnapshotReader &r, std::deque<McCommand> &queue,
-          std::size_t capacity, const char *what)
-{
-    const std::uint64_t count = r.u64();
-    SnapshotReader::check(count <= capacity, what);
-    queue.clear();
-    for (std::uint64_t i = 0; i < count; ++i)
-        queue.push_back(loadCommand(r));
+    const std::uint64_t count = io.count(queue.size(), kCommandBytes);
+    io.check(count <= capacity, what);
+    if (io.loading())
+        queue.resize(count);
+    for (McCommand &cmd : queue)
+        snapshotCommand(io, cmd);
 }
 
 } // namespace
 
 void
-MemoryController::saveState(SnapshotWriter &w) const
+MemoryController::snapshot(SnapshotIo &io)
 {
-    saveQueue(w, read_q_);
-    saveQueue(w, write_q_);
-    saveQueue(w, caq_);
-    saveQueue(w, lpq_);
-    w.b(draining_writes_);
-    w.u64(in_flight_.size());
-    for (const InFlight &flight : in_flight_) {
-        w.u64(flight.done);
-        saveCommand(w, flight.cmd);
-        w.b(flight.touches_dram);
-        w.u64(flight.waiters.size());
-        for (const McCommand &waiter : flight.waiters)
-            saveCommand(w, waiter);
+    snapshotQueue(io, read_q_, config_.read_queue,
+                  "read reorder queue above capacity in snapshot");
+    snapshotQueue(io, write_q_, config_.write_queue,
+                  "write reorder queue above capacity in snapshot");
+    snapshotQueue(io, caq_, config_.caq,
+                  "CAQ above capacity in snapshot");
+    snapshotQueue(io, lpq_, config_.lpq,
+                  "LPQ above capacity in snapshot");
+    io.b(draining_writes_);
+    // A flight is its completion cycle, command, DRAM flag and
+    // waiter count.
+    const std::uint64_t flights =
+        io.count(in_flight_.size(), 8 + kCommandBytes + 1 + 8);
+    if (io.loading())
+        in_flight_.assign(flights, InFlight{});
+    for (InFlight &flight : in_flight_) {
+        io.u64(flight.done);
+        snapshotCommand(io, flight.cmd);
+        io.b(flight.touches_dram);
+        const std::uint64_t waiters =
+            io.count(flight.waiters.size(), kCommandBytes);
+        if (io.loading())
+            flight.waiters.resize(waiters);
+        for (McCommand &waiter : flight.waiters)
+            snapshotCommand(io, waiter);
     }
-    w.u64(next_prefetch_id_);
-    w.u64(read_q_hwm_);
-    w.u64(write_q_hwm_);
-    w.u64(caq_hwm_);
-    w.u64(lpq_hwm_);
-    w.u64(demand_accepted_);
-    w.u64(demand_completed_);
-    w.u64(writes_issued_);
-    w.u64(reads_observed_.value());
-    w.u64(writes_observed_.value());
-    w.u64(buffer_hits_entry_.value());
-    w.u64(buffer_hits_caq_.value());
-    w.u64(prefetches_issued_.value());
-    w.u64(lpq_dropped_.value());
-    w.u64(regulars_delayed_.value());
-    w.u64(prefetch_conflict_events_.value());
-    w.u64(merged_with_prefetch_.value());
-    w.u64(prefetches_merged_useful_.value());
-    w.u64(lpq_promoted_.value());
-    scheduler_->saveState(w);
-}
-
-void
-MemoryController::loadState(SnapshotReader &r)
-{
-    loadQueue(r, read_q_, config_.read_queue,
-              "read reorder queue above capacity in snapshot");
-    loadQueue(r, write_q_, config_.write_queue,
-              "write reorder queue above capacity in snapshot");
-    loadQueue(r, caq_, config_.caq, "CAQ above capacity in snapshot");
-    loadQueue(r, lpq_, config_.lpq, "LPQ above capacity in snapshot");
-    draining_writes_ = r.b();
-    const std::uint64_t flights = r.u64();
-    in_flight_.clear();
-    for (std::uint64_t i = 0; i < flights; ++i) {
-        InFlight flight;
-        flight.done = r.u64();
-        flight.cmd = loadCommand(r);
-        flight.touches_dram = r.b();
-        const std::uint64_t waiters = r.u64();
-        for (std::uint64_t j = 0; j < waiters; ++j)
-            flight.waiters.push_back(loadCommand(r));
-        in_flight_.push_back(std::move(flight));
-    }
-    next_prefetch_id_ = r.u64();
-    read_q_hwm_ = static_cast<std::size_t>(r.u64());
-    write_q_hwm_ = static_cast<std::size_t>(r.u64());
-    caq_hwm_ = static_cast<std::size_t>(r.u64());
-    lpq_hwm_ = static_cast<std::size_t>(r.u64());
-    demand_accepted_ = r.u64();
-    demand_completed_ = r.u64();
-    writes_issued_ = r.u64();
-    reads_observed_.restore(r.u64());
-    writes_observed_.restore(r.u64());
-    buffer_hits_entry_.restore(r.u64());
-    buffer_hits_caq_.restore(r.u64());
-    prefetches_issued_.restore(r.u64());
-    lpq_dropped_.restore(r.u64());
-    regulars_delayed_.restore(r.u64());
-    prefetch_conflict_events_.restore(r.u64());
-    merged_with_prefetch_.restore(r.u64());
-    prefetches_merged_useful_.restore(r.u64());
-    lpq_promoted_.restore(r.u64());
-    scheduler_->loadState(r);
+    io.u64(next_prefetch_id_);
+    io.u64(read_q_hwm_);
+    io.u64(write_q_hwm_);
+    io.u64(caq_hwm_);
+    io.u64(lpq_hwm_);
+    io.u64(demand_accepted_);
+    io.u64(demand_completed_);
+    io.u64(writes_issued_);
+    io.counter(reads_observed_);
+    io.counter(writes_observed_);
+    io.counter(buffer_hits_entry_);
+    io.counter(buffer_hits_caq_);
+    io.counter(prefetches_issued_);
+    io.counter(lpq_dropped_);
+    io.counter(regulars_delayed_);
+    io.counter(prefetch_conflict_events_);
+    io.counter(merged_with_prefetch_);
+    io.counter(prefetches_merged_useful_);
+    io.counter(lpq_promoted_);
+    io.component(*scheduler_);
 }
 
 void

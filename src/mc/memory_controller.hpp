@@ -188,13 +188,13 @@ class MemoryController : public Snapshottable
     std::size_t lpqHighWater() const { return lpq_hwm_; }
     void resetQueueHighWater();
 
+  protected:
     /**
      * Checkpoint the queues, in-flight commands, scheduler history and
      * counters. The attached prefetcher snapshots itself separately
      * (it is owned by the System, not the controller).
      */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+    void snapshot(SnapshotIo &io) override;
 
   private:
     struct InFlight
@@ -256,7 +256,7 @@ class MemoryController : public Snapshottable
     ReadCallback on_read_done_;
     std::unique_ptr<ReorderScheduler> scheduler_;
     MemSidePrefetcher *prefetcher_ = nullptr;
-    // asdlint:allow(snapshot-field-coverage): persisted by System::saveState/loadState, which owns the warm-up arming policy
+    // asdlint:allow(snapshot-field-coverage): persisted in System's "sys" section, whose owner sets the warm-up arming policy
     bool prefetcher_armed_ = true;
 
     std::deque<McCommand> read_q_;

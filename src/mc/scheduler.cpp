@@ -135,27 +135,16 @@ AhbScheduler::notifyIssued(const McCommand &cmd, const Dram &dram)
 }
 
 void
-AhbScheduler::saveState(SnapshotWriter &w) const
+AhbScheduler::snapshot(SnapshotIo &io)
 {
-    w.u32(static_cast<std::uint32_t>(history_.size()));
-    for (const HistoryEntry &entry : history_) {
-        w.u32(entry.bank);
-        w.b(entry.is_write);
-    }
-}
-
-void
-AhbScheduler::loadState(SnapshotReader &r)
-{
-    const std::uint32_t count = r.u32();
-    SnapshotReader::check(count <= kHistoryDepth,
-                          "AHB history longer than its depth");
-    history_.clear();
-    for (std::uint32_t i = 0; i < count; ++i) {
-        HistoryEntry entry;
-        entry.bank = r.u32();
-        entry.is_write = r.b();
-        history_.push_back(entry);
+    auto count = static_cast<std::uint32_t>(history_.size());
+    io.u32(count);
+    io.check(count <= kHistoryDepth, "AHB history longer than its depth");
+    if (io.loading())
+        history_.resize(count);
+    for (HistoryEntry &entry : history_) {
+        io.u32(entry.bank);
+        io.b(entry.is_write);
     }
 }
 

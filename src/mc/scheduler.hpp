@@ -51,9 +51,11 @@ struct SchedulerPick
 /**
  * Strategy interface for reorder-queue arbitration. Implementations
  * are stateless or keep only their own history; the memory controller
- * owns the queues.
+ * owns the queues. Most schedulers keep Snapshottable's empty
+ * snapshot(); AHB overrides it to carry its issue history across a
+ * save/restore.
  */
-class ReorderScheduler
+class ReorderScheduler : public Snapshottable
 {
   public:
     virtual ~ReorderScheduler() = default;
@@ -76,23 +78,6 @@ class ReorderScheduler
     {
         (void)cmd;
         (void)dram;
-    }
-
-    /**
-     * Checkpoint hooks. Most schedulers are stateless, so the default
-     * writes and reads nothing; AHB overrides to carry its issue
-     * history across a save/restore.
-     */
-    virtual void
-    saveState(SnapshotWriter &w) const
-    {
-        (void)w;
-    }
-
-    virtual void
-    loadState(SnapshotReader &r)
-    {
-        (void)r;
     }
 };
 
@@ -141,8 +126,8 @@ class AhbScheduler : public ReorderScheduler
 
     void notifyIssued(const McCommand &cmd, const Dram &dram) override;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     struct HistoryEntry

@@ -68,40 +68,23 @@ FramePool::markAccess(std::uint64_t pfn, bool is_write)
 }
 
 void
-FramePool::saveState(SnapshotWriter &w) const
+FramePool::snapshot(SnapshotIo &io)
 {
-    w.u64(frames_.size());
-    for (const Frame &frame : frames_) {
-        w.u64(frame.key);
-        w.b(frame.valid);
-        w.b(frame.referenced);
-        w.b(frame.dirty);
-    }
-    w.u64(free_pos_);
-    w.u64(hand_);
-    w.u64(resident_);
-}
-
-void
-FramePool::loadState(SnapshotReader &r)
-{
-    SnapshotReader::check(r.u64() == frames_.size(),
-                          "os: frame pool size mismatch");
+    io.expect(frames_.size(), "os: frame pool size mismatch");
     for (Frame &frame : frames_) {
-        frame.key = r.u64();
-        frame.valid = r.b();
-        frame.referenced = r.b();
-        frame.dirty = r.b();
+        io.u64(frame.key);
+        io.b(frame.valid);
+        io.b(frame.referenced);
+        io.b(frame.dirty);
     }
-    free_pos_ = r.u64();
-    SnapshotReader::check(free_pos_ <= frames_.size(),
-                          "os: frame pool cursor out of range");
-    hand_ = r.u64();
-    SnapshotReader::check(hand_ < frames_.size(),
-                          "os: CLOCK hand out of range");
-    resident_ = r.u64();
-    SnapshotReader::check(resident_ <= frames_.size(),
-                          "os: resident count out of range");
+    io.u64(free_pos_);
+    io.check(free_pos_ <= frames_.size(),
+             "os: frame pool cursor out of range");
+    io.u64(hand_);
+    io.check(hand_ < frames_.size(), "os: CLOCK hand out of range");
+    io.u64(resident_);
+    io.check(resident_ <= frames_.size(),
+             "os: resident count out of range");
 }
 
 } // namespace asd

@@ -60,8 +60,8 @@ class FramePool : public Snapshottable
     /** Frames currently backing a page. */
     std::uint64_t resident() const { return resident_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     struct Frame

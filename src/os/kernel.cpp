@@ -117,44 +117,22 @@ OsKernel::registerStats(StatRegistry &registry,
 }
 
 void
-OsKernel::saveState(SnapshotWriter &w) const
+OsKernel::snapshot(SnapshotIo &io)
 {
-    w.b(pool_.has_value());
+    io.expect(pool_.has_value(),
+              "os: frame-pool vs frame-allocator mismatch");
     if (pool_)
-        pool_->saveState(w);
+        io.component(*pool_);
     else
-        allocator_->saveState(w);
-    walker_->saveState(w);
-    for (const std::uint64_t word : rng_.state())
-        w.u64(word);
-    w.u64(minor_faults_.value());
-    w.u64(major_faults_.value());
-    w.u64(reclaims_.value());
-    w.u64(writebacks_.value());
-    w.u64(shootdowns_.value());
-    w.u64(stall_cycles_.value());
-}
-
-void
-OsKernel::loadState(SnapshotReader &r)
-{
-    SnapshotReader::check(r.b() == pool_.has_value(),
-                          "os: frame-pool vs frame-allocator mismatch");
-    if (pool_)
-        pool_->loadState(r);
-    else
-        allocator_->loadState(r);
-    walker_->loadState(r);
-    std::array<std::uint64_t, 4> state;
-    for (std::uint64_t &word : state)
-        word = r.u64();
-    rng_.setState(state);
-    minor_faults_.restore(r.u64());
-    major_faults_.restore(r.u64());
-    reclaims_.restore(r.u64());
-    writebacks_.restore(r.u64());
-    shootdowns_.restore(r.u64());
-    stall_cycles_.restore(r.u64());
+        io.component(*allocator_);
+    io.component(*walker_);
+    io.rng(rng_);
+    io.counter(minor_faults_);
+    io.counter(major_faults_);
+    io.counter(reclaims_);
+    io.counter(writebacks_);
+    io.counter(shootdowns_);
+    io.counter(stall_cycles_);
 }
 
 } // namespace asd

@@ -102,8 +102,8 @@ class OsKernel : public Snapshottable
     void registerStats(StatRegistry &registry,
                        const std::string &prefix) const;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     /** Fault in @p key from the pool, reclaiming when it is full. */

@@ -47,17 +47,10 @@ OsMmu::registerStats(StatRegistry &registry,
 }
 
 void
-OsMmu::saveState(SnapshotWriter &w) const
+OsMmu::snapshot(SnapshotIo &io)
 {
-    tlb_.saveState(w);
-    w.u64(stall_cycles_.value());
-}
-
-void
-OsMmu::loadState(SnapshotReader &r)
-{
-    tlb_.loadState(r);
-    stall_cycles_.restore(r.u64());
+    io.component(tlb_);
+    io.counter(stall_cycles_);
 }
 
 } // namespace asd

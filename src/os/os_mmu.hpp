@@ -46,8 +46,8 @@ class OsMmu : public Snapshottable
     void registerStats(StatRegistry &registry,
                        const std::string &prefix) const;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     // asdlint:allow(snapshot-field-coverage): wiring to the shared kernel, fixed at construction

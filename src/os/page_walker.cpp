@@ -36,6 +36,12 @@ PageWalker::registerStats(StatRegistry &registry,
     registry.add(prefix + ".pages_mapped", pages_mapped_);
 }
 
+void
+PageWalker::snapshot(SnapshotIo &io)
+{
+    io.counter(pages_mapped_);
+}
+
 RadixWalker::RadixWalker(Cycles walk_cycles)
     : walk_cycles_(walk_cycles)
 {}
@@ -67,28 +73,10 @@ RadixWalker::unmap(std::uint64_t key)
 }
 
 void
-RadixWalker::saveState(SnapshotWriter &w) const
+RadixWalker::snapshot(SnapshotIo &io)
 {
-    w.u64(map_.size());
-    for (const auto &[key, pfn] : map_) {
-        w.u64(key);
-        w.u64(pfn);
-    }
-    w.u64(pages_mapped_.value());
-}
-
-void
-RadixWalker::loadState(SnapshotReader &r)
-{
-    const std::uint64_t count = r.u64();
-    map_.clear();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t key = r.u64();
-        const std::uint64_t pfn = r.u64();
-        SnapshotReader::check(map_.emplace(key, pfn).second,
-                              "os: duplicate radix mapping");
-    }
-    pages_mapped_.restore(r.u64());
+    io.u64Map(map_, "os: duplicate radix mapping");
+    PageWalker::snapshot(io);
 }
 
 HashedWalker::HashedWalker(std::uint64_t buckets, Cycles probe_cycles)
@@ -153,38 +141,20 @@ HashedWalker::unmap(std::uint64_t key)
 }
 
 void
-HashedWalker::saveState(SnapshotWriter &w) const
+HashedWalker::snapshot(SnapshotIo &io)
 {
-    w.u64(buckets_.size());
-    for (const std::vector<Entry> &chain : buckets_) {
-        w.u64(chain.size());
-        for (const Entry &entry : chain) {
-            w.u64(entry.key);
-            w.u64(entry.pfn);
-        }
-    }
-    w.u64(mapped_);
-    w.u64(pages_mapped_.value());
-}
-
-void
-HashedWalker::loadState(SnapshotReader &r)
-{
-    SnapshotReader::check(r.u64() == buckets_.size(),
-                          "os: hashed walker bucket count mismatch");
+    io.expect(buckets_.size(), "os: hashed walker bucket count mismatch");
     for (std::vector<Entry> &chain : buckets_) {
-        chain.clear();
-        const std::uint64_t len = r.count(16); // (key, pfn) entries
-        chain.reserve(len);
-        for (std::uint64_t i = 0; i < len; ++i) {
-            Entry entry;
-            entry.key = r.u64();
-            entry.pfn = r.u64();
-            chain.push_back(entry);
+        const std::uint64_t len = io.count(chain.size(), 16); // (key, pfn)
+        if (io.loading())
+            chain.resize(len);
+        for (Entry &entry : chain) {
+            io.u64(entry.key);
+            io.u64(entry.pfn);
         }
     }
-    mapped_ = r.u64();
-    pages_mapped_.restore(r.u64());
+    io.u64(mapped_);
+    PageWalker::snapshot(io);
 }
 
 std::unique_ptr<PageWalker>

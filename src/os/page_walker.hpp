@@ -85,6 +85,9 @@ class PageWalker : public Snapshottable
                        const std::string &prefix) const;
 
   protected:
+    /** The distinct-pages counter; organizations snapshot it last. */
+    void snapshot(SnapshotIo &io) override;
+
     Counter pages_mapped_;
 };
 
@@ -103,8 +106,8 @@ class RadixWalker : public PageWalker
     void unmap(std::uint64_t key) override;
     std::uint64_t mapped() const override { return map_.size(); }
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     // asdlint:allow(snapshot-field-coverage): fixed walk latency from config, set at construction
@@ -134,8 +137,8 @@ class HashedWalker : public PageWalker
     void unmap(std::uint64_t key) override;
     std::uint64_t mapped() const override { return mapped_; }
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     struct Entry

@@ -103,31 +103,17 @@ AsdPsPrefetcher::registerStats(StatRegistry &registry,
 }
 
 void
-AsdPsPrefetcher::saveState(SnapshotWriter &w) const
+AsdPsPrefetcher::snapshot(SnapshotIo &io)
 {
-    filter_.saveState(w);
-    positive_.saveState(w);
-    negative_.saveState(w);
-    w.u64(accesses_);
-    w.u32(epoch_accesses_seen_);
-    w.u64(epochs_);
-    w.u64(requests_.value());
-    w.u64(suppressed_.value());
-    w.u64(overflow_.value());
-}
-
-void
-AsdPsPrefetcher::loadState(SnapshotReader &r)
-{
-    filter_.loadState(r);
-    positive_.loadState(r);
-    negative_.loadState(r);
-    accesses_ = r.u64();
-    epoch_accesses_seen_ = r.u32();
-    epochs_ = r.u64();
-    requests_.restore(r.u64());
-    suppressed_.restore(r.u64());
-    overflow_.restore(r.u64());
+    io.component(filter_);
+    io.component(positive_);
+    io.component(negative_);
+    io.u64(accesses_);
+    io.u32(epoch_accesses_seen_);
+    io.u64(epochs_);
+    io.counter(requests_);
+    io.counter(suppressed_);
+    io.counter(overflow_);
 }
 
 } // namespace asd

@@ -62,8 +62,8 @@ class AsdPsPrefetcher : public CpuPrefetcher
     /** Live LHTcurr for one direction (tests). */
     const LikelihoodTable &lhtCurr(StreamDir dir) const;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     void streamDied(const DeadStream &dead);

@@ -248,54 +248,28 @@ DspatchMcPrefetcher::accPattern(std::uint32_t trigger) const
 }
 
 void
-DspatchMcPrefetcher::saveState(SnapshotWriter &w) const
+DspatchMcPrefetcher::snapshot(SnapshotIo &io)
 {
-    BufferedMcPrefetcher::saveState(w);
-    w.u64(reads_seen_);
-    w.u64(regions_.size());
-    for (const Region &region : regions_) {
-        w.b(region.valid);
-        w.u64(region.tag);
-        w.u64(region.observed);
-        w.u64(region.predicted);
-        w.u32(region.trigger);
-        w.u64(region.last_seen);
-    }
-    w.u64(signatures_.size());
-    for (const Signature &sig : signatures_) {
-        w.u64(sig.cov);
-        w.u64(sig.acc);
-        w.u32(sig.trained);
-        w.u32(sig.cov_predicted);
-        w.u32(sig.cov_hit);
-    }
-}
-
-void
-DspatchMcPrefetcher::loadState(SnapshotReader &r)
-{
-    BufferedMcPrefetcher::loadState(r);
-    reads_seen_ = r.u64();
-    SnapshotReader::check(r.u64() == regions_.size(),
-                          "DSPatch region count mismatch");
+    BufferedMcPrefetcher::snapshot(io);
+    io.u64(reads_seen_);
+    io.expect(regions_.size(), "DSPatch region count mismatch");
     for (Region &region : regions_) {
-        region.valid = r.b();
-        region.tag = r.u64();
-        region.observed = r.u64();
-        region.predicted = r.u64();
-        region.trigger = r.u32();
-        region.last_seen = r.u64();
-        SnapshotReader::check(region.trigger < config_.region_lines,
-                              "DSPatch trigger out of range");
+        io.b(region.valid);
+        io.u64(region.tag);
+        io.u64(region.observed);
+        io.u64(region.predicted);
+        io.u32(region.trigger);
+        io.check(region.trigger < config_.region_lines,
+                 "DSPatch trigger out of range");
+        io.u64(region.last_seen);
     }
-    SnapshotReader::check(r.u64() == signatures_.size(),
-                          "DSPatch signature count mismatch");
+    io.expect(signatures_.size(), "DSPatch signature count mismatch");
     for (Signature &sig : signatures_) {
-        sig.cov = r.u64();
-        sig.acc = r.u64();
-        sig.trained = r.u32();
-        sig.cov_predicted = r.u32();
-        sig.cov_hit = r.u32();
+        io.u64(sig.cov);
+        io.u64(sig.acc);
+        io.u32(sig.trained);
+        io.u32(sig.cov_predicted);
+        io.u32(sig.cov_hit);
     }
 }
 

@@ -84,15 +84,15 @@ class DspatchMcPrefetcher : public BufferedMcPrefetcher
      */
     bool lookupBuffer(LineAddr line) override;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-
     /** Regions currently tracked (tests). */
     std::size_t liveRegions() const;
 
     /** Learned patterns for @p trigger offset (tests). */
     std::uint64_t covPattern(std::uint32_t trigger) const;
     std::uint64_t accPattern(std::uint32_t trigger) const;
+
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     /** One active spatial region. */

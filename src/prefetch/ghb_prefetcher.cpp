@@ -168,61 +168,29 @@ GhbMcPrefetcher::observeRead(LineAddr line, std::uint32_t thread,
 }
 
 void
-GhbMcPrefetcher::saveState(SnapshotWriter &w) const
+GhbMcPrefetcher::snapshot(SnapshotIo &io)
 {
-    BufferedMcPrefetcher::saveState(w);
-    w.u64(ghb_.size());
-    for (const GhbEntry &entry : ghb_) {
-        w.u64(entry.line);
-        w.i64(entry.delta);
-        w.u64(entry.prev);
-        w.b(entry.valid);
-    }
-    w.vecU64(index_);
-    w.vecU64(index_tag_);
-    w.u64(index_tag_d1_.size());
-    for (const std::int64_t d : index_tag_d1_)
-        w.i64(d);
-    for (const std::int64_t d : index_tag_d0_)
-        w.i64(d);
-    w.u64(next_seq_);
-    w.u64(last_line_);
-    w.i64(last_delta_);
-    w.b(have_last_);
-    w.b(have_delta_);
-}
-
-void
-GhbMcPrefetcher::loadState(SnapshotReader &r)
-{
-    BufferedMcPrefetcher::loadState(r);
-    SnapshotReader::check(r.u64() == ghb_.size(),
-                          "GHB depth mismatch");
+    BufferedMcPrefetcher::snapshot(io);
+    io.expect(ghb_.size(), "GHB depth mismatch");
     for (GhbEntry &entry : ghb_) {
-        entry.line = r.u64();
-        entry.delta = r.i64();
-        entry.prev = r.u64();
-        entry.valid = r.b();
+        io.u64(entry.line);
+        io.i64(entry.delta);
+        io.u64(entry.prev);
+        io.b(entry.valid);
     }
-    const std::vector<std::uint64_t> index = r.vecU64();
-    SnapshotReader::check(index.size() == index_.size(),
-                          "GHB index size mismatch");
-    index_ = index;
-    const std::vector<std::uint64_t> tags = r.vecU64();
-    SnapshotReader::check(tags.size() == index_tag_.size(),
-                          "GHB index tag size mismatch");
-    index_tag_ = tags;
-    SnapshotReader::check(r.u64() == index_tag_d1_.size(),
-                          "GHB delta tag size mismatch");
+    io.vecU64(index_, "GHB index size mismatch");
+    io.vecU64(index_tag_, "GHB index tag size mismatch");
+    // The two delta-key tables share one length.
+    io.expect(index_tag_d1_.size(), "GHB delta tag size mismatch");
     for (std::int64_t &d : index_tag_d1_)
-        d = r.i64();
+        io.i64(d);
     for (std::int64_t &d : index_tag_d0_)
-        d = r.i64();
-    next_seq_ = r.u64();
-    last_line_ = r.u64();
-    last_delta_ = r.i64();
-    have_last_ = r.b();
-    have_delta_ = r.b();
+        io.i64(d);
+    io.u64(next_seq_);
+    io.u64(last_line_);
+    io.i64(last_delta_);
+    io.b(have_last_);
+    io.b(have_delta_);
 }
 
 } // namespace asd

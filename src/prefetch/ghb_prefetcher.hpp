@@ -56,8 +56,8 @@ class GhbMcPrefetcher : public BufferedMcPrefetcher
     /** Entries currently valid in the history buffer (tests). */
     std::size_t historySize() const;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     struct GhbEntry

@@ -53,22 +53,12 @@ P5StyleMcPrefetcher::tick(Cycle now)
 }
 
 void
-P5StyleMcPrefetcher::saveState(SnapshotWriter &w) const
+P5StyleMcPrefetcher::snapshot(SnapshotIo &io)
 {
-    BufferedMcPrefetcher::saveState(w);
-    w.u64(filters_.size());
-    for (const StreamFilter &filter : filters_)
-        filter.saveState(w);
-}
-
-void
-P5StyleMcPrefetcher::loadState(SnapshotReader &r)
-{
-    BufferedMcPrefetcher::loadState(r);
-    SnapshotReader::check(r.u64() == filters_.size(),
-                          "P5 filter count mismatch");
+    BufferedMcPrefetcher::snapshot(io);
+    io.expect(filters_.size(), "P5 filter count mismatch");
     for (StreamFilter &filter : filters_)
-        filter.loadState(r);
+        io.component(filter);
 }
 
 } // namespace asd

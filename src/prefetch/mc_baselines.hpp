@@ -49,8 +49,8 @@ class P5StyleMcPrefetcher : public BufferedMcPrefetcher
 
     void tick(Cycle now) override;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     std::vector<StreamFilter> filters_; //!< one per thread

@@ -228,59 +228,33 @@ PerceptronMcPrefetcher::pendingCount() const
 }
 
 void
-PerceptronMcPrefetcher::saveState(SnapshotWriter &w) const
+PerceptronMcPrefetcher::snapshot(SnapshotIo &io)
 {
-    BufferedMcPrefetcher::saveState(w);
-    w.u64(reads_seen_);
-    w.u64(filters_.size());
-    for (const StreamFilter &filter : filters_)
-        filter.saveState(w);
-    w.u64(weights_.size());
-    for (const std::int32_t weight : weights_)
-        w.i64(weight);
-    w.u64(pending_.size());
-    for (const Pending &p : pending_) {
-        w.b(p.valid);
-        w.u64(p.line);
-        for (std::uint32_t f = 0; f < kFeatures; ++f)
-            w.u32(p.feature_rows[f]);
-        w.u64(p.born);
-        w.b(p.issued);
-    }
-}
-
-void
-PerceptronMcPrefetcher::loadState(SnapshotReader &r)
-{
-    BufferedMcPrefetcher::loadState(r);
-    reads_seen_ = r.u64();
-    SnapshotReader::check(r.u64() == filters_.size(),
-                          "perceptron filter count mismatch");
+    BufferedMcPrefetcher::snapshot(io);
+    io.u64(reads_seen_);
+    io.expect(filters_.size(), "perceptron filter count mismatch");
     for (StreamFilter &filter : filters_)
-        filter.loadState(r);
-    SnapshotReader::check(r.u64() == weights_.size(),
-                          "perceptron weight count mismatch");
+        io.component(filter);
+    io.expect(weights_.size(), "perceptron weight count mismatch");
     for (std::int32_t &weight : weights_) {
-        const std::int64_t v = r.i64();
-        SnapshotReader::check(v >= -config_.weight_max &&
-                                  v <= config_.weight_max,
-                              "perceptron weight out of range");
-        weight = static_cast<std::int32_t>(v);
+        std::int64_t v = weight;
+        io.i64(v);
+        io.check(v >= -config_.weight_max && v <= config_.weight_max,
+                 "perceptron weight out of range");
+        if (io.loading())
+            weight = static_cast<std::int32_t>(v);
     }
-    SnapshotReader::check(r.u64() == pending_.size(),
-                          "perceptron pending count mismatch");
+    io.expect(pending_.size(), "perceptron pending count mismatch");
     for (Pending &p : pending_) {
-        p.valid = r.b();
-        p.line = r.u64();
-        for (std::uint32_t f = 0; f < kFeatures; ++f)
-            p.feature_rows[f] = r.u32();
-        p.born = r.u64();
-        p.issued = r.b();
-        for (std::uint32_t f = 0; f < kFeatures; ++f) {
-            SnapshotReader::check(
-                p.feature_rows[f] < config_.table_size,
-                "perceptron feature row out of range");
+        io.b(p.valid);
+        io.u64(p.line);
+        for (std::uint32_t &row : p.feature_rows) {
+            io.u32(row);
+            io.check(row < config_.table_size,
+                     "perceptron feature row out of range");
         }
+        io.u64(p.born);
+        io.b(p.issued);
     }
 }
 

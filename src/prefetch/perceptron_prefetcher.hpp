@@ -76,15 +76,15 @@ class PerceptronMcPrefetcher : public BufferedMcPrefetcher
 
     void tick(Cycle now) override;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-
     /** Perceptron score a candidate would get right now (tests). */
     std::int32_t score(LineAddr candidate, std::uint64_t stream_len,
                        StreamDir dir, std::uint32_t distance) const;
 
     /** Records currently awaiting an outcome (tests). */
     std::size_t pendingCount() const;
+
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     static constexpr std::uint32_t kFeatures = 4;

@@ -139,44 +139,22 @@ PsPrefetcher::registerStats(StatRegistry &registry,
 }
 
 void
-PsPrefetcher::saveState(SnapshotWriter &w) const
+PsPrefetcher::snapshot(SnapshotIo &io)
 {
-    w.u64(table_.size());
-    for (const Entry &entry : table_) {
-        w.u64(entry.last);
-        w.u64(entry.furthest);
-        w.u64(entry.length);
-        w.u64(entry.lru);
-        w.u8(static_cast<std::uint8_t>(entry.dir));
-        w.b(entry.valid);
-        w.b(entry.active);
-    }
-    w.u64(clock_);
-    w.u64(streams_confirmed_.value());
-    w.u64(prefetches_requested_.value());
-}
-
-void
-PsPrefetcher::loadState(SnapshotReader &r)
-{
-    SnapshotReader::check(r.u64() == table_.size(),
-                          "PS detect-table size mismatch");
+    io.expect(table_.size(), "PS detect-table size mismatch");
     for (Entry &entry : table_) {
-        entry.last = r.u64();
-        entry.furthest = r.u64();
-        entry.length = r.u64();
-        entry.lru = r.u64();
-        const std::uint8_t dir = r.u8();
-        SnapshotReader::check(
-            dir <= static_cast<std::uint8_t>(StreamDir::Negative),
-            "stream direction out of range");
-        entry.dir = static_cast<StreamDir>(dir);
-        entry.valid = r.b();
-        entry.active = r.b();
+        io.u64(entry.last);
+        io.u64(entry.furthest);
+        io.u64(entry.length);
+        io.u64(entry.lru);
+        io.enumeration(entry.dir, StreamDir::Negative,
+                       "stream direction out of range");
+        io.b(entry.valid);
+        io.b(entry.active);
     }
-    clock_ = r.u64();
-    streams_confirmed_.restore(r.u64());
-    prefetches_requested_.restore(r.u64());
+    io.u64(clock_);
+    io.counter(streams_confirmed_);
+    io.counter(prefetches_requested_);
 }
 
 } // namespace asd

@@ -48,8 +48,8 @@ class PsPrefetcher : public CpuPrefetcher
     void registerStats(StatRegistry &registry,
                        const std::string &prefix) const override;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     struct Entry

@@ -104,34 +104,18 @@ StrideMcPrefetcher::observeRead(LineAddr line, std::uint32_t thread,
 }
 
 void
-StrideMcPrefetcher::saveState(SnapshotWriter &w) const
+StrideMcPrefetcher::snapshot(SnapshotIo &io)
 {
-    BufferedMcPrefetcher::saveState(w);
-    w.u64(slots_.size());
-    for (const Slot &slot : slots_) {
-        w.u64(slot.last);
-        w.i64(slot.stride);
-        w.u32(slot.confidence);
-        w.u64(slot.last_seen);
-        w.b(slot.valid);
-    }
-    w.u64(reads_seen_);
-}
-
-void
-StrideMcPrefetcher::loadState(SnapshotReader &r)
-{
-    BufferedMcPrefetcher::loadState(r);
-    SnapshotReader::check(r.u64() == slots_.size(),
-                          "stride slot count mismatch");
+    BufferedMcPrefetcher::snapshot(io);
+    io.expect(slots_.size(), "stride slot count mismatch");
     for (Slot &slot : slots_) {
-        slot.last = r.u64();
-        slot.stride = r.i64();
-        slot.confidence = r.u32();
-        slot.last_seen = r.u64();
-        slot.valid = r.b();
+        io.u64(slot.last);
+        io.i64(slot.stride);
+        io.u32(slot.confidence);
+        io.u64(slot.last_seen);
+        io.b(slot.valid);
     }
-    reads_seen_ = r.u64();
+    io.u64(reads_seen_);
 }
 
 } // namespace asd

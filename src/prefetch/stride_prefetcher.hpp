@@ -51,8 +51,8 @@ class StrideMcPrefetcher : public BufferedMcPrefetcher
 
     std::size_t liveSlots() const;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     struct Slot

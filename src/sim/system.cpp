@@ -403,122 +403,80 @@ System::collectMetrics() const
 void
 System::saveSnapshot(SnapshotWriter &w) const
 {
-    w.beginSection("sys");
-    w.b(mc_.prefetcherArmed());
-    w.u64(now_);
-    w.u64(pending_writebacks_.size());
-    for (const LineAddr line : pending_writebacks_)
-        w.u64(line);
+    SnapshotIo io(w);
+    // snapshot() only reads members when saving.
+    const_cast<System *>(this)->snapshot(io);
+}
+
+void
+System::loadSnapshot(SnapshotReader &r)
+{
+    SnapshotIo io(r);
+    snapshot(io);
+}
+
+void
+System::snapshot(SnapshotIo &io)
+{
+    io.beginSection("sys");
+    bool armed = mc_.prefetcherArmed();
+    io.b(armed);
+    io.u64(now_);
+    const std::uint64_t writebacks =
+        io.count(pending_writebacks_.size(), 8);
+    if (io.loading())
+        pending_writebacks_.assign(writebacks, 0);
+    for (LineAddr &line : pending_writebacks_)
+        io.u64(line);
     // Unordered containers are written in sorted key order so that
     // save -> load -> save is byte-identical; simulation only point-
     // queries them, so restore order never changes behaviour.
     std::vector<std::uint64_t> inflight(ps_inflight_.begin(),
                                         ps_inflight_.end());
     std::sort(inflight.begin(), inflight.end());
-    w.vecU64(inflight);
+    io.vecU64(inflight);
+    if (io.loading()) {
+        ps_inflight_.clear();
+        for (const std::uint64_t line : inflight)
+            io.check(ps_inflight_.insert(line).second,
+                     "duplicate in-flight prefetch line");
+    }
     std::vector<LineAddr> waiter_lines;
     waiter_lines.reserve(ps_waiters_.size());
     for (const auto &entry : ps_waiters_)
         waiter_lines.push_back(entry.first);
     std::sort(waiter_lines.begin(), waiter_lines.end());
-    w.u64(waiter_lines.size());
-    for (const LineAddr line : waiter_lines) {
-        w.u64(line);
-        w.vecU64(ps_waiters_.at(line));
+    // A waiter entry is its line and its waiter count.
+    const std::uint64_t lines = io.count(waiter_lines.size(), 16);
+    if (io.loading()) {
+        waiter_lines.assign(lines, 0);
+        ps_waiters_.clear();
     }
-    w.u64(ps_prefetch_reads_.value());
-    w.u64(ps_prefetch_l3_fills_.value());
-    w.u64(ps_prefetch_dropped_.value());
-    w.u64(ps_merged_demands_.value());
-    w.u32(static_cast<std::uint32_t>(cpus_.size()));
-    w.b(ms_ != nullptr);
-    w.b(!ps_.empty());
-    w.b(telemetry_ != nullptr);
-    w.b(kernel_ != nullptr);
-    w.endSection();
-
-    for (std::size_t t = 0; t < cpus_.size(); ++t) {
-        w.beginSection("cpu" + std::to_string(t));
-        cpus_[t]->saveState(w);
-        w.endSection();
+    for (LineAddr &line : waiter_lines) {
+        io.u64(line);
+        std::vector<std::uint64_t> waiters;
+        if (!io.loading())
+            waiters = ps_waiters_.at(line);
+        io.vecU64(waiters);
+        if (io.loading())
+            io.check(ps_waiters_.emplace(line, std::move(waiters)).second,
+                     "duplicate prefetch-waiter line");
     }
-
-    w.beginSection("cache");
-    hierarchy_.saveState(w);
-    w.endSection();
-
-    w.beginSection("mc");
-    mc_.saveState(w);
-    w.endSection();
-
-    w.beginSection("dram");
-    dram_.saveState(w);
-    w.endSection();
-
-    if (ms_) {
-        w.beginSection("ms");
-        w.u8(static_cast<std::uint8_t>(config_.mc_prefetcher));
-        ms_->saveState(w);
-        w.endSection();
-    }
-
-    for (std::size_t t = 0; t < ps_.size(); ++t) {
-        w.beginSection("ps" + std::to_string(t));
-        ps_[t]->saveState(w);
-        w.endSection();
-    }
-
-    if (kernel_) {
-        w.beginSection("os");
-        kernel_->saveState(w);
-        for (const auto &mmu : mmus_)
-            mmu->saveState(w);
-        w.endSection();
-    }
-
-    if (telemetry_) {
-        w.beginSection("tel");
-        telemetry_->saveState(w);
-        w.endSection();
-    }
-}
-
-void
-System::loadSnapshot(SnapshotReader &r)
-{
-    r.openSection("sys");
-    const bool armed = r.b();
-    now_ = r.u64();
-    const std::uint64_t writebacks = r.u64();
-    pending_writebacks_.clear();
-    for (std::uint64_t i = 0; i < writebacks; ++i)
-        pending_writebacks_.push_back(r.u64());
-    const std::vector<std::uint64_t> inflight = r.vecU64();
-    ps_inflight_.clear();
-    for (const std::uint64_t line : inflight) {
-        SnapshotReader::check(ps_inflight_.insert(line).second,
-                              "duplicate in-flight prefetch line");
-    }
-    const std::uint64_t waiter_lines = r.u64();
-    ps_waiters_.clear();
-    for (std::uint64_t i = 0; i < waiter_lines; ++i) {
-        const LineAddr line = r.u64();
-        std::vector<std::uint64_t> waiters = r.vecU64();
-        SnapshotReader::check(
-            ps_waiters_.emplace(line, std::move(waiters)).second,
-            "duplicate prefetch-waiter line");
-    }
-    ps_prefetch_reads_.restore(r.u64());
-    ps_prefetch_l3_fills_.restore(r.u64());
-    ps_prefetch_dropped_.restore(r.u64());
-    ps_merged_demands_.restore(r.u64());
-    SnapshotReader::check(r.u32() == cpus_.size(),
-                          "snapshot thread count mismatch");
-    const bool snap_ms = r.b();
-    const bool snap_ps = r.b();
-    const bool snap_tel = r.b();
-    const bool snap_os = r.b();
-    r.endSection();
+    io.counter(ps_prefetch_reads_);
+    io.counter(ps_prefetch_l3_fills_);
+    io.counter(ps_prefetch_dropped_);
+    io.counter(ps_merged_demands_);
+    io.expect(static_cast<std::uint32_t>(cpus_.size()),
+              "snapshot thread count mismatch");
+    bool snap_ms = ms_ != nullptr;
+    bool snap_ps = !ps_.empty();
+    bool snap_tel = telemetry_ != nullptr;
+    bool snap_os = kernel_ != nullptr;
+    io.b(snap_ms);
+    io.b(snap_ps);
+    io.b(snap_tel);
+    io.b(snap_os);
+    io.endSection();
 
     // The processor side and translation shape the pre-checkpoint
     // evolution, so they must match exactly. A snapshot WITHOUT
@@ -527,69 +485,50 @@ System::loadSnapshot(SnapshotReader &r)
     // disarmed, the restored machine arms at the boundary and its
     // prefetcher starts from its freshly-built state) — but not the
     // reverse.
-    SnapshotReader::check(
-        !snap_ms || ms_ != nullptr,
-        "snapshot carries memory-side prefetcher state but this "
-        "machine has none");
-    SnapshotReader::check(snap_ps == !ps_.empty(),
-                          "processor-side prefetcher presence mismatch");
-    SnapshotReader::check(snap_os == (kernel_ != nullptr),
-                          "translation presence mismatch");
-    SnapshotReader::check(
-        !snap_tel || telemetry_ != nullptr,
-        "snapshot carries telemetry state but this machine has no "
-        "recorder");
-    mc_.setPrefetcherArmed(armed);
+    io.check(!snap_ms || ms_ != nullptr,
+             "snapshot carries memory-side prefetcher state but this "
+             "machine has none");
+    io.check(snap_ps == !ps_.empty(),
+             "processor-side prefetcher presence mismatch");
+    io.check(snap_os == (kernel_ != nullptr),
+             "translation presence mismatch");
+    io.check(!snap_tel || telemetry_ != nullptr,
+             "snapshot carries telemetry state but this machine has no "
+             "recorder");
+    if (io.loading())
+        mc_.setPrefetcherArmed(armed);
 
-    for (std::size_t t = 0; t < cpus_.size(); ++t) {
-        r.openSection("cpu" + std::to_string(t));
-        cpus_[t]->loadState(r);
-        r.endSection();
-    }
-
-    r.openSection("cache");
-    hierarchy_.loadState(r);
-    r.endSection();
-
-    r.openSection("mc");
-    mc_.loadState(r);
-    r.endSection();
-
-    r.openSection("dram");
-    dram_.loadState(r);
-    r.endSection();
-
+    const auto section = [&io](const std::string &name,
+                               Snapshottable &component) {
+        io.beginSection(name);
+        io.component(component);
+        io.endSection();
+    };
+    for (std::size_t t = 0; t < cpus_.size(); ++t)
+        section("cpu" + std::to_string(t), *cpus_[t]);
+    section("cache", hierarchy_);
+    section("mc", mc_);
+    section("dram", dram_);
     if (snap_ms) {
-        r.openSection("ms");
-        SnapshotReader::check(
-            r.u8() ==
-                static_cast<std::uint8_t>(config_.mc_prefetcher),
-            "memory-side prefetcher kind mismatch");
-        ms_->loadState(r);
-        r.endSection();
+        io.beginSection("ms");
+        io.expect(static_cast<std::uint8_t>(config_.mc_prefetcher),
+                  "memory-side prefetcher kind mismatch");
+        io.component(*ms_);
+        io.endSection();
     }
-
     if (snap_ps) {
-        for (std::size_t t = 0; t < ps_.size(); ++t) {
-            r.openSection("ps" + std::to_string(t));
-            ps_[t]->loadState(r);
-            r.endSection();
-        }
+        for (std::size_t t = 0; t < ps_.size(); ++t)
+            section("ps" + std::to_string(t), *ps_[t]);
     }
-
     if (snap_os) {
-        r.openSection("os");
-        kernel_->loadState(r);
+        io.beginSection("os");
+        io.component(*kernel_);
         for (const auto &mmu : mmus_)
-            mmu->loadState(r);
-        r.endSection();
+            io.component(*mmu);
+        io.endSection();
     }
-
-    if (snap_tel) {
-        r.openSection("tel");
-        telemetry_->loadState(r);
-        r.endSection();
-    }
+    if (snap_tel)
+        section("tel", *telemetry_);
 }
 
 } // namespace asd

@@ -156,6 +156,13 @@ class System : public MemPort
      */
     void armPrefetcher();
 
+    /**
+     * Every section of the snapshot, in both directions: the "sys"
+     * payload, then each present component's section. Loading also
+     * applies the presence rules (see loadSnapshot).
+     */
+    void snapshot(SnapshotIo &io);
+
     SystemConfig config_;
     Dram dram_;
     MemoryController mc_;

@@ -6,6 +6,8 @@
 #include <fstream>
 
 #include "common/log.hpp"
+#include "common/random.hpp"
+#include "common/stats.hpp"
 
 namespace asd
 {
@@ -406,6 +408,115 @@ SnapshotReader::check(bool ok, const std::string &what)
 {
     if (!ok)
         throw SnapshotError(what);
+}
+
+// --- SnapshotIo --------------------------------------------------
+
+void
+SnapshotIo::beginSection(std::string_view name)
+{
+    if (reader_)
+        reader_->openSection(name);
+    else
+        writer_->beginSection(name);
+}
+
+void
+SnapshotIo::endSection()
+{
+    if (reader_)
+        reader_->endSection();
+    else
+        writer_->endSection();
+}
+
+void
+SnapshotIo::u8(std::uint8_t &v)
+{
+    if (reader_)
+        v = reader_->u8();
+    else
+        writer_->u8(v);
+}
+
+void
+SnapshotIo::b(bool &v)
+{
+    if (reader_)
+        v = reader_->b();
+    else
+        writer_->b(v);
+}
+
+void
+SnapshotIo::vecU64(std::vector<std::uint64_t> &v)
+{
+    if (reader_)
+        v = reader_->vecU64();
+    else
+        writer_->vecU64(v);
+}
+
+void
+SnapshotIo::vecU64(std::vector<std::uint64_t> &v, const char *what)
+{
+    expect(v.size(), what);
+    for (std::uint64_t &value : v)
+        u64(value);
+}
+
+void
+SnapshotIo::counter(Counter &c)
+{
+    if (reader_)
+        c.restore(reader_->u64());
+    else
+        writer_->u64(c.value());
+}
+
+void
+SnapshotIo::rng(Rng &rng)
+{
+    std::array<std::uint64_t, 4> state = rng.state();
+    for (std::uint64_t &word : state)
+        u64(word);
+    if (reader_)
+        rng.setState(state);
+}
+
+void
+SnapshotIo::component(Snapshottable &c)
+{
+    if (reader_)
+        c.loadState(*reader_);
+    else
+        c.saveState(*writer_);
+}
+
+std::uint64_t
+SnapshotIo::count(std::uint64_t n, std::size_t item_bytes)
+{
+    if (reader_)
+        return reader_->count(item_bytes);
+    writer_->u64(n);
+    return n;
+}
+
+// --- Snapshottable -------------------------------------------------
+
+void
+Snapshottable::saveState(SnapshotWriter &w) const
+{
+    SnapshotIo io(w);
+    // snapshot() only reads members when saving.
+    const_cast<Snapshottable *>(this)->snapshot(io);
+}
+
+void
+Snapshottable::loadState(SnapshotReader &r)
+{
+    SnapshotIo io(r);
+    snapshot(io);
 }
 
 // --- Files ---------------------------------------------------------

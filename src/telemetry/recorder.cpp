@@ -118,58 +118,35 @@ TelemetryRecorder::rebaseline(Cycle now)
 }
 
 void
-TelemetryRecorder::saveState(SnapshotWriter &w) const
-{
-    for (const std::uint64_t value : baseline_)
-        w.u64(value);
-    w.u64(baseline_cycle_);
-    w.b(capped_);
-    w.u64(records_.size());
-    for (const EpochRecord &rec : records_) {
-        w.u64(rec.epoch);
-        w.u64(rec.start_cycle);
-        w.u64(rec.end_cycle);
-        for (const TelemetryColumn &column : kTelemetryColumns)
-            w.u64(rec.*column.field);
-        w.u64(rec.slh.size());
-        for (const EpochLht &lht : rec.slh) {
-            w.u32(lht.thread);
-            w.vecU64(lht.positive);
-            w.vecU64(lht.negative);
-        }
-    }
-}
-
-void
-TelemetryRecorder::loadState(SnapshotReader &r)
+TelemetryRecorder::snapshot(SnapshotIo &io)
 {
     for (std::uint64_t &value : baseline_)
-        value = r.u64();
-    baseline_cycle_ = r.u64();
-    capped_ = r.b();
+        io.u64(value);
+    io.u64(baseline_cycle_);
+    io.b(capped_);
     // A record is at least its epoch, two cycle stamps, the column
     // values and its LHT count.
     const std::uint64_t count =
-        r.count((4 + kTelemetryColumns.size()) * 8);
-    records_.clear();
-    records_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        EpochRecord rec;
-        rec.epoch = r.u64();
-        rec.start_cycle = r.u64();
-        rec.end_cycle = r.u64();
+        io.count(records_.size(), (4 + kTelemetryColumns.size()) * 8);
+    if (io.loading())
+        records_.assign(count, EpochRecord{});
+    for (EpochRecord &rec : records_) {
+        io.u64(rec.epoch);
+        io.u64(rec.start_cycle);
+        io.u64(rec.end_cycle);
         for (const TelemetryColumn &column : kTelemetryColumns)
-            rec.*column.field = r.u64();
-        derivePercentages(rec);
-        const std::uint64_t lhts = r.u64();
-        for (std::uint64_t j = 0; j < lhts; ++j) {
-            EpochLht lht;
-            lht.thread = r.u32();
-            lht.positive = r.vecU64();
-            lht.negative = r.vecU64();
-            rec.slh.push_back(std::move(lht));
+            io.u64(rec.*column.field);
+        if (io.loading())
+            derivePercentages(rec);
+        // An LHT is its thread and the two vectors' lengths.
+        const std::uint64_t lhts = io.count(rec.slh.size(), 4 + 2 * 8);
+        if (io.loading())
+            rec.slh.assign(lhts, EpochLht{});
+        for (EpochLht &lht : rec.slh) {
+            io.u32(lht.thread);
+            io.vecU64(lht.positive);
+            io.vecU64(lht.negative);
         }
-        records_.push_back(std::move(rec));
     }
 }
 

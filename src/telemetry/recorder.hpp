@@ -231,13 +231,13 @@ class TelemetryRecorder : public Snapshottable
      */
     void rebaseline(Cycle now);
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-
     const std::vector<EpochRecord> &records() const
     {
         return records_;
     }
+
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     using ColumnValues = std::array<std::uint64_t, kTelemetryColumns.size()>;

@@ -1,13 +1,11 @@
 #include "telemetry/sinks.hpp"
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
+#include "common/file.hpp"
 #include "common/json.hpp"
-#include "common/log.hpp"
 
 namespace asd
 {
@@ -49,28 +47,6 @@ writeScalarMembers(JsonWriter &w, const EpochRecord &rec)
         w.key(name).value(value);
     };
     forEachColumn(rec, member, member);
-}
-
-bool
-saveString(const std::string &text, const std::string &path,
-           const char *what)
-{
-    std::error_code ec;
-    const auto parent = std::filesystem::path(path).parent_path();
-    if (!parent.empty())
-        std::filesystem::create_directories(parent, ec);
-    std::ofstream out(path);
-    if (!out) {
-        warn("cannot open " + std::string(what) + " file: " + path);
-        return false;
-    }
-    out << text;
-    out.flush();
-    if (!out) {
-        warn("write failed for " + std::string(what) + " file: " + path);
-        return false;
-    }
-    return true;
 }
 
 } // namespace

@@ -133,56 +133,30 @@ SyntheticTraceGenerator::advancePhase()
 }
 
 void
-SyntheticTraceGenerator::saveState(SnapshotWriter &w) const
+SyntheticTraceGenerator::snapshot(SnapshotIo &io)
 {
-    const std::array<std::uint64_t, 4> rng_state = rng_.state();
-    for (const std::uint64_t word : rng_state)
-        w.u64(word);
-    w.u64(emitted_);
-    w.u64(phase_idx_);
-    w.u64(phase_left_);
-    w.vecU64(recent_lines_);
-    w.u64(recent_pos_);
-    w.u32(static_cast<std::uint32_t>(streams_.size()));
-    for (const LiveStream &stream : streams_) {
-        w.u64(stream.line);
-        w.u32(stream.lines_left);
-        w.u32(stream.touches_left);
-        w.u32(stream.stride);
-        w.u8(static_cast<std::uint8_t>(stream.dir));
-    }
-}
-
-void
-SyntheticTraceGenerator::loadState(SnapshotReader &r)
-{
-    std::array<std::uint64_t, 4> rng_state;
-    for (std::uint64_t &word : rng_state)
-        word = r.u64();
-    rng_.setState(rng_state);
-    emitted_ = r.u64();
-    const std::uint64_t phase_idx = r.u64();
-    SnapshotReader::check(phase_idx < config_.phases.size(),
-                          "synthetic trace phase index out of range");
-    phase_idx_ = static_cast<std::size_t>(phase_idx);
-    phase_left_ = r.u64();
-    recent_lines_ = r.vecU64();
-    SnapshotReader::check(recent_lines_.size() <= kReusePoolSize,
-                          "synthetic trace reuse pool too large");
-    const std::uint64_t recent_pos = r.u64();
-    SnapshotReader::check(recent_pos < kReusePoolSize,
-                          "synthetic trace reuse cursor out of range");
-    recent_pos_ = static_cast<std::size_t>(recent_pos);
-    const std::uint32_t stream_count = r.u32();
-    SnapshotReader::check(stream_count == streams_.size(),
-                          "synthetic trace stream count mismatch "
-                          "(different concurrent_streams config?)");
+    io.rng(rng_);
+    io.u64(emitted_);
+    io.u64(phase_idx_);
+    io.check(phase_idx_ < config_.phases.size(),
+             "synthetic trace phase index out of range");
+    io.u64(phase_left_);
+    io.vecU64(recent_lines_);
+    io.check(recent_lines_.size() <= kReusePoolSize,
+             "synthetic trace reuse pool too large");
+    io.u64(recent_pos_);
+    io.check(recent_pos_ < kReusePoolSize,
+             "synthetic trace reuse cursor out of range");
+    io.expect(static_cast<std::uint32_t>(streams_.size()),
+              "synthetic trace stream count mismatch "
+              "(different concurrent_streams config?)");
     for (LiveStream &stream : streams_) {
-        stream.line = r.u64();
-        stream.lines_left = r.u32();
-        stream.touches_left = r.u32();
-        stream.stride = r.u32();
-        stream.dir = static_cast<StreamDir>(r.u8());
+        io.u64(stream.line);
+        io.u32(stream.lines_left);
+        io.u32(stream.touches_left);
+        io.u32(stream.stride);
+        io.enumeration(stream.dir, StreamDir::Negative,
+                       "stream direction out of range");
     }
 }
 

@@ -111,10 +111,10 @@ class SyntheticTraceGenerator : public TraceSource
     bool next(MemAccess &out) override;
     void reset() override;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-
     const SyntheticConfig &config() const { return config_; }
+
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     struct LiveStream

@@ -69,23 +69,16 @@ class VectorTraceSource : public TraceSource
     /** Total records in the trace. */
     std::size_t size() const { return accesses_.size(); }
 
+  protected:
     void
-    saveState(SnapshotWriter &w) const override
+    snapshot(SnapshotIo &io) override
     {
-        w.u64(pos_);
-    }
-
-    void
-    loadState(SnapshotReader &r) override
-    {
-        const std::uint64_t pos = r.u64();
-        SnapshotReader::check(pos <= accesses_.size(),
-                              "VectorTraceSource cursor out of range");
-        pos_ = static_cast<std::size_t>(pos);
+        io.u64(pos_);
+        io.check(pos_ <= accesses_.size(),
+                 "VectorTraceSource cursor out of range");
     }
 
   private:
-    // asdlint:allow(snapshot-field-coverage): trace content is input configuration; only the cursor pos_ is dynamic state
     std::vector<MemAccess> accesses_;
     std::size_t pos_ = 0;
 };

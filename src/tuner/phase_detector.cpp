@@ -86,35 +86,23 @@ PhaseDetector::observe(const EpochRecord &rec)
 }
 
 void
-PhaseDetector::saveState(SnapshotWriter &w) const
+PhaseDetector::snapshot(SnapshotIo &io)
 {
-    w.u64(phase_);
-    w.u64(observed_);
-    w.u64(window_.size());
-    for (const auto &feats : window_) {
-        w.u64(feats.size());
-        for (const std::int64_t f : feats)
-            w.i64(f);
-    }
-}
-
-void
-PhaseDetector::loadState(SnapshotReader &r)
-{
-    phase_ = r.u64();
-    observed_ = r.u64();
-    const std::uint64_t rows = r.u64();
-    SnapshotReader::check(rows <= config_.phase_window,
-                          "phase window larger than configured");
-    window_.clear();
-    for (std::uint64_t i = 0; i < rows; ++i) {
-        const std::uint64_t cols = r.u64();
-        SnapshotReader::check(cols <= 64,
-                              "phase feature vector implausibly long");
-        std::vector<std::int64_t> feats(cols);
+    io.u64(phase_);
+    io.u64(observed_);
+    // A row is at least its feature count.
+    const std::uint64_t rows = io.count(window_.size(), 8);
+    io.check(rows <= config_.phase_window,
+             "phase window larger than configured");
+    if (io.loading())
+        window_.assign(rows, {});
+    for (std::vector<std::int64_t> &feats : window_) {
+        const std::uint64_t cols = io.count(feats.size(), 8);
+        io.check(cols <= 64, "phase feature vector implausibly long");
+        if (io.loading())
+            feats.assign(cols, 0);
         for (std::int64_t &f : feats)
-            f = r.i64();
-        window_.push_back(std::move(feats));
+            io.i64(f);
     }
 }
 

@@ -53,8 +53,8 @@ class PhaseDetector : public Snapshottable
      */
     static std::vector<std::int64_t> features(const EpochRecord &rec);
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     TunerConfig config_;

@@ -168,98 +168,73 @@ BenchmarkRun::result() const
 void
 BenchmarkRun::saveSnapshot(SnapshotWriter &w) const
 {
-    if (!shadow_) {
-        system_->saveSnapshot(w);
-        return;
+    if (shadow_) {
+        w.beginSection("tun");
+        SnapshotIo io(w);
+        // snapshotController() only reads members when saving.
+        const_cast<BenchmarkRun *>(this)->snapshotController(io);
+        w.endSection();
     }
-    w.beginSection("tun");
-    w.u32(current_.max_degree);
-    w.u32(current_.epoch_reads);
-    w.u32(current_.filter_slots);
-    w.u32(current_.buffer_lines);
-    w.b(current_.sched.adaptive);
-    w.i64(current_.sched.fixed_policy);
-    w.i64(current_.sched.start_policy);
-    w.u32(current_.sched.high_watermark);
-    w.u32(current_.sched.low_watermark);
-    w.b(pending_decision_);
-    w.u64(pending_epoch_);
-    w.u64(pending_phase_);
-    w.u64(epochs_since_decision_);
-    w.u64(decisions_made_);
-    w.u64(realize_queue_.size());
-    for (const PendingRealize &p : realize_queue_) {
-        w.u64(p.decision);
-        w.u64(p.due);
-    }
-    detector_.saveState(w);
-    recorder_.saveState(w);
-    w.endSection();
     system_->saveSnapshot(w);
 }
 
 void
 BenchmarkRun::loadSnapshot(SnapshotReader &r)
 {
-    if (!shadow_) {
-        system_->loadSnapshot(r);
-        return;
+    if (shadow_) {
+        r.openSection("tun");
+        SnapshotIo io(r);
+        snapshotController(io);
+        r.endSection();
+        // Rebuild the live machine in the adopted shape, then restore
+        // into it — shapes now match the snapshot's sections.
+        buildSystem();
     }
-    r.openSection("tun");
+    system_->loadSnapshot(r);
+}
+
+void
+BenchmarkRun::snapshotController(SnapshotIo &io)
+{
+    AsdTuning t = current_;
+    snapshotTuning(io, t);
     // The restored tuning rebuilds the machine, whose constructors
     // fatal (or panic) on a shape no tuner could adopt; reject one
     // here as a malformed snapshot instead.
-    const auto shape = [&r](std::uint32_t max, const char *what) {
-        const std::uint32_t v = r.u32();
-        SnapshotReader::check(v >= 1 && v <= max,
-                              std::string("tuned snapshot ") + what +
-                                  " out of range");
-        return v;
-    };
-    const auto policy = [&r] {
-        const std::int64_t v = r.i64();
-        SnapshotReader::check(v >= 1 && v <= 5,
-                              "tuned snapshot policy outside 1..5");
-        return static_cast<int>(v);
-    };
     constexpr std::uint32_t kMaxShape = 1u << 20; // the option bound
-    AsdTuning t;
-    t.max_degree = shape(kMaxShape, "degree");
-    t.epoch_reads = shape(UINT32_MAX, "epoch length");
-    t.filter_slots = shape(kMaxShape, "filter slots");
-    t.buffer_lines = shape(kMaxShape, "buffer lines");
-    t.sched.adaptive = r.b();
-    t.sched.fixed_policy = policy();
-    t.sched.start_policy = policy();
-    t.sched.high_watermark = r.u32();
-    t.sched.low_watermark = r.u32();
-    SnapshotReader::check(
-        t.sched.low_watermark <= t.sched.high_watermark,
-        "tuned snapshot low watermark above high watermark");
-    pending_decision_ = r.b();
-    pending_epoch_ = r.u64();
-    pending_phase_ = r.u64();
-    epochs_since_decision_ = r.u64();
-    decisions_made_ = r.u64();
-    const std::uint64_t pending = r.u64();
-    SnapshotReader::check(pending <= (1u << 20),
-                          "realize queue implausibly long");
-    realize_queue_.clear();
-    for (std::uint64_t i = 0; i < pending; ++i) {
-        PendingRealize p;
-        p.decision = r.u64();
-        p.due = r.u64();
-        realize_queue_.push_back(p);
+    const auto shape = [&io](std::uint32_t v, std::uint32_t max,
+                             const char *what) {
+        io.check(v >= 1 && v <= max, what);
+    };
+    shape(t.max_degree, kMaxShape, "tuned snapshot degree out of range");
+    shape(t.epoch_reads, UINT32_MAX,
+          "tuned snapshot epoch length out of range");
+    shape(t.filter_slots, kMaxShape,
+          "tuned snapshot filter slots out of range");
+    shape(t.buffer_lines, kMaxShape,
+          "tuned snapshot buffer lines out of range");
+    for (const int policy : {t.sched.fixed_policy, t.sched.start_policy})
+        io.check(policy >= 1 && policy <= 5,
+                 "tuned snapshot policy outside 1..5");
+    io.check(t.sched.low_watermark <= t.sched.high_watermark,
+             "tuned snapshot low watermark above high watermark");
+    io.b(pending_decision_);
+    io.u64(pending_epoch_);
+    io.u64(pending_phase_);
+    io.u64(epochs_since_decision_);
+    io.u64(decisions_made_);
+    const std::uint64_t pending = io.count(realize_queue_.size(), 16);
+    io.check(pending <= (1u << 20), "realize queue implausibly long");
+    if (io.loading())
+        realize_queue_.assign(pending, PendingRealize{});
+    for (PendingRealize &p : realize_queue_) {
+        io.u64(p.decision);
+        io.u64(p.due);
     }
-    detector_.loadState(r);
-    recorder_.loadState(r);
-    r.endSection();
-
-    // Rebuild the live machine in the adopted shape, then restore
-    // into it — shapes now match the snapshot's sections.
-    current_ = t;
-    buildSystem();
-    system_->loadSnapshot(r);
+    io.component(detector_);
+    io.component(recorder_);
+    if (io.loading())
+        current_ = t;
 }
 
 RunMetrics

@@ -99,6 +99,12 @@ class BenchmarkRun
   private:
     /** The live trace and machine, hooked into the tuner if on. */
     void buildSystem();
+    /**
+     * The "tun" payload: adopted tuning, controller state, phase
+     * detector and decision log. Loading adopts the restored tuning
+     * (the caller rebuilds the machine in its shape).
+     */
+    void snapshotController(SnapshotIo &io);
     void onEpochEnd(Cycle now);
     void onLoopTop(Cycle now);
     void decide(Cycle now);

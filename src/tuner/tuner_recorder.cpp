@@ -1,10 +1,10 @@
 #include "tuner/tuner_recorder.hpp"
 
-#include <filesystem>
-#include <fstream>
+#include <climits>
 #include <ostream>
 #include <sstream>
 
+#include "common/file.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 
@@ -21,29 +21,6 @@ policyCode(const AsdTuning &t)
     return t.sched.adaptive
                ? 0
                : static_cast<std::uint32_t>(t.sched.fixed_policy);
-}
-
-bool
-saveString(const std::string &text, const std::string &path,
-           const char *what)
-{
-    std::error_code ec;
-    const auto parent = std::filesystem::path(path).parent_path();
-    if (!parent.empty())
-        std::filesystem::create_directories(parent, ec);
-    std::ofstream out(path);
-    if (!out) {
-        warn("cannot open " + std::string(what) + " file: " + path);
-        return false;
-    }
-    out << text;
-    out.flush();
-    if (!out) {
-        warn("write failed for " + std::string(what) +
-             " file: " + path);
-        return false;
-    }
-    return true;
 }
 
 } // namespace
@@ -67,66 +44,47 @@ TunerRecorder::realize(std::uint64_t index, std::uint64_t accesses)
 }
 
 void
-TunerRecorder::saveState(SnapshotWriter &w) const
+snapshotTuning(SnapshotIo &io, AsdTuning &t)
 {
-    w.u64(decisions_.size());
-    for (const TunerDecision &d : decisions_) {
-        w.u64(d.decision);
-        w.u64(d.cycle);
-        w.u64(d.epoch);
-        w.u64(d.phase);
-        w.u32(d.candidates);
-        w.u64(d.shadow_cycles);
-        w.b(d.adopted_change);
-        w.u32(d.adopted.max_degree);
-        w.u32(d.adopted.epoch_reads);
-        w.u32(d.adopted.filter_slots);
-        w.u32(d.adopted.buffer_lines);
-        w.b(d.adopted.sched.adaptive);
-        w.i64(d.adopted.sched.fixed_policy);
-        w.i64(d.adopted.sched.start_policy);
-        w.u32(d.adopted.sched.high_watermark);
-        w.u32(d.adopted.sched.low_watermark);
-        w.u64(d.incumbent_shadow_accesses);
-        w.u64(d.winner_shadow_accesses);
-        w.u64(d.accesses_at_decision);
-        w.u64(d.realized_accesses);
-        w.b(d.realized_valid);
+    io.u32(t.max_degree);
+    io.u32(t.epoch_reads);
+    io.u32(t.filter_slots);
+    io.u32(t.buffer_lines);
+    io.b(t.sched.adaptive);
+    for (int *policy : {&t.sched.fixed_policy, &t.sched.start_policy}) {
+        std::int64_t v = *policy;
+        io.i64(v);
+        io.check(v >= INT_MIN && v <= INT_MAX,
+                 "tuning policy does not fit an int");
+        if (io.loading())
+            *policy = static_cast<int>(v);
     }
+    io.u32(t.sched.high_watermark);
+    io.u32(t.sched.low_watermark);
 }
 
 void
-TunerRecorder::loadState(SnapshotReader &r)
+TunerRecorder::snapshot(SnapshotIo &io)
 {
-    const std::uint64_t count = r.u64();
-    SnapshotReader::check(count <= (1u << 20),
-                          "tuner decision log implausibly long");
-    decisions_.clear();
-    decisions_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        TunerDecision d;
-        d.decision = r.u64();
-        d.cycle = r.u64();
-        d.epoch = r.u64();
-        d.phase = r.u64();
-        d.candidates = r.u32();
-        d.shadow_cycles = r.u64();
-        d.adopted_change = r.b();
-        d.adopted.max_degree = r.u32();
-        d.adopted.epoch_reads = r.u32();
-        d.adopted.filter_slots = r.u32();
-        d.adopted.buffer_lines = r.u32();
-        d.adopted.sched.adaptive = r.b();
-        d.adopted.sched.fixed_policy = static_cast<int>(r.i64());
-        d.adopted.sched.start_policy = static_cast<int>(r.i64());
-        d.adopted.sched.high_watermark = r.u32();
-        d.adopted.sched.low_watermark = r.u32();
-        d.incumbent_shadow_accesses = r.u64();
-        d.winner_shadow_accesses = r.u64();
-        d.accesses_at_decision = r.u64();
-        d.realized_accesses = r.u64();
-        d.realized_valid = r.b();
-        decisions_.push_back(d);
+    // A decision takes 119 bytes; the log is also capped.
+    const std::uint64_t count = io.count(decisions_.size(), 119);
+    io.check(count <= (1u << 20), "tuner decision log implausibly long");
+    if (io.loading())
+        decisions_.assign(count, TunerDecision{});
+    for (TunerDecision &d : decisions_) {
+        io.u64(d.decision);
+        io.u64(d.cycle);
+        io.u64(d.epoch);
+        io.u64(d.phase);
+        io.u32(d.candidates);
+        io.u64(d.shadow_cycles);
+        io.b(d.adopted_change);
+        snapshotTuning(io, d.adopted);
+        io.u64(d.incumbent_shadow_accesses);
+        io.u64(d.winner_shadow_accesses);
+        io.u64(d.accesses_at_decision);
+        io.u64(d.realized_accesses);
+        io.b(d.realized_valid);
     }
 }
 

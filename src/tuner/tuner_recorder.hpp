@@ -53,6 +53,13 @@ struct TunerDecision
     bool realized_valid = false;
 };
 
+/**
+ * @p t's snapshot layout, shared by the decision log and a tuned run's
+ * "tun" section. On load only the int range of the policies is
+ * checked; a caller that rebuilds a machine from @p t checks its shape.
+ */
+void snapshotTuning(SnapshotIo &io, AsdTuning &t);
+
 /** Accumulates decisions and exports them. */
 class TunerRecorder : public Snapshottable
 {
@@ -68,8 +75,8 @@ class TunerRecorder : public Snapshottable
         return decisions_;
     }
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     std::vector<TunerDecision> decisions_;

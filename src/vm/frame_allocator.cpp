@@ -92,40 +92,12 @@ FrameAllocator::registerStats(StatRegistry &registry,
 }
 
 void
-FrameAllocator::saveState(SnapshotWriter &w) const
+FrameAllocator::snapshot(SnapshotIo &io)
 {
-    for (const std::uint64_t word : rng_.state())
-        w.u64(word);
-    w.u64(used_);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted(
-        shuffle_.begin(), shuffle_.end());
-    std::sort(sorted.begin(), sorted.end());
-    w.u64(sorted.size());
-    for (const auto &[pos, frame] : sorted) {
-        w.u64(pos);
-        w.u64(frame);
-    }
-    w.u64(allocated_.value());
-}
-
-void
-FrameAllocator::loadState(SnapshotReader &r)
-{
-    std::array<std::uint64_t, 4> state;
-    for (std::uint64_t &word : state)
-        word = r.u64();
-    rng_.setState(state);
-    used_ = r.u64();
-    const std::uint64_t count = r.count(16); // (pos, frame) pairs
-    shuffle_.clear();
-    shuffle_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t pos = r.u64();
-        const std::uint64_t frame = r.u64();
-        SnapshotReader::check(shuffle_.emplace(pos, frame).second,
-                              "duplicate shuffle entry");
-    }
-    allocated_.restore(r.u64());
+    io.rng(rng_);
+    io.u64(used_);
+    io.u64Map(shuffle_, "duplicate shuffle entry");
+    io.counter(allocated_);
 }
 
 } // namespace asd

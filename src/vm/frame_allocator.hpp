@@ -48,8 +48,8 @@ class FrameAllocator : public Snapshottable
     void registerStats(StatRegistry &registry,
                        const std::string &prefix) const;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     std::uint64_t nextFreeFrame();

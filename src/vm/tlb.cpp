@@ -108,36 +108,19 @@ Tlb::registerStats(StatRegistry &registry,
 }
 
 void
-Tlb::saveState(SnapshotWriter &w) const
+Tlb::snapshot(SnapshotIo &io)
 {
-    w.u64(entries_.size());
-    for (const Entry &entry : entries_) {
-        w.u64(entry.vpn);
-        w.u64(entry.pfn);
-        w.u64(entry.lru);
-        w.b(entry.valid);
-    }
-    w.u64(clock_);
-    w.u64(hits_.value());
-    w.u64(misses_.value());
-    w.u64(evictions_.value());
-}
-
-void
-Tlb::loadState(SnapshotReader &r)
-{
-    SnapshotReader::check(r.u64() == entries_.size(),
-                          "TLB geometry mismatch");
+    io.expect(entries_.size(), "TLB geometry mismatch");
     for (Entry &entry : entries_) {
-        entry.vpn = r.u64();
-        entry.pfn = r.u64();
-        entry.lru = r.u64();
-        entry.valid = r.b();
+        io.u64(entry.vpn);
+        io.u64(entry.pfn);
+        io.u64(entry.lru);
+        io.b(entry.valid);
     }
-    clock_ = r.u64();
-    hits_.restore(r.u64());
-    misses_.restore(r.u64());
-    evictions_.restore(r.u64());
+    io.u64(clock_);
+    io.counter(hits_);
+    io.counter(misses_);
+    io.counter(evictions_);
 }
 
 } // namespace asd

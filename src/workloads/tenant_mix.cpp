@@ -132,40 +132,21 @@ TenantMixSource::registerStats(StatRegistry &registry,
 }
 
 void
-TenantMixSource::saveState(SnapshotWriter &w) const
+TenantMixSource::snapshot(SnapshotIo &io)
 {
-    for (const std::uint64_t word : rng_.state())
-        w.u64(word);
-    w.u64(emitted_);
-    w.u32(next_asid_);
-    w.u64(arrivals_.value());
-    w.u64(departures_.value());
-    w.u32(static_cast<std::uint32_t>(slots_.size()));
-    for (const Slot &slot : slots_) {
-        w.u32(slot.asid);
-        w.u64(slot.lifetime_left);
-        slot.generator->saveState(w);
-    }
-}
-
-void
-TenantMixSource::loadState(SnapshotReader &r)
-{
-    std::array<std::uint64_t, 4> state;
-    for (std::uint64_t &word : state)
-        word = r.u64();
-    rng_.setState(state);
-    emitted_ = r.u64();
-    next_asid_ = r.u32();
-    arrivals_.restore(r.u64());
-    departures_.restore(r.u64());
-    SnapshotReader::check(r.u32() == slots_.size(),
-                          "tenants: slot count mismatch");
+    io.rng(rng_);
+    io.u64(emitted_);
+    io.u32(next_asid_);
+    io.counter(arrivals_);
+    io.counter(departures_);
+    io.expect(static_cast<std::uint32_t>(slots_.size()),
+              "tenants: slot count mismatch");
     for (Slot &slot : slots_) {
-        const std::uint32_t asid = r.u32();
-        SnapshotReader::check(asid < next_asid_,
-                              "tenants: slot asid out of range");
-        if (slot.asid != asid || slot.generator == nullptr) {
+        std::uint32_t asid = slot.asid;
+        io.u32(asid);
+        io.check(asid < next_asid_, "tenants: slot asid out of range");
+        if (io.loading() &&
+            (slot.asid != asid || slot.generator == nullptr)) {
             // Rebuild the departed-and-replaced tenant's generator
             // from its deterministically derived config, then restore
             // its cursor.
@@ -174,8 +155,8 @@ TenantMixSource::loadState(SnapshotReader &r)
                 std::make_unique<SyntheticTraceGenerator>(
                     tenantConfig(asid));
         }
-        slot.lifetime_left = r.u64();
-        slot.generator->loadState(r);
+        io.u64(slot.lifetime_left);
+        io.component(*slot.generator);
     }
 }
 

@@ -80,8 +80,8 @@ class TenantMixSource : public TraceSource
     void registerStats(StatRegistry &registry,
                        const std::string &prefix) const override;
 
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+  protected:
+    void snapshot(SnapshotIo &io) override;
 
   private:
     struct Slot

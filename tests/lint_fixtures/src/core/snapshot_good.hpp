@@ -2,45 +2,33 @@
 #define FIXTURE_SNAPSHOT_GOOD_HPP
 
 // True negatives for snapshot-field-coverage: every dynamic member is
-// snapshotted (directly or through a private helper), every exemption
-// class is represented, and the empty-body pair opts out explicitly.
-// This file must produce zero findings.
+// named in snapshot() (directly or through a private helper), every
+// exemption class is represented, a stateless class needs no
+// snapshot(), and an empty snapshot() opts out explicitly. This file
+// must produce zero findings.
 
 namespace fix
 {
 
 class CoveredCounter : public Snapshottable
 {
-  public:
+  protected:
     void
-    saveState(SnapshotWriter &w) const override
+    snapshot(SnapshotIo &io) override
     {
-        w.u64(ticks_);
-        saveTable(w);
-    }
-
-    void
-    loadState(SnapshotReader &r) override
-    {
-        ticks_ = r.u64();
-        loadTable(r);
+        io.u64(ticks_);
+        snapshotTable(io);
     }
 
   private:
     void
-    saveTable(SnapshotWriter &w) const
+    snapshotTable(SnapshotIo &io)
     {
-        w.u64(table_);
-    }
-
-    void
-    loadTable(SnapshotReader &r)
-    {
-        table_ = r.u64();
+        io.u64(table_);
     }
 
     unsigned long ticks_ = 0;
-    unsigned long table_ = 0; //!< covered transitively via helpers
+    unsigned long table_ = 0; //!< covered transitively via the helper
     static int live_counters;    // exempt: static
     const int limit_ = 8;        // exempt: const
     FixConfig config_;           // exempt: *Config*-typed
@@ -52,24 +40,17 @@ class CoveredCounter : public Snapshottable
 
 /**
  * Composite snapshottable delegating to a nested snapshottable
- * member — the OS kernel idiom (pool_.saveState(w)). The member name
- * appearing in both bodies is full coverage; no findings.
+ * member — the OS kernel idiom (io.component(pool_)). Naming the
+ * member is full coverage; no findings.
  */
 class NestedOwner : public Snapshottable
 {
-  public:
+  protected:
     void
-    saveState(SnapshotWriter &w) const override
+    snapshot(SnapshotIo &io) override
     {
-        pool_.saveState(w);
-        w.u64(hand_);
-    }
-
-    void
-    loadState(SnapshotReader &r) override
-    {
-        pool_.loadState(r);
-        hand_ = r.u64();
+        io.component(pool_);
+        io.u64(hand_);
     }
 
   private:
@@ -79,12 +60,18 @@ class NestedOwner : public Snapshottable
     unsigned long free_order_ = 0;
 };
 
-/** Empty save/load pair = explicit never-checkpointed opt-out. */
+/** No members, so the inherited empty snapshot() is complete. */
+class Stateless : public Snapshottable
+{
+  public:
+    int twice(int v) const { return 2 * v; }
+};
+
+/** Empty snapshot() = explicit never-checkpointed opt-out. */
 class BenchTap : public Snapshottable
 {
   public:
-    void saveState(SnapshotWriter &) const override {}
-    void loadState(SnapshotReader &) override {}
+    void snapshot(SnapshotIo &) override {}
 
   private:
     unsigned long reads_ = 0;

@@ -68,8 +68,7 @@ class FakePrefetcher : public MemSidePrefetcher
     void tick(Cycle) override { ++ticks; }
 
     // Test double; never checkpointed.
-    void saveState(SnapshotWriter &) const override {}
-    void loadState(SnapshotReader &) override {}
+    void snapshot(SnapshotIo &) override {}
 
     std::vector<LineAddr> next_candidates;
     std::vector<LineAddr> reads;

@@ -114,8 +114,7 @@ class PolicyPrefetcher : public MemSidePrefetcher
     void notifyPrefetchConflict(Cycle) override {}
     void tick(Cycle) override {}
     // Test double; never checkpointed.
-    void saveState(SnapshotWriter &) const override {}
-    void loadState(SnapshotReader &) override {}
+    void snapshot(SnapshotIo &) override {}
 
   private:
     int policy_;
