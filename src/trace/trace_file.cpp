@@ -116,12 +116,12 @@ readHeader(std::FILE *f, const std::string &path)
     const long actual = std::ftell(f);
     if (actual < 0)
         fatal("trace file: cannot determine size: " + path);
-    const std::uint64_t expected =
-        kHeaderBytes + count * kRecordBytes;
-    if (static_cast<std::uint64_t>(actual) != expected) {
+    // Divide rather than multiply: count * kRecordBytes can wrap.
+    const std::uint64_t body =
+        static_cast<std::uint64_t>(actual) - kHeaderBytes;
+    if (count != body / kRecordBytes || body % kRecordBytes != 0) {
         fatal("trace file: header claims " + std::to_string(count) +
-              " records (" + std::to_string(expected) +
-              " bytes) but file is " + std::to_string(actual) +
+              " records but file is " + std::to_string(actual) +
               " bytes — truncated or corrupt: " + path);
     }
     if (std::fseek(f, static_cast<long>(kHeaderBytes), SEEK_SET) != 0)
