@@ -25,6 +25,7 @@
 #include "common/log.hpp"
 #include "common/table.hpp"
 #include "sim/experiment.hpp"
+#include "sim/metric_table.hpp"
 #include "sim/serialize.hpp"
 #include "sim/snapshot_io.hpp"
 #include "sim/system.hpp"
@@ -196,51 +197,6 @@ runMachine(const CliArgs &args, RunRecord &run)
     }
 }
 
-/** The report rows: name and value, as the table and CSV print them. */
-std::vector<std::pair<std::string, std::string>>
-reportRows(const std::string &bench_name, const RunMetrics &m)
-{
-    const auto n = [](std::uint64_t v) { return std::to_string(v); };
-    std::vector<std::pair<std::string, std::string>> rows = {
-        {"benchmark", bench_name},
-        {"cycles", n(m.cycles)},
-        {"accesses", n(m.accesses)},
-        {"dram_watts", Table::num(m.dram_watts, 3)},
-        {"dram_energy_mj", Table::num(m.dram_energy_mj, 3)},
-        {"coverage_pct", Table::num(m.coverage_pct, 2)},
-        {"useful_prefetch_pct", Table::num(m.useful_prefetch_pct, 2)},
-        {"delayed_regular_pct", Table::num(m.delayed_regular_pct, 2)},
-        {"ms_prefetches_issued", n(m.ms_prefetches_issued)},
-        {"mc_reads", n(m.mc_reads)},
-        {"mc_writes", n(m.mc_writes)},
-    };
-    const auto add = [&rows](
-                         std::vector<std::pair<std::string, std::string>>
-                             more) {
-        rows.insert(rows.end(), more.begin(), more.end());
-    };
-    if (m.vm_enabled)
-        add({{"tlb_hits", n(m.tlb_hits)},
-             {"tlb_misses", n(m.tlb_misses)},
-             {"page_walk_cycles", n(m.page_walk_cycles)},
-             {"pages_mapped", n(m.pages_mapped)}});
-    if (m.os_enabled)
-        add({{"tlb_hits", n(m.tlb_hits)},
-             {"tlb_misses", n(m.tlb_misses)},
-             {"os_minor_faults", n(m.os_minor_faults)},
-             {"os_major_faults", n(m.os_major_faults)},
-             {"os_reclaims", n(m.os_reclaims)},
-             {"os_writebacks", n(m.os_writebacks)},
-             {"os_shootdowns", n(m.os_shootdowns)},
-             {"os_stall_cycles", n(m.os_stall_cycles)},
-             {"os_resident_pages", n(m.os_resident_pages)}});
-    if (m.tenants_enabled)
-        add({{"tenant_active", n(m.tenant_active)},
-             {"tenant_arrivals", n(m.tenant_arrivals)},
-             {"tenant_departures", n(m.tenant_departures)}});
-    return rows;
-}
-
 } // namespace
 
 int
@@ -309,7 +265,8 @@ main(int argc, char **argv)
         out << toJson(result.metrics) << "\n";
     }
 
-    const auto rows = reportRows(bench_name, result.metrics);
+    auto rows = reportRows(result.metrics);
+    rows.insert(rows.begin(), {"benchmark", bench_name});
     if (args.csv) {
         for (std::size_t i = 0; i < rows.size(); ++i)
             std::cout << (i ? "," : "") << rows[i].second;

@@ -64,19 +64,17 @@ writeCell(JsonWriter &w, const BakeoffCell &cell)
     w.key("prefetcher").value(cell.prefetcher);
     w.key("workload").value(cell.workload);
     w.key("status").value(toString(cell.status));
-    w.key("cycles").value(cell.metrics.cycles);
+    const auto metric = [&](std::string_view label) {
+        w.key(label);
+        writeJson(w, metricEntry(label).get(cell.metrics));
+    };
+    metric("cycles");
     w.key("baseline_cycles").value(cell.baseline_cycles);
     w.key("speedup_milli_pct")
         .value(speedupMilliPct(cell.baseline_cycles,
                                cell.metrics.cycles));
-    w.key("useful_prefetch_pct")
-        .value(cell.metrics.useful_prefetch_pct);
-    w.key("coverage_pct").value(cell.metrics.coverage_pct);
-    w.key("delayed_regular_pct")
-        .value(cell.metrics.delayed_regular_pct);
-    w.key("ms_prefetches_issued")
-        .value(cell.metrics.ms_prefetches_issued);
-    w.key("mc_reads").value(cell.metrics.mc_reads);
+    for (const std::string_view label : kBakeoffCellMetrics)
+        metric(label);
     w.endObject();
 }
 

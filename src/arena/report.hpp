@@ -10,12 +10,19 @@
  * grid produces byte-identical reports at any parallelism.
  */
 
+#include <array>
 #include <string>
+#include <string_view>
 
 #include "arena/bakeoff.hpp"
 
 namespace asd
 {
+
+/** The metrics each JSON cell ends with, after its cycles and speedup. */
+inline constexpr std::array<std::string_view, 5> kBakeoffCellMetrics = {
+    "useful_prefetch_pct", "coverage_pct", "delayed_regular_pct",
+    "ms_prefetches_issued", "mc_reads"};
 
 /**
  * @return the full bake-off report as one JSON document (schema

@@ -34,6 +34,38 @@ StatRegistry::find(const std::string &name) const
     return it == counters_.end() ? nullptr : it->second;
 }
 
+std::vector<const Counter *>
+StatRegistry::findAll(std::string_view spec) const
+{
+    std::vector<const Counter *> found;
+    for (const std::string &name : statNames(spec)) {
+        const std::size_t star = name.find("t*");
+        if (star == std::string::npos) {
+            if (const Counter *counter = find(name))
+                found.push_back(counter);
+            continue;
+        }
+        for (std::uint32_t t = 0;; ++t) {
+            const Counter *counter =
+                find(name.substr(0, star + 1) + std::to_string(t) +
+                     name.substr(star + 2));
+            if (!counter)
+                break;
+            found.push_back(counter);
+        }
+    }
+    return found;
+}
+
+std::uint64_t
+StatRegistry::sum(std::string_view spec) const
+{
+    std::uint64_t total = 0;
+    for (const Counter *counter : findAll(spec))
+        total += counter->value();
+    return total;
+}
+
 std::vector<std::pair<std::string, std::uint64_t>>
 StatRegistry::dump() const
 {
@@ -42,6 +74,19 @@ StatRegistry::dump() const
     for (const auto &[name, counter] : counters_)
         out.emplace_back(name, counter->value());
     return out;
+}
+
+std::vector<std::string>
+statNames(std::string_view spec)
+{
+    std::vector<std::string> names;
+    while (!spec.empty()) {
+        const std::size_t plus = spec.find('+');
+        names.emplace_back(spec.substr(0, plus));
+        spec = plus == std::string_view::npos ? std::string_view()
+                                               : spec.substr(plus + 1);
+    }
+    return names;
 }
 
 } // namespace asd

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace asd
@@ -56,12 +57,34 @@ class StatRegistry
     /** The counter registered as @p name, or null. */
     const Counter *find(const std::string &name) const;
 
+    /**
+     * The registered counters a stat spec names: '+' joins names, and
+     * a "t*" in a name stands for t0, t1, ... up to the first thread
+     * not registered. Unregistered names are skipped.
+     */
+    std::vector<const Counter *> findAll(std::string_view spec) const;
+
+    /** Sum of the counters findAll(@p spec) returns (0 if none). */
+    std::uint64_t sum(std::string_view spec) const;
+
     /** All (name, value) pairs sorted by name. */
     std::vector<std::pair<std::string, std::uint64_t>> dump() const;
 
   private:
     std::map<std::string, const Counter *> counters_;
 };
+
+/** 100 * @p part / @p whole, or 0 when @p whole is 0. */
+inline double
+percentOf(std::uint64_t part, std::uint64_t whole)
+{
+    return whole == 0 ? 0.0
+                      : 100.0 * static_cast<double>(part) /
+                            static_cast<double>(whole);
+}
+
+/** The names a stat spec joins with '+' (none for an empty spec). */
+std::vector<std::string> statNames(std::string_view spec);
 
 } // namespace asd
 

@@ -104,8 +104,6 @@ class TraceCpu : public Snapshottable
     void registerStats(StatRegistry &registry,
                        const std::string &prefix) const;
 
-    std::uint64_t retiredAccesses() const { return retired_.value(); }
-
   protected:
     /**
      * Checkpoint the core and its trace cursor. The attached PS

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <optional>
 #include <sstream>
+#include <variant>
 
 #include "common/json.hpp"
 #include "common/log.hpp"
@@ -178,11 +179,11 @@ JsonDirSink::finish(const SweepSummary &summary)
 std::string
 CsvSink::header()
 {
-    return "id,benchmark,status,wall_ms,mode,mc_prefetcher,"
-           "buffer_lines,filter_slots,max_degree,seed,cycles,accesses,"
-           "dram_watts,dram_energy_mj,coverage_pct,"
-           "useful_prefetch_pct,delayed_regular_pct,mc_reads,"
-           "mc_writes,ms_prefetches_issued,buffer_hits,lpq_drops";
+    std::string header = "id,benchmark,status,wall_ms,mode,mc_prefetcher,"
+                         "buffer_lines,filter_slots,max_degree,seed";
+    for (const std::string_view label : kCsvMetricColumns)
+        (header += ',') += label;
+    return header;
 }
 
 CsvSink::CsvSink(const std::string &path)
@@ -203,7 +204,6 @@ void
 CsvSink::write(const JobResult &result)
 {
     const RunOptions &o = result.spec.options;
-    const RunMetrics &m = result.metrics;
     std::ostringstream row;
     row << result.spec.id << ',' << result.spec.bench.name << ','
         << toString(result.status) << ',' << result.wall_ms << ','
@@ -212,17 +212,12 @@ CsvSink::write(const JobResult &result)
         << o.max_degree << ','
         << (result.spec.seed ? *result.spec.seed
                              : result.spec.bench.trace.seed);
-    if (result.status == JobStatus::Failed) {
-        // No metrics; keep the column count stable.
-        for (int i = 0; i < 12; ++i)
-            row << ',';
-    } else {
-        row << ',' << m.cycles << ',' << m.accesses << ','
-            << m.dram_watts << ',' << m.dram_energy_mj << ','
-            << m.coverage_pct << ',' << m.useful_prefetch_pct << ','
-            << m.delayed_regular_pct << ',' << m.mc_reads << ','
-            << m.mc_writes << ',' << m.ms_prefetches_issued << ','
-            << m.buffer_hits << ',' << m.lpq_drops;
+    for (const std::string_view label : kCsvMetricColumns) {
+        row << ',';
+        // A failed job has no metrics; its cells stay empty.
+        if (result.status != JobStatus::Failed)
+            std::visit([&](auto v) { row << v; },
+                       metricEntry(label).get(result.metrics));
     }
     out_ << row.str() << "\n";
 }

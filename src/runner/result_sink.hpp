@@ -10,9 +10,11 @@
  * job for spreadsheet-style analysis.
  */
 
+#include <array>
 #include <cstddef>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runner/job.hpp"
@@ -117,6 +119,12 @@ class JsonDirSink : public ResultSink
     std::vector<Entry> entries_;
     std::size_t skipped_ = 0;
 };
+
+/** The metric columns of CsvSink, after the job's own, by label. */
+inline constexpr std::array<std::string_view, 12> kCsvMetricColumns = {
+    "cycles", "accesses", "dram_watts", "dram_energy_mj", "coverage_pct",
+    "useful_prefetch_pct", "delayed_regular_pct", "mc_reads", "mc_writes",
+    "ms_prefetches_issued", "buffer_hits", "lpq_drops"};
 
 /** Appends one CSV row per job to a single file (header included). */
 class CsvSink : public ResultSink

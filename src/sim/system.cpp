@@ -1,8 +1,11 @@
 #include "sim/system.hpp"
 
 #include <algorithm>
+#include <type_traits>
+#include <variant>
 
 #include "common/log.hpp"
+#include "sim/metric_table.hpp"
 
 namespace asd
 {
@@ -330,74 +333,24 @@ System::run()
 RunMetrics
 System::collectMetrics() const
 {
-    RunMetrics metrics;
-    metrics.cycles = now_;
-    for (const auto &cpu : cpus_)
-        metrics.accesses += cpu->retiredAccesses();
-
-    const PowerModel power_model(config_.dram);
-    metrics.power = power_model.report(dram_, now_);
-    metrics.dram_watts =
-        metrics.power.averageWatts(now_, config_.cpu_hz);
-    metrics.dram_energy_mj = metrics.power.totalPj() * 1e-9;
-
-    metrics.os_enabled = config_.os.enabled;
-    metrics.vm_enabled = kernel_ && !metrics.os_enabled;
-    for (const auto &mmu : mmus_) {
-        metrics.tlb_hits += mmu->tlb().hits();
-        metrics.tlb_misses += mmu->tlb().misses();
-        metrics.tlb_evictions += mmu->tlb().evictions();
-        metrics.page_walk_cycles += mmu->stallCycles();
+    RunMetrics m;
+    for (const MetricEntry &entry : metricTable())
+        if (entry.stat)
+            *std::get<std::uint64_t *>(entry.ref(m)) =
+                registry_.sum(entry.stat);
+    // Derived values may read the sums above.
+    for (const MetricEntry &entry : metricTable()) {
+        if (!entry.derive)
+            continue;
+        const MetricValue value = entry.derive(*this, m);
+        std::visit(
+            [&](auto *member) {
+                *member = std::get<std::remove_pointer_t<decltype(member)>>(
+                    value);
+            },
+            entry.ref(m));
     }
-    if (kernel_)
-        metrics.pages_mapped = kernel_->pagesMapped();
-    if (metrics.os_enabled) {
-        metrics.os_minor_faults = kernel_->minorFaults();
-        metrics.os_major_faults = kernel_->majorFaults();
-        metrics.os_reclaims = kernel_->reclaims();
-        metrics.os_writebacks = kernel_->writebacks();
-        metrics.os_shootdowns = kernel_->shootdowns();
-        metrics.os_stall_cycles = kernel_->stallCycles();
-        metrics.os_resident_pages = kernel_->residentPages();
-    }
-    if (registry_.has("tenants.arrivals")) {
-        metrics.tenants_enabled = true;
-        metrics.tenant_arrivals = registry_.value("tenants.arrivals");
-        metrics.tenant_departures =
-            registry_.value("tenants.departures");
-        metrics.tenant_active = registry_.value("tenants.active");
-    }
-
-    metrics.mc_reads = mc_.readsObserved();
-    metrics.mc_writes = mc_.writesObserved();
-    metrics.ms_prefetches_issued = mc_.prefetchesIssued();
-    metrics.buffer_hits = mc_.bufferHits();
-    metrics.lpq_drops = mc_.lpqDrops();
-
-    if (ms_) {
-        // Useful = consumed from the buffer + forwarded straight to a
-        // merged demand read, over all memory-side prefetches issued.
-        const std::uint64_t useful =
-            ms_->buffer().consumed() + mc_.prefetchesMergedUseful();
-        if (metrics.ms_prefetches_issued > 0) {
-            metrics.useful_prefetch_pct =
-                100.0 * static_cast<double>(useful) /
-                static_cast<double>(metrics.ms_prefetches_issued);
-        }
-        if (metrics.mc_reads > 0) {
-            metrics.coverage_pct =
-                100.0 * static_cast<double>(metrics.buffer_hits) /
-                static_cast<double>(metrics.mc_reads);
-        }
-        const std::uint64_t regulars =
-            metrics.mc_reads - metrics.buffer_hits + metrics.mc_writes;
-        if (regulars > 0) {
-            metrics.delayed_regular_pct =
-                100.0 * static_cast<double>(mc_.regularsDelayed()) /
-                static_cast<double>(regulars);
-        }
-    }
-    return metrics;
+    return m;
 }
 
 void

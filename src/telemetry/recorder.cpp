@@ -12,36 +12,12 @@ namespace
 void
 derivePercentages(EpochRecord &rec)
 {
-    const std::uint64_t useful =
-        rec.buffer_consumed + rec.merged_useful;
-    if (rec.prefetches_issued > 0) {
-        rec.accuracy_pct = 100.0 * static_cast<double>(useful) /
-                           static_cast<double>(rec.prefetches_issued);
-    }
-    if (rec.reads > 0) {
-        rec.coverage_pct =
-            100.0 * static_cast<double>(rec.buffer_hits) /
-            static_cast<double>(rec.reads);
-    }
+    rec.accuracy_pct = percentOf(rec.buffer_consumed + rec.merged_useful,
+                                 rec.prefetches_issued);
+    rec.coverage_pct = percentOf(rec.buffer_hits, rec.reads);
 }
 
 } // namespace
-
-std::vector<std::string>
-columnStats(const TelemetryColumn &column)
-{
-    std::vector<std::string> names;
-    if (!column.stat)
-        return names;
-    std::string_view rest = column.stat;
-    while (!rest.empty()) {
-        const std::size_t plus = rest.find('+');
-        names.emplace_back(rest.substr(0, plus));
-        rest = plus == std::string_view::npos ? std::string_view()
-                                               : rest.substr(plus + 1);
-    }
-    return names;
-}
 
 TelemetryRecorder::TelemetryRecorder(const TelemetryConfig &config,
                                      const StatRegistry &stats,
@@ -51,8 +27,8 @@ TelemetryRecorder::TelemetryRecorder(const TelemetryConfig &config,
     : config_(config), ms_(ms), asd_(asd), mc_(mc)
 {
     for (std::size_t i = 0; i < kTelemetryColumns.size(); ++i) {
-        for (const std::string &name : columnStats(kTelemetryColumns[i]))
-            if (const Counter *counter = stats.find(name))
+        if (const char *stat = kTelemetryColumns[i].stat)
+            for (const Counter *counter : stats.findAll(stat))
                 counters_.emplace_back(i, counter);
     }
     // High-water marks accumulated before the first epoch belong to

@@ -198,9 +198,6 @@ inline constexpr std::size_t kPercentColumnsAt = 11;
 static_assert(std::string_view(kTelemetryColumns[kPercentColumnsAt].name) ==
               "policy");
 
-/** The registry stats a delta column sums (empty for a gauge). */
-std::vector<std::string> columnStats(const TelemetryColumn &column);
-
 /** The recorder; one per System, driven by the epoch-end hook. */
 class TelemetryRecorder : public Snapshottable
 {
