@@ -4,18 +4,23 @@
  * entry parses from its flag, reaches the options JSON and the job id
  * (unless declared otherwise), survives the snapshot "cli" section
  * and shows in --help; malformed command-line values are rejected;
- * the cross-field rules hold; every RunMetrics field round-trips
- * through JSON and a damaged metrics record is refused.
+ * the cross-field rules hold; seeded mutants of number, list and
+ * enum text are rejected or round-trip; every RunMetrics field
+ * round-trips through JSON and a damaged metrics record is refused.
  */
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "arena/registry.hpp"
 #include "common/cli.hpp"
+#include "common/random.hpp"
 #include "runner/job.hpp"
 #include "sim/serialize.hpp"
 #include "sim/snapshot_io.hpp"
@@ -288,6 +293,215 @@ TEST(CliValues, SweepAxesCheckEveryValue)
             EXPECT_EQ(axis.values,
                       (std::vector<std::string>{"off", "4"}));
         }
+    }
+}
+
+// --- seeded mutations of the option text parsers --------------------
+
+namespace
+{
+
+/**
+ * @p text after one to three seeded edits: a byte flip, a truncation,
+ * or a splice of up to eight bytes from one of @p donors.
+ */
+std::string
+mutatedText(std::string text, const std::vector<std::string> &donors,
+            Rng &rng)
+{
+    for (std::uint64_t edit = 1 + rng.nextBelow(3); edit > 0; --edit) {
+        const std::size_t at = rng.nextBelow(text.size() + 1);
+        switch (rng.nextBelow(3)) {
+        case 0:
+            if (at < text.size())
+                text[at] ^= static_cast<char>(rng.nextInRange(1, 255));
+            break;
+        case 1:
+            text.resize(at);
+            break;
+        default: {
+            const std::string &from = donors[rng.nextBelow(donors.size())];
+            const std::size_t start = rng.nextBelow(from.size() + 1);
+            text.insert(at, from.substr(start, 1 + rng.nextBelow(8)));
+            break;
+        }
+        }
+    }
+    return text;
+}
+
+/** Every sample value plus the edges a number parser must reject. */
+std::vector<std::string>
+textDonors()
+{
+    std::vector<std::string> donors = {
+        "0", "1", "-1", "+1", "1e308", "1e-320", "0x1f", "inf", "nan",
+        "18446744073709551616", "4294967296", "2147483648", " ", ",",
+        "1,,2", ".5", "5.", "00"};
+    for (const auto &[key, text] : kSamples)
+        donors.push_back(text);
+    return donors;
+}
+
+/**
+ * Mutants of @p donors through parseNumber<T> in [min, max]: each one
+ * is rejected, or gives a value in range whose shortest text parses
+ * back to the same value.
+ */
+template <typename T>
+void
+fuzzNumber(T min, T max, const std::vector<std::string> &donors, Rng &rng)
+{
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (int trial = 0; trial < 20000; ++trial) {
+        const std::string text = mutatedText(
+            donors[rng.nextBelow(donors.size())], donors, rng);
+        T v{};
+        if (parseNumber(text, min, max, v)) {
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        ASSERT_TRUE(v >= min && v <= max) << text;
+        char buf[64];
+        const std::string back(buf, std::to_chars(buf, buf + 64, v).ptr);
+        T again{};
+        ASSERT_FALSE(parseNumber(back, min, max, again)) << text;
+        ASSERT_EQ(again, v) << text << " -> " << back;
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
+/**
+ * Mutants of @p E's names through parseEnum: each one is unknown, or
+ * is exactly the name of the value it parses to.
+ */
+template <NamedEnum E>
+void
+fuzzEnum(Rng &rng)
+{
+    std::vector<std::string> donors = {enumChoices<E>()};
+    for (const EnumName<E> &entry : enumNames(E{}))
+        donors.emplace_back(entry.name);
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (int trial = 0; trial < 5000; ++trial) {
+        const std::string text = mutatedText(
+            donors[rng.nextBelow(donors.size())], donors, rng);
+        const std::optional<E> v = parseEnum<E>(text);
+        if (!v) {
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        ASSERT_EQ(toString(*v), text);
+    }
+    EXPECT_GT(accepted, 0u) << enumChoices<E>();
+    EXPECT_GT(rejected, 0u) << enumChoices<E>();
+}
+
+} // namespace
+
+TEST(OptionTextFuzz, NumbersRejectOrRoundTrip)
+{
+    // Each numeric type the field table parses, over its full range
+    // and over a range the table declares.
+    const std::vector<std::string> donors = textDonors();
+    Rng rng(0x0b71);
+    fuzzNumber<int>(std::numeric_limits<int>::lowest(),
+                    std::numeric_limits<int>::max(), donors, rng);
+    fuzzNumber<int>(1, 5, donors, rng);
+    fuzzNumber<std::uint32_t>(0, std::numeric_limits<std::uint32_t>::max(),
+                              donors, rng);
+    fuzzNumber<std::uint32_t>(1, 1 << 20, donors, rng);
+    fuzzNumber<std::uint64_t>(0, std::numeric_limits<std::uint64_t>::max(),
+                              donors, rng);
+    fuzzNumber<std::uint64_t>(128, 1ULL << 40, donors, rng);
+    fuzzNumber<double>(std::numeric_limits<double>::lowest(),
+                       std::numeric_limits<double>::max(), donors, rng);
+    fuzzNumber<double>(0, 1, donors, rng);
+}
+
+TEST(OptionTextFuzz, ListsRejectOrRoundTrip)
+{
+    // A list splitList accepts has no empty item and joins back to
+    // the exact text.
+    const std::vector<std::string> donors = textDonors();
+    Rng rng(0x5b1177);
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (int trial = 0; trial < 20000; ++trial) {
+        const std::string text = mutatedText(
+            donors[rng.nextBelow(donors.size())], donors, rng);
+        std::vector<std::string> items;
+        if (splitList(text, items)) {
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        std::string joined;
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            ASSERT_FALSE(items[i].empty()) << text;
+            joined += (i ? "," : "") + items[i];
+        }
+        ASSERT_EQ(joined, text);
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
+TEST(OptionTextFuzz, EnumNamesRejectOrRoundTrip)
+{
+    Rng rng(0xe0e0);
+    fuzzEnum<PrefetchMode>(rng);
+    fuzzEnum<McPrefetcherKind>(rng);
+    fuzzEnum<PsKind>(rng);
+    fuzzEnum<SchedulerKind>(rng);
+    fuzzEnum<FrameAllocPolicy>(rng);
+    fuzzEnum<PageWalkerKind>(rng);
+    fuzzEnum<JobStatus>(rng);
+    fuzzEnum<PrefetcherSide>(rng);
+}
+
+TEST(OptionTextFuzz, EveryFieldRejectsOrRoundTrips)
+{
+    // Through each table entry's own parse/format pair: a mutant is a
+    // CliError, or sets a value whose text parses back to the same
+    // text, with every number inside the field's [min, max].
+    const std::vector<std::string> common = textDonors();
+    Rng rng(0xf1e1d);
+    for (const OptionField &f : runOptionFields()) {
+        SCOPED_TRACE(f.key);
+        std::vector<std::string> donors = common;
+        donors.push_back(f.format(RunOptions{}));
+        const std::string sample = kSamples.at(f.key);
+        std::size_t accepted = 0;
+        for (int trial = 0; trial < 1000; ++trial) {
+            const std::string text = mutatedText(
+                trial % 2 ? sample : donors.back(), donors, rng);
+            RunOptions o;
+            if (f.parse(o, text))
+                continue;
+            ++accepted;
+            const std::string back = f.format(o);
+            RunOptions again;
+            ASSERT_FALSE(f.parse(again, back)) << text << " -> " << back;
+            ASSERT_EQ(f.format(again), back) << text;
+            if (f.metavar != "N" && f.metavar != "F" && f.metavar != "LIST")
+                continue;
+            std::vector<std::string> items;
+            if (!back.empty()) {
+                ASSERT_FALSE(splitList(back, items)) << back;
+            }
+            for (const std::string &item : items) {
+                double x = 0;
+                EXPECT_FALSE(parseNumber(item, f.min, f.max, x))
+                    << text << " -> " << back;
+            }
+        }
+        EXPECT_GT(accepted, 0u);
     }
 }
 
