@@ -372,6 +372,11 @@ class SlhAccuracyTap : public MemSidePrefetcher
 
     void tick(Cycle now) override { inner_.tick(now); }
 
+    Cycle nextTickDue(Cycle now) const override
+    {
+        return inner_.nextTickDue(now);
+    }
+
     // Record-only interposer; never checkpointed.
     void snapshot(SnapshotIo &) override {}
 
@@ -874,12 +879,10 @@ ablationAddrmap()
         {AddrMap::LineInterleaved, "line"},
         {AddrMap::XorPage, "xor-page"},
     };
-    const auto idOf = [benches, maps](std::size_t b, std::size_t i,
-                                      PrefetchMode mode) {
-        return "ablation_addrmap." + benches[b].name + "." +
-               maps[i].second + "." + toString(mode);
-    };
-    // Per benchmark x map, the PMS run's row-hit percentage.
+    // Per benchmark x map: the NP and PMS job ids, and the PMS run's
+    // row-hit percentage.
+    std::vector<std::string> np_ids;
+    std::vector<std::string> pms_ids;
     auto row_hit_pct = std::make_shared<std::vector<double>>(
         benches.size() * maps.size(), 0.0);
     std::vector<JobSpec> jobs;
@@ -889,23 +892,35 @@ ablationAddrmap()
             const std::size_t slot = b * maps.size() + i;
             for (const PrefetchMode mode :
                  {PrefetchMode::NP, PrefetchMode::PMS}) {
-                jobs.push_back(customJob(
-                    idOf(b, i, mode), benches[b],
-                    [map, slot, row_hit_pct](const JobSpec &job) {
-                        SystemConfig config = makeSystemConfig(job.options);
-                        config.dram.addr_map = map;
-                        Machine m(scaledTrace(job.bench), config);
-                        const RunMetrics metrics = m.system.run();
-                        const auto hits = m.system.dram().rowHits();
-                        const auto misses = m.system.dram().rowMisses();
-                        if (job.options.mode == PrefetchMode::PMS &&
-                            hits + misses > 0)
-                            (*row_hit_pct)[slot] =
-                                100.0 * static_cast<double>(hits) /
-                                static_cast<double>(hits + misses);
-                        return metrics;
-                    },
-                    withMode(mode)));
+                if (mode == PrefetchMode::NP &&
+                    map == DramConfig{}.addr_map) {
+                    // The default machine: figs. 5-7 run it too.
+                    jobs.push_back(makeJob(benches[b], withMode(mode)));
+                } else {
+                    jobs.push_back(customJob(
+                        "ablation_addrmap." + benches[b].name + "." +
+                            maps[i].second + "." + toString(mode),
+                        benches[b],
+                        [map, slot, row_hit_pct](const JobSpec &job) {
+                            SystemConfig config =
+                                makeSystemConfig(job.options);
+                            config.dram.addr_map = map;
+                            Machine m(scaledTrace(job.bench), config);
+                            const RunMetrics metrics = m.system.run();
+                            const auto hits = m.system.dram().rowHits();
+                            const auto misses =
+                                m.system.dram().rowMisses();
+                            if (job.options.mode == PrefetchMode::PMS &&
+                                hits + misses > 0)
+                                (*row_hit_pct)[slot] =
+                                    100.0 * static_cast<double>(hits) /
+                                    static_cast<double>(hits + misses);
+                            return metrics;
+                        },
+                        withMode(mode)));
+                }
+                (mode == PrefetchMode::NP ? np_ids : pms_ids)
+                    .push_back(jobs.back().id);
             }
         }
     }
@@ -914,14 +929,12 @@ ablationAddrmap()
                 Table table({"benchmark", "map", "PMS_vs_NP", "row_hit_pct"});
                 for (std::size_t b = 0; b < benches.size(); ++b) {
                     for (std::size_t i = 0; i < maps.size(); ++i) {
-                        const Cycle np =
-                            r.at(idOf(b, i, PrefetchMode::NP)).cycles;
-                        const Cycle pms =
-                            r.at(idOf(b, i, PrefetchMode::PMS)).cycles;
-                        table.addRow(
-                            {benches[b].name, maps[i].second,
-                             Table::num(perfGainPct(np, pms)),
-                             Table::num((*row_hit_pct)[b * maps.size() + i])});
+                        const std::size_t slot = b * maps.size() + i;
+                        const Cycle np = r.at(np_ids[slot]).cycles;
+                        const Cycle pms = r.at(pms_ids[slot]).cycles;
+                        table.addRow({benches[b].name, maps[i].second,
+                                      Table::num(perfGainPct(np, pms)),
+                                      Table::num((*row_hit_pct)[slot])});
                     }
                 }
                 out << "DRAM address-mapping ablation (PMS gain over NP "

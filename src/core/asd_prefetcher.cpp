@@ -1,5 +1,7 @@
 #include "core/asd_prefetcher.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace asd
@@ -166,6 +168,15 @@ AsdPrefetcher::tick(Cycle now)
     for (auto &thread : threads_)
         for (const DeadStream &dead : thread->filter.expireLifetimes(now))
             streamDied(*thread, dead);
+}
+
+Cycle
+AsdPrefetcher::nextTickDue(Cycle) const
+{
+    Cycle due = kNoCycle;
+    for (const auto &thread : threads_)
+        due = std::min(due, thread->filter.nextExpiry());
+    return due;
 }
 
 void

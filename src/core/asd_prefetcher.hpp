@@ -45,6 +45,9 @@ class AsdPrefetcher : public BufferedMcPrefetcher
                                       Cycle now) override;
     void tick(Cycle now) override;
 
+    /** The earliest Stream Filter expiry across the threads. */
+    Cycle nextTickDue(Cycle now) const override;
+
     // Introspection for figures, benches and tests -------------------
 
     /** Keep per-epoch SLH snapshots (costs memory; off by default). */

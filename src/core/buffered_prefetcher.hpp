@@ -49,6 +49,7 @@ class BufferedMcPrefetcher : public MemSidePrefetcher
     int schedulingPolicy() const override { return sched_.policy(); }
     void notifyPrefetchConflict(Cycle) override { sched_.notifyConflict(); }
     void tick(Cycle) override {} // the shared plumbing has no per-cycle state
+    Cycle nextTickDue(Cycle) const override { return kNoCycle; }
 
     /**
      * Register "ms.buffer.*" and "ms.sched.*"; a subclass with

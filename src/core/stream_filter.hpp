@@ -92,6 +92,13 @@ class StreamFilter : public Snapshottable
     /** Evict every stream whose lifetime expired by @p now. */
     std::vector<DeadStream> expireLifetimes(Cycle now);
 
+    /**
+     * Earliest lifetime expiry among the live streams: the first
+     * cycle at which expireLifetimes() evicts one. kNoCycle when no
+     * stream is live.
+     */
+    Cycle nextExpiry() const;
+
     /** Evict all streams (end of epoch). */
     std::vector<DeadStream> flushAll();
 

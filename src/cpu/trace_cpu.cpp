@@ -239,6 +239,64 @@ TraceCpu::nextEventIn(Cycle now) const
     return 1;
 }
 
+Counter TraceCpu::*
+TraceCpu::blockedStall() const
+{
+    // Mirrors tryIssue()'s checks, in its order.
+    if (pending_.access.dependent &&
+        (mem_loads_.inUse() > 0 || !timed_loads_.empty()))
+        return &TraceCpu::dep_stall_cycles_;
+    if (!pending_.looked_up)
+        return nullptr;
+    if (pending_.access.op == MemOp::Write)
+        return store_rfos_.full() ? &TraceCpu::store_stall_cycles_
+                                  : nullptr;
+    return timed_loads_.size() + mem_loads_.inUse() >= config_.mlp
+               ? &TraceCpu::load_stall_cycles_
+               : nullptr;
+}
+
+Cycles
+TraceCpu::nextBusyEventIn(Cycle now) const
+{
+    if (finished())
+        return kNoCycle;
+    if (!retry_q_.empty())
+        return 1;
+    if (pending_.valid) {
+        if (now < issue_ready_at_)
+            return issue_ready_at_ - now; // page walk finishes then
+        if (!blockedStall())
+            return 1; // issues
+    } else if (compute_left_ > 0) {
+        return (compute_left_ + config_.ipc - 1) / config_.ipc;
+    } else if (!trace_done_) {
+        return 1; // fetches
+    }
+    // Blocked or drained: a cache-hit load's return can unblock the
+    // access or finish the CPU.
+    Cycle soonest = kNoCycle;
+    for (const Cycle done : timed_loads_)
+        soonest = std::min(soonest, done);
+    if (soonest == kNoCycle)
+        return kNoCycle;
+    return soonest > now ? soonest - now : 1;
+}
+
+void
+TraceCpu::skipQuietCycles(Cycle now, Cycles n)
+{
+    completeTimedLoads(now + n);
+    last_tick_ = now + n;
+    if (!pending_.valid) {
+        compute_left_ -=
+            std::min<std::uint64_t>(compute_left_, n * config_.ipc);
+    } else if (const auto stall = blockedStall();
+               stall && now >= issue_ready_at_) {
+        (this->*stall).inc(n);
+    }
+}
+
 void
 TraceCpu::loadDone(LineAddr line, Cycle now)
 {

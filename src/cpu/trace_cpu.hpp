@@ -90,10 +90,28 @@ class TraceCpu : public Snapshottable
     bool finished() const;
 
     /**
-     * Cycles until this CPU next needs a tick (fast-forward hint);
-     * kNoCycle when blocked on a memory completion callback.
+     * Cycles until this CPU next needs a tick, as the System's idle
+     * skip reads it; kNoCycle when blocked on a memory completion
+     * callback. A hint: it assumes a pending access stays blocked,
+     * so after a completion unblocks one it can wake late.
      */
     Cycles nextEventIn(Cycle now) const;
+
+    /**
+     * Cycles from @p now (a cycle already ticked) until the next tick
+     * that does more than skipQuietCycles() stands in for; exact,
+     * unlike nextEventIn(). kNoCycle when only a memory completion
+     * can change this CPU, or it has finished.
+     */
+    Cycles nextBusyEventIn(Cycle now) const;
+
+    /**
+     * Stand in for the @p n ticks after @p now, all of which
+     * nextBusyEventIn(@p now) showed to be quiet: burn gap
+     * instructions, retire finished cache-hit loads, and count the
+     * stall cycles a blocked pending access would have counted.
+     */
+    void skipQuietCycles(Cycle now, Cycles n);
 
     /** A demand load's memory data arrived. */
     void loadDone(LineAddr line, Cycle now);
@@ -128,6 +146,13 @@ class TraceCpu : public Snapshottable
 
     void completeTimedLoads(Cycle now);
     bool tryIssue(Cycle now);
+
+    /**
+     * The counter tryIssue() bumps while the looked-up pending access
+     * cannot issue, or null when it can issue (or still needs its
+     * hierarchy lookup).
+     */
+    Counter TraceCpu::*blockedStall() const;
     void observePs(LineAddr line, bool was_l1_miss);
 
     CpuConfig config_;

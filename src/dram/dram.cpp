@@ -116,6 +116,18 @@ Dram::bankReadyAt(LineAddr line) const
     return banks_[decode(line).bank].ready_at;
 }
 
+Cycle
+Dram::issuableAt(LineAddr line) const
+{
+    const DramCoord coord = decode(line);
+    const Cycle ready = banks_[coord.bank].ready_at;
+    if (!config_.refresh_enabled)
+        return ready;
+    return std::max(ready,
+                    rank_blocked_to_[coord.channel * config_.ranks +
+                                     coord.rank]);
+}
+
 bool
 Dram::rowOpen(LineAddr line) const
 {

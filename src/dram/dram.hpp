@@ -76,6 +76,13 @@ class Dram : public Snapshottable
     /** Earliest cycle the line's bank becomes ready. */
     Cycle bankReadyAt(LineAddr line) const;
 
+    /**
+     * Earliest cycle at which canIssue(@p line, ...) holds, absent
+     * further commands: the bank's ready time or the end of its
+     * rank's refresh window, whichever is later.
+     */
+    Cycle issuableAt(LineAddr line) const;
+
     /** True when the line's row is open in its bank (a row hit). */
     bool rowOpen(LineAddr line) const;
 

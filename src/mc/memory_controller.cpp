@@ -223,16 +223,22 @@ MemoryController::policyAllowsLpq(int policy, Cycle now) const
     }
 }
 
+bool
+MemoryController::drainWritesNext() const
+{
+    if (write_q_.size() >= config_.write_drain_high)
+        return true;
+    if (write_q_.size() <= config_.write_drain_low)
+        return false;
+    return draining_writes_;
+}
+
 void
 MemoryController::moveToCaq(Cycle now)
 {
     if (caq_.size() >= config_.caq)
         return;
-    // Write-drain hysteresis.
-    if (write_q_.size() >= config_.write_drain_high)
-        draining_writes_ = true;
-    else if (write_q_.size() <= config_.write_drain_low)
-        draining_writes_ = false;
+    draining_writes_ = drainWritesNext();
     const auto pick = scheduler_->pick(read_q_, write_q_, dram_, now,
                                        draining_writes_);
     // A not-ready pick is only the scheduler's preference (its bank
@@ -361,6 +367,60 @@ MemoryController::tick(Cycle now)
     issueToDram(now);
     if (checksEnabled())
         checkInvariants();
+}
+
+Cycles
+MemoryController::nextEventIn(Cycle now) const
+{
+    const Cycle soon = now + 1;
+    Cycle next = kNoCycle;
+    const auto due = [&next, soon](Cycle at) {
+        next = std::min(next, std::max(at, soon));
+    };
+    MemSidePrefetcher *const prefetcher = activePrefetcher();
+    if (prefetcher)
+        due(prefetcher->nextTickDue(now));
+    for (const auto &flight : in_flight_)
+        due(flight.done);
+    if (caq_.size() < config_.caq) {
+        if (drainWritesNext() != draining_writes_)
+            due(soon);
+        if (!read_q_.empty() || !write_q_.empty())
+            due(scheduler_->pickReadyAt(read_q_, write_q_, dram_, soon));
+    }
+    // Policy 2 only closes as banks free up, and a bank freeing for a
+    // queued command is itself a move event; the others are fixed
+    // until some event changes the queues.
+    if (prefetcher &&
+        policyAllowsLpq(prefetcher->schedulingPolicy(), soon))
+        due(dram_.issuableAt(lpq_.front().line));
+    if (!caq_.empty()) {
+        const McCommand &head = caq_.front();
+        if (!head.is_write && prefetcher &&
+            prefetcher->bufferContains(head.line))
+            due(soon);
+        due(dram_.issuableAt(head.line));
+        // The first conflict also flags the head and notifies the
+        // prefetcher; later ones only count.
+        if (!head.delayed_by_prefetch &&
+            dram_.occupant(head.line, soon) == BankOccupant::Prefetch)
+            due(soon);
+    }
+    return next == kNoCycle ? kNoCycle : next - now;
+}
+
+void
+MemoryController::skipQuietCycles(Cycle now, Cycles n)
+{
+    if (caq_.empty())
+        return;
+    // issueToDram() counts one conflict per cycle while the head's
+    // bank is still busy with a prefetch, that is, up to its ready
+    // time.
+    const LineAddr line = caq_.front().line;
+    if (dram_.occupant(line, now + 1) == BankOccupant::Prefetch)
+        prefetch_conflict_events_.inc(
+            std::min(now + n, dram_.bankReadyAt(line) - 1) - now);
 }
 
 void

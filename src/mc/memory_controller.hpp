@@ -134,13 +134,31 @@ class MemoryController : public Snapshottable
 
     /**
      * True when any tick could still make progress (includes pending
-     * LPQ prefetches); gates the System's fast-forward optimization.
+     * LPQ prefetches); the System steps to CPU events only while it
+     * is false.
      */
     bool
     hasWork() const
     {
         return !idle() || !lpq_.empty();
     }
+
+    /**
+     * Cycles from @p now (a cycle already ticked) until the next tick
+     * that can do more than count a prefetch conflict: an in-flight
+     * completion, a reorder-queue move, an LPQ or CAQ-head issue, a
+     * Prefetch Buffer hit at the CAQ head, the head's first conflict,
+     * or the prefetcher's nextTickDue(). 1 is the next cycle; kNoCycle
+     * when none is pending.
+     */
+    Cycles nextEventIn(Cycle now) const;
+
+    /**
+     * Stand in for the @p n ticks after @p now, all of which
+     * nextEventIn(@p now) showed to be quiet: add the prefetch
+     * conflicts a blocked CAQ head would have counted.
+     */
+    void skipQuietCycles(Cycle now, Cycles n);
 
     /** Register counters under @p prefix. */
     void registerStats(StatRegistry &registry,
@@ -211,6 +229,9 @@ class MemoryController : public Snapshottable
          */
         std::vector<McCommand> waiters;
     };
+
+    /** The write-drain hysteresis moveToCaq() applies next. */
+    bool drainWritesNext() const;
 
     /** Evaluate the paper's LPQ policy @p policy at @p now. */
     bool policyAllowsLpq(int policy, Cycle now) const;

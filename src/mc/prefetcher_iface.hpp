@@ -69,6 +69,18 @@ class MemSidePrefetcher : public Snapshottable
 
     /** Per-CPU-cycle housekeeping (stream lifetimes, epochs). */
     virtual void tick(Cycle now) = 0;
+
+    /**
+     * Earliest cycle after @p now whose tick() can change state, or
+     * kNoCycle for never; the controller's next-event bound. The
+     * default, @p now + 1, asks for a tick every cycle, which is
+     * always exact.
+     */
+    virtual Cycle
+    nextTickDue(Cycle now) const
+    {
+        return now + 1;
+    }
 };
 
 } // namespace asd

@@ -1,5 +1,7 @@
 #include "mc/scheduler.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace asd
@@ -62,6 +64,18 @@ MemorylessScheduler::pick(const std::deque<McCommand> &reads,
     if (fallback)
         fallback->ready = false;
     return fallback;
+}
+
+Cycle
+MemorylessScheduler::pickReadyAt(const std::deque<McCommand> &reads,
+                                 const std::deque<McCommand> &writes,
+                                 const Dram &dram, Cycle now) const
+{
+    Cycle ready = kNoCycle;
+    for (const auto *queue : {&reads, &writes})
+        for (const McCommand &cmd : *queue)
+            ready = std::min(ready, dram.issuableAt(cmd.line));
+    return std::max(ready, now);
 }
 
 std::int64_t

@@ -79,6 +79,23 @@ class ReorderScheduler : public Snapshottable
         (void)cmd;
         (void)dram;
     }
+
+    /**
+     * Earliest cycle, not before @p now, at which pick() on these
+     * non-empty queues is ready, assuming no command issues
+     * meanwhile (the controller's next-event bound). The default,
+     * @p now, suits every scheduler whose pick is always ready.
+     */
+    virtual Cycle
+    pickReadyAt(const std::deque<McCommand> &reads,
+                const std::deque<McCommand> &writes, const Dram &dram,
+                Cycle now) const
+    {
+        (void)reads;
+        (void)writes;
+        (void)dram;
+        return now;
+    }
 };
 
 /** Strict arrival order across both queues. */
@@ -105,6 +122,11 @@ class MemorylessScheduler : public ReorderScheduler
     pick(const std::deque<McCommand> &reads,
          const std::deque<McCommand> &writes, const Dram &dram,
          Cycle now, bool drain_writes) override;
+
+    /** Ready once any queued command's bank can accept it. */
+    Cycle pickReadyAt(const std::deque<McCommand> &reads,
+                      const std::deque<McCommand> &writes,
+                      const Dram &dram, Cycle now) const override;
 };
 
 /**

@@ -1,5 +1,7 @@
 #include "prefetch/mc_baselines.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace asd
@@ -50,6 +52,15 @@ P5StyleMcPrefetcher::tick(Cycle now)
 {
     for (auto &filter : filters_)
         filter.expireLifetimes(now);
+}
+
+Cycle
+P5StyleMcPrefetcher::nextTickDue(Cycle) const
+{
+    Cycle due = kNoCycle;
+    for (const auto &filter : filters_)
+        due = std::min(due, filter.nextExpiry());
+    return due;
 }
 
 void

@@ -49,6 +49,9 @@ class P5StyleMcPrefetcher : public BufferedMcPrefetcher
 
     void tick(Cycle now) override;
 
+    /** The earliest Stream Filter expiry across the threads. */
+    Cycle nextTickDue(Cycle now) const override;
+
   protected:
     void snapshot(SnapshotIo &io) override;
 

@@ -1,5 +1,6 @@
 #include "prefetch/perceptron_prefetcher.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/log.hpp"
@@ -206,6 +207,15 @@ PerceptronMcPrefetcher::tick(Cycle now)
 {
     for (StreamFilter &filter : filters_)
         filter.expireLifetimes(now);
+}
+
+Cycle
+PerceptronMcPrefetcher::nextTickDue(Cycle) const
+{
+    Cycle due = kNoCycle;
+    for (const StreamFilter &filter : filters_)
+        due = std::min(due, filter.nextExpiry());
+    return due;
 }
 
 std::int32_t

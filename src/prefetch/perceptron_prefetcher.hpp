@@ -76,6 +76,9 @@ class PerceptronMcPrefetcher : public BufferedMcPrefetcher
 
     void tick(Cycle now) override;
 
+    /** The earliest Stream Filter expiry across the threads. */
+    Cycle nextTickDue(Cycle now) const override;
+
     /** Perceptron score a candidate would get right now (tests). */
     std::int32_t score(LineAddr candidate, std::uint64_t stream_len,
                        StreamDir dir, std::uint32_t distance) const;

@@ -256,13 +256,8 @@ System::everythingDone() const
 }
 
 Cycles
-System::fastForwardable() const
+System::idleSkip() const
 {
-    if (!config_.fast_forward)
-        return 0;
-    // Safe to skip cycles only when the memory side is quiescent.
-    if (mc_.hasWork() || !pending_writebacks_.empty())
-        return 0;
     Cycles skip = kNoCycle;
     for (const auto &cpu : cpus_) {
         if (cpu->finished())
@@ -275,6 +270,25 @@ System::fastForwardable() const
     if (skip == kNoCycle || skip <= 1)
         return 0;
     return skip - 1;
+}
+
+Cycles
+System::busySkip(Cycle target) const
+{
+    // Prefetches left in the LPQ keep the controller busy after the
+    // last access; the loop then ends at the next cycle.
+    if (everythingDone())
+        return 0;
+    Cycles next = mc_.nextEventIn(now_);
+    // A CPU blocked on a completion (kNoCycle) waits for an MC event.
+    for (const auto &cpu : cpus_)
+        next = std::min(next, cpu->nextBusyEventIn(now_));
+    if (next == kNoCycle)
+        return 0; // wedged: tick on toward max_cycles
+    if (!mc_.prefetcherArmed() && config_.warmup_cycles > now_)
+        next = std::min(next, config_.warmup_cycles - now_);
+    next = std::min(next, target - now_);
+    return next - 1;
 }
 
 void
@@ -318,7 +332,17 @@ System::runUntil(Cycle target)
         drainWritebacks();
         mc_.tick(now_);
         drainWritebacks();
-        const Cycles skip = fastForwardable();
+        Cycles skip = 0;
+        if (!mc_.hasWork() && pending_writebacks_.empty()) {
+            skip = idleSkip();
+        } else if (!loop_hook_) {
+            skip = busySkip(target);
+            if (skip > 0) {
+                mc_.skipQuietCycles(now_, skip);
+                for (auto &cpu : cpus_)
+                    cpu->skipQuietCycles(now_, skip);
+            }
+        }
         now_ += 1 + skip;
     }
 }

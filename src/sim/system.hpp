@@ -148,7 +148,18 @@ class System : public MemPort
     void onReadDone(std::uint64_t id, Cycle done);
     void drainWritebacks();
     bool everythingDone() const;
-    Cycles fastForwardable() const;
+
+    /**
+     * Cycles the loop may skip after ticking now_. While the memory
+     * side is idle: up to the earliest CPU event, whose ticks on the
+     * way are not replayed. While it is busy and no loop hook is
+     * installed: up to, not past, the next MC or CPU event, the
+     * warm-up boundary and @p target; runUntil() then adds the
+     * skipped ticks' counts in closed form, so the machine is the
+     * one per-cycle stepping reaches.
+     */
+    Cycles idleSkip() const;
+    Cycles busySkip(Cycle target) const;
 
     /**
      * End of warm-up: let the controller see its prefetcher and

@@ -131,12 +131,6 @@ struct SystemConfig
     Cycle warmup_cycles = 0;
 
     /**
-     * Skip cycles in which no component can make progress. Purely a
-     * simulation speedup; results are identical either way (tested).
-     */
-    bool fast_forward = true;
-
-    /**
      * Idealized processor-side prefetching: PS requests fill the
      * caches instantly instead of travelling through the memory
      * system. A limit study knob — it bounds how much of the PS

@@ -3,7 +3,8 @@
  * Tests for the memory controller: queue capacities, read completion,
  * writes, the two prefetch-buffer checks, demand/prefetch merging,
  * LPQ policy gating (the five policies of section 3.5), conflict
- * feedback, and the three reorder-queue schedulers.
+ * feedback, the three reorder-queue schedulers, and next-event
+ * stepping (nextEventIn + skipQuietCycles) against per-cycle ticking.
  */
 
 #include <map>
@@ -83,8 +84,8 @@ class FakePrefetcher : public MemSidePrefetcher
 
 struct Harness
 {
-    explicit Harness(McConfig config = McConfig{})
-        : dram_config(makeDramConfig()),
+    explicit Harness(McConfig config = McConfig{}, bool refresh = false)
+        : dram_config(makeDramConfig(refresh)),
           dram(dram_config),
           mc(config, dram,
              [this](std::uint64_t id, Cycle done) {
@@ -93,10 +94,10 @@ struct Harness
     {}
 
     static DramConfig
-    makeDramConfig()
+    makeDramConfig(bool refresh)
     {
         DramConfig config;
-        config.refresh_enabled = false;
+        config.refresh_enabled = refresh;
         return config;
     }
 
@@ -351,6 +352,175 @@ TEST(McPolicy, PrefetcherTickedEveryCycle)
     h.mc.attachPrefetcher(&pf);
     h.runTo(50);
     EXPECT_EQ(pf.ticks, 50u);
+}
+
+// ---- next-event stepping ----
+
+/** A FakePrefetcher whose tick() never changes state. */
+class QuietPrefetcher : public FakePrefetcher
+{
+  public:
+    Cycle nextTickDue(Cycle) const override { return kNoCycle; }
+};
+
+/**
+ * The same controller twice: `ticked` ticks every cycle, `stepped`
+ * only at nextEventIn() and adds the quiet cycles between in closed
+ * form with skipQuietCycles(). Every input goes to both.
+ */
+struct SteppingPair
+{
+    explicit SteppingPair(McConfig config = McConfig{},
+                          bool refresh = false)
+        : ticked(config, refresh), stepped(config, refresh)
+    {
+        ticked.mc.registerStats(ticked_stats, "mc");
+        ticked.dram.registerStats(ticked_stats);
+        stepped.mc.registerStats(stepped_stats, "mc");
+        stepped.dram.registerStats(stepped_stats);
+    }
+
+    void
+    attachPrefetchers(int policy)
+    {
+        ticked_pf.policy = stepped_pf.policy = policy;
+        ticked.mc.attachPrefetcher(&ticked_pf);
+        stepped.mc.attachPrefetcher(&stepped_pf);
+    }
+
+    void
+    enqueueRead(LineAddr line, std::uint64_t id,
+                std::vector<LineAddr> candidates = {})
+    {
+        ticked_pf.next_candidates = stepped_pf.next_candidates =
+            candidates;
+        ASSERT_TRUE(ticked.mc.enqueueRead(line, id, 0, ticked.now));
+        ASSERT_TRUE(stepped.mc.enqueueRead(line, id, 0, stepped.now));
+    }
+
+    void
+    runTo(Cycle end)
+    {
+        ticked.runTo(end);
+        while (stepped.now < end) {
+            stepped.mc.tick(stepped.now);
+            const Cycles next = std::min(
+                stepped.mc.nextEventIn(stepped.now), end - stepped.now);
+            stepped.mc.skipQuietCycles(stepped.now, next - 1);
+            skipped += next - 1;
+            stepped.now += next;
+        }
+    }
+
+    static std::vector<std::uint8_t>
+    bytesOf(const Harness &h)
+    {
+        SnapshotWriter writer;
+        writer.beginSection("mc");
+        h.mc.saveState(writer);
+        writer.endSection();
+        writer.beginSection("dram");
+        h.dram.saveState(writer);
+        writer.endSection();
+        return writer.finish(0);
+    }
+
+    void
+    expectSame() const
+    {
+        EXPECT_EQ(stepped.now, ticked.now);
+        EXPECT_EQ(stepped.completions, ticked.completions);
+        EXPECT_EQ(stepped_stats.dump(), ticked_stats.dump());
+        EXPECT_TRUE(bytesOf(stepped) == bytesOf(ticked))
+            << "snapshot bytes differ at cycle " << ticked.now;
+    }
+
+    Harness ticked;
+    Harness stepped;
+    QuietPrefetcher ticked_pf;
+    QuietPrefetcher stepped_pf;
+    StatRegistry ticked_stats;
+    StatRegistry stepped_stats;
+    Cycles skipped = 0; //!< cycles `stepped` did not tick
+};
+
+TEST(McStepping, HeadBlockedBehindPrefetchCountsEveryCycle)
+{
+    SteppingPair p;
+    p.attachPrefetchers(5);
+    // The read to 999 takes the bank first; the prefetch of 1000
+    // (same bank) issues once it frees, and the read to 1001 then
+    // waits at the CAQ head behind the prefetch-occupied bank.
+    p.enqueueRead(999, 1, {1000});
+    p.runTo(110);
+    ASSERT_EQ(p.ticked.mc.prefetchesIssued(), 1u);
+    p.enqueueRead(1001, 2);
+    const Cycles before = p.skipped;
+    p.runTo(150); // inside the blocked window
+    EXPECT_GT(p.skipped - before, 10u);
+    p.expectSame();
+    p.runTo(4000);
+    p.expectSame();
+    EXPECT_GT(p.ticked_stats.value("mc.prefetch_conflict_events"), 20u);
+    EXPECT_EQ(p.ticked.mc.regularsDelayed(), 1u);
+    EXPECT_EQ(p.stepped_pf.conflicts, 1);
+}
+
+TEST(McStepping, RefreshBlockedRankWaitsInOneStep)
+{
+    SteppingPair p(McConfig{}, true);
+    const Dram &dram = p.ticked.dram;
+    const DramConfig &config = p.ticked.dram_config;
+    // The first read lands on the refresh deadline, so the rank is
+    // blocked for tRFC; the second targets another bank of that rank.
+    const Cycle deadline = Cycle{config.t_refi} * config.cpu_per_dram_clk;
+    const LineAddr first = 0;
+    LineAddr second = 1;
+    while (dram.decode(second).bank == dram.decode(first).bank ||
+           dram.decode(second).rank != dram.decode(first).rank ||
+           dram.decode(second).channel != dram.decode(first).channel)
+        ++second;
+    p.runTo(deadline - McConfig{}.command_overhead);
+    p.enqueueRead(first, 1);
+    p.runTo(p.ticked.now + 2);
+    p.enqueueRead(second, 2);
+    p.runTo(p.ticked.now + 1);
+    ASSERT_FALSE(dram.canIssue(second, p.ticked.now));
+    ASSERT_LE(dram.bankReadyAt(second), p.ticked.now);
+    // Stop short of the refresh window's end, so that the stepped
+    // controller has to find that cycle itself.
+    const Cycle window_end = dram.issuableAt(second);
+    ASSERT_GT(window_end, p.ticked.now + 150);
+    const Cycles before = p.skipped;
+    p.runTo(window_end - 1);
+    EXPECT_GT(p.skipped - before, 150u);
+    p.expectSame();
+    p.runTo(deadline + 4000);
+    p.expectSame();
+    EXPECT_EQ(p.ticked.dram.refreshes(), 1u);
+    EXPECT_EQ(p.ticked.completions.size(), 2u);
+}
+
+TEST(McStepping, MemorylessNotReadyPickWaitsForItsBank)
+{
+    McConfig config;
+    config.scheduler = SchedulerKind::Memoryless;
+    SteppingPair p(config);
+    p.enqueueRead(0, 1);
+    p.runTo(2); // the read is now occupying its bank
+    p.enqueueRead(1, 2); // same bank: a not-ready pick
+    p.runTo(12);
+    p.expectSame();
+    // Stop short of the bank's ready cycle, so that the stepped
+    // controller has to find that cycle itself.
+    const Cycles before = p.skipped;
+    p.runTo(p.ticked.dram.issuableAt(1) - 1);
+    EXPECT_EQ(p.ticked.mc.readQOccupancy(), 1u);
+    EXPECT_GT(p.skipped - before, 20u);
+    p.expectSame();
+    p.runTo(4000);
+    p.expectSame();
+    EXPECT_EQ(p.ticked.completions.size(), 2u);
 }
 
 // ---- reorder-queue schedulers ----

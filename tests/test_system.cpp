@@ -158,33 +158,6 @@ TEST(SystemIntegration, SmtSlowerThanSingleThreadButRuns)
     EXPECT_LT(smt.cycles, solo.cycles * 3);
 }
 
-TEST(SystemIntegration, FastForwardDoesNotChangeResults)
-{
-    SyntheticConfig trace_config = streamyTrace(8000);
-    RunMetrics with_ff;
-    RunMetrics without_ff;
-    {
-        SyntheticTraceGenerator trace(trace_config);
-        SystemConfig config;
-        config.mode = PrefetchMode::PMS;
-        System system(config, {&trace});
-        with_ff = system.run();
-    }
-    {
-        SyntheticTraceGenerator trace(trace_config);
-        SystemConfig config;
-        config.mode = PrefetchMode::PMS;
-        config.fast_forward = false;
-        System system(config, {&trace});
-        without_ff = system.run();
-    }
-    EXPECT_EQ(with_ff.cycles, without_ff.cycles);
-    EXPECT_EQ(with_ff.mc_reads, without_ff.mc_reads);
-    EXPECT_EQ(with_ff.ms_prefetches_issued,
-              without_ff.ms_prefetches_issued);
-    EXPECT_EQ(with_ff.buffer_hits, without_ff.buffer_hits);
-}
-
 TEST(SystemIntegration, PsOracleIsAnUpperBound)
 {
     SyntheticConfig trace_config = streamyTrace(20000);
