@@ -63,7 +63,8 @@ class Results
     at(const std::string &id) const
     {
         const auto it = metrics_.find(id);
-        panicIfNot(it != metrics_.end(), "no result for job " + id);
+        if (it == metrics_.end())
+            panic("no result for job " + id);
         return it->second;
     }
 

@@ -48,14 +48,14 @@ BakeoffRunner::BakeoffRunner(BakeoffOptions options)
         for (const Benchmark &bench : suiteBenchmarks(suite)) {
             BakeoffWorkload workload;
             workload.label = suiteName(suite) + "/" + bench.name;
-            workload.bench = bench;
+            workload.bench = &bench;
             workloads_.push_back(std::move(workload));
         }
     }
     for (const std::string &name : options_.benchmarks) {
         BakeoffWorkload workload;
         workload.label = "extra/" + name;
-        workload.bench = findBenchmark(name); // fatal() when unknown
+        workload.bench = &findBenchmark(name); // fatal() when unknown
         workloads_.push_back(std::move(workload));
     }
     if (options_.vm_axis) {
@@ -141,11 +141,11 @@ BakeoffRunner::run()
     for (const BakeoffWorkload &workload : workloads_) {
         RunOptions np;
         np.mode = PrefetchMode::NP;
-        specs.push_back(makeJob(workload.bench,
+        specs.push_back(makeJob(*workload.bench,
                                 workloadOptions(workload, np)));
         for (const PrefetcherInfo *info : contenders_) {
             specs.push_back(makeJob(
-                workload.bench,
+                *workload.bench,
                 workloadOptions(workload, info->defaults)));
         }
     }

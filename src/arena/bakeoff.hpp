@@ -33,7 +33,8 @@ struct BakeoffWorkload
     /** Report label, "<suite>/<bench>" plus "+vm"/"+os" suffixes. */
     std::string label;
 
-    Benchmark bench;
+    /** Into the static suite tables (suiteBenchmarks, findBenchmark). */
+    const Benchmark *bench = nullptr;
 
     /** Run with the 4 KiB random-placement VM layer enabled. */
     bool vm = false;

@@ -90,7 +90,7 @@ bakeoffJson(const BakeoffResult &result)
     for (const BakeoffWorkload &workload : result.workloads) {
         w.beginObject();
         w.key("label").value(workload.label);
-        w.key("benchmark").value(workload.bench.name);
+        w.key("benchmark").value(workload.bench->name);
         w.key("vm").value(workload.vm);
         w.endObject();
     }

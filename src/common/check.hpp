@@ -49,13 +49,14 @@ class ScopedChecks
 /**
  * panic() unless @p cond holds — only called under checksEnabled();
  * callers wrap whole scans in `if (checksEnabled())` so the unchecked
- * path pays one branch, not a message construction.
+ * path pays one branch. @p msg is a string literal: like panicIfNot()
+ * (common/log.hpp), a passing check builds no message.
  */
 inline void
-checkThat(bool cond, const std::string &msg)
+checkThat(bool cond, const char *msg)
 {
-    if (!cond)
-        panic("ASD_CHECK: " + msg);
+    if (!cond) [[unlikely]]
+        panic(std::string("ASD_CHECK: ") + msg);
 }
 
 } // namespace asd

@@ -6,6 +6,18 @@
  * gem5-style status/error helpers: panic() for internal invariant
  * violations, fatal() for user-caused configuration errors, warn() and
  * inform() for status messages that never stop the simulation.
+ *
+ * The rule for checks: a check that passes costs one branch. So
+ * panicIfNot() (and checkThat() in common/check.hpp) take a string
+ * literal, never a std::string, and the message becomes a
+ * std::string only on the failure path. A message that needs runtime
+ * values is built only once the check has failed:
+ *
+ *     if (!inserted)
+ *         panic("duplicate stat name: " + name);
+ *
+ * There is deliberately no std::string overload, so an eagerly built
+ * message does not compile.
  */
 
 #include <cstdio>
@@ -63,11 +75,11 @@ inform(const std::string &msg)
     std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
-/** panic() unless @p cond holds. */
+/** panic() unless @p cond holds; @p msg is a string literal. */
 inline void
-panicIfNot(bool cond, const std::string &msg)
+panicIfNot(bool cond, const char *msg)
 {
-    if (!cond)
+    if (!cond) [[unlikely]]
         panic(msg);
 }
 

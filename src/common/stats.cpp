@@ -10,14 +10,16 @@ StatRegistry::add(const std::string &name, const Counter &counter)
 {
     const auto [it, inserted] = counters_.emplace(name, &counter);
     (void)it;
-    panicIfNot(inserted, "duplicate stat name: " + name);
+    if (!inserted)
+        panic("duplicate stat name: " + name);
 }
 
 std::uint64_t
 StatRegistry::value(const std::string &name) const
 {
     const auto it = counters_.find(name);
-    panicIfNot(it != counters_.end(), "unknown stat: " + name);
+    if (it == counters_.end())
+        panic("unknown stat: " + name);
     return it->second->value();
 }
 

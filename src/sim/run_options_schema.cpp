@@ -424,7 +424,8 @@ expandFrom(const std::vector<SweepAxis> &axes, std::size_t k,
     for (const std::string &value : axes[k].values) {
         RunOptions next = point;
         const CliError error = f.applyAxisValue(next, value);
-        panicIfNot(!error, "unchecked sweep axis value " + value);
+        if (error)
+            panic("unchecked sweep axis value " + value);
         expandFrom(axes, k + 1, next, out);
     }
 }

@@ -31,12 +31,13 @@ loadCliSection(SnapshotReader &r)
     SnapshotReader::check(r.u64() == fields.size(),
                           "cli section field count mismatch");
     for (const OptionField &f : fields) {
-        SnapshotReader::check(r.str() == f.key,
-                              std::string("cli section lacks ") + f.key);
+        if (r.str() != f.key)
+            throw SnapshotError(std::string("cli section lacks ") +
+                                f.key);
         const CliError error = f.parse(run.options, r.str());
-        SnapshotReader::check(!error, std::string("cli section ") +
-                                          f.key + ": " +
-                                          error.value_or(""));
+        if (error)
+            throw SnapshotError(std::string("cli section ") + f.key +
+                                ": " + *error);
     }
     r.endSection();
     return run;

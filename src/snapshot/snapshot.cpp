@@ -18,33 +18,76 @@ namespace
 constexpr std::array<char, 8> kMagic = {'a', 's', 'd', 's',
                                         'n', 'a', 'p', '\0'};
 
-std::array<std::uint32_t, 256>
-buildCrcTable()
+/**
+ * Slice-by-8 CRC tables: tables[0] is the bytewise table of the
+ * reflected polynomial, and tables[k][i] is the CRC of byte i followed
+ * by k zero bytes, so eight table lookups advance the CRC by one
+ * 64-bit word.
+ */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables
+buildCrcTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    CrcTables tables{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int bit = 0; bit < 8; ++bit)
             c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        tables[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < tables.size(); ++k) {
+        for (std::size_t i = 0; i < 256; ++i) {
+            const std::uint32_t prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+        }
+    }
+    return tables;
+}
+
+constexpr CrcTables kCrcTables = buildCrcTables();
+
+/** The little-endian unsigned integer at @p p. */
+template <typename T>
+T
+getLe(const std::uint8_t *p)
+{
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        v |= static_cast<T>(static_cast<T>(p[i]) << (8 * i));
+    return v;
+}
+
+/** Append @p v little-endian, one word at a time. */
+template <typename T>
+void
+putLe(std::vector<std::uint8_t> &out, T v)
+{
+    std::array<std::uint8_t, sizeof(T)> bytes;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
 void
 putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
 {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
+    putLe(out, v);
 }
 
 void
 putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
 {
-    for (int shift = 0; shift < 64; shift += 8)
-        out.push_back(static_cast<std::uint8_t>(v >> shift));
+    putLe(out, v);
+}
+
+/** Append @p size bytes of @p data. */
+void
+putBytes(std::vector<std::uint8_t> &out, const void *data,
+         std::size_t size)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    out.insert(out.end(), p, p + size);
 }
 
 } // namespace
@@ -52,11 +95,18 @@ putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t size)
 {
-    static const std::array<std::uint32_t, 256> table =
-        buildCrcTable();
+    const CrcTables &t = kCrcTables;
     std::uint32_t crc = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+    for (; size >= 8; data += 8, size -= 8) {
+        const std::uint32_t lo = crc ^ getLe<std::uint32_t>(data);
+        const std::uint32_t hi = getLe<std::uint32_t>(data + 4);
+        crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+              t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+              t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    }
+    for (; size > 0; ++data, --size)
+        crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
     return crc ^ 0xFFFFFFFFu;
 }
 
@@ -135,10 +185,7 @@ void
 SnapshotWriter::str(std::string_view v)
 {
     u32(static_cast<std::uint32_t>(v.size()));
-    panicIfNot(open_, "SnapshotWriter: write outside a section");
-    std::vector<std::uint8_t> &payload = sections_.back().payload;
-    for (const char c : v)
-        payload.push_back(static_cast<std::uint8_t>(c));
+    putBytes(sections_.back().payload, v.data(), v.size());
 }
 
 void
@@ -156,16 +203,18 @@ SnapshotWriter::finish(std::uint64_t config_hash)
     panicIfNot(!finished_, "SnapshotWriter: double finish");
     finished_ = true;
 
+    std::size_t size = kMagic.size() + 4 + 8 + 4;
+    for (const Section &section : sections_)
+        size += 4 + section.name.size() + 8 + 4 + section.payload.size();
     std::vector<std::uint8_t> out;
-    for (const char c : kMagic)
-        out.push_back(static_cast<std::uint8_t>(c));
+    out.reserve(size);
+    putBytes(out, kMagic.data(), kMagic.size());
     putU32(out, kSnapshotFormatVersion);
     putU64(out, config_hash);
     putU32(out, static_cast<std::uint32_t>(sections_.size()));
     for (const Section &section : sections_) {
         putU32(out, static_cast<std::uint32_t>(section.name.size()));
-        for (const char c : section.name)
-            out.push_back(static_cast<std::uint8_t>(c));
+        putBytes(out, section.name.data(), section.name.size());
         putU64(out, section.payload.size());
         putU32(out, crc32(section.payload.data(),
                           section.payload.size()));
@@ -191,20 +240,10 @@ SnapshotReader::SnapshotReader(std::vector<std::uint8_t> bytes)
         return pos - n;
     };
     const auto takeU32 = [&](const char *what) {
-        const std::size_t at = take(4, what);
-        std::uint32_t v = 0;
-        for (int i = 3; i >= 0; --i)
-            v = (v << 8) |
-                bytes_[at + static_cast<std::size_t>(i)];
-        return v;
+        return getLe<std::uint32_t>(bytes_.data() + take(4, what));
     };
     const auto takeU64 = [&](const char *what) {
-        const std::size_t at = take(8, what);
-        std::uint64_t v = 0;
-        for (int i = 7; i >= 0; --i)
-            v = (v << 8) |
-                bytes_[at + static_cast<std::size_t>(i)];
-        return v;
+        return getLe<std::uint64_t>(bytes_.data() + take(8, what));
     };
 
     const std::size_t magic_at = take(kMagic.size(), "magic");
@@ -331,9 +370,7 @@ std::uint32_t
 SnapshotReader::u32()
 {
     need(4);
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | bytes_[cursor_ + static_cast<std::size_t>(i)];
+    const std::uint32_t v = getLe<std::uint32_t>(bytes_.data() + cursor_);
     cursor_ += 4;
     return v;
 }
@@ -342,9 +379,7 @@ std::uint64_t
 SnapshotReader::u64()
 {
     need(8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | bytes_[cursor_ + static_cast<std::size_t>(i)];
+    const std::uint64_t v = getLe<std::uint64_t>(bytes_.data() + cursor_);
     cursor_ += 8;
     return v;
 }
@@ -404,7 +439,7 @@ SnapshotReader::count(std::size_t item_bytes)
 }
 
 void
-SnapshotReader::check(bool ok, const std::string &what)
+SnapshotReader::check(bool ok, const char *what)
 {
     if (!ok)
         throw SnapshotError(what);

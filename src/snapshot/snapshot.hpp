@@ -175,8 +175,12 @@ class SnapshotReader
      */
     std::uint64_t count(std::size_t item_bytes);
 
-    /** Throw SnapshotError(@p what) unless @p ok (shape checks). */
-    static void check(bool ok, const std::string &what);
+    /**
+     * Throw SnapshotError(@p what) unless @p ok (shape checks).
+     * @p what is a literal; like panicIfNot(), a passing check builds
+     * no message.
+     */
+    static void check(bool ok, const char *what);
 
   private:
     struct Section

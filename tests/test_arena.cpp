@@ -284,6 +284,8 @@ TEST(Bakeoff, ResolvesGridBeforeRunning)
     BakeoffRunner runner(tinyBakeoff());
     ASSERT_EQ(runner.workloads().size(), 1u);
     EXPECT_EQ(runner.workloads()[0].label, "extra/bwaves");
+    // The grid refers to the static suite table, it does not copy it.
+    EXPECT_EQ(runner.workloads()[0].bench, &findBenchmark("bwaves"));
     EXPECT_FALSE(runner.workloads()[0].vm);
     ASSERT_EQ(runner.contenders().size(), 2u);
     EXPECT_EQ(runner.contenders()[0]->name, "stride");

@@ -1,7 +1,9 @@
 /**
  * @file
  * Checkpoint/restore subsystem tests: primitive round trips through
- * SnapshotWriter/SnapshotReader, the bound on element counts, rejection of damaged or mismatched
+ * SnapshotWriter/SnapshotReader, the exact little-endian framing of an
+ * image, the CRC against a bit-at-a-time reference, the bound on
+ * element counts, rejection of damaged or mismatched
  * images (magic, version, CRC, truncation, config hash), whole-system
  * save -> load -> save byte identity, restore-then-run equality with
  * an uninterrupted run (VM off and on, telemetry on, splits before
@@ -113,6 +115,77 @@ TEST(SnapshotFormat, PrimitivesRoundTrip)
               (std::vector<std::uint64_t>{
                   1, 2, 3, 0xffffffffffffffffULL}));
     reader.endSection();
+}
+
+TEST(SnapshotFormat, IntegersAreLittleEndianAndFramed)
+{
+    SnapshotWriter writer;
+    writer.beginSection("le");
+    writer.u32(0xDEADBEEFu);
+    writer.u64(0x0123456789abcdefULL);
+    writer.str("ab");
+    writer.endSection();
+    const std::vector<std::uint8_t> bytes = writer.finish(kHash);
+
+    const std::vector<std::uint8_t> payload = {
+        0xEF, 0xBE, 0xAD, 0xDE,                         // u32
+        0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01, // u64
+        0x02, 0x00, 0x00, 0x00, 'a', 'b'};              // str
+    std::vector<std::uint8_t> expected = {'a', 's', 'd', 's',
+                                          'n', 'a', 'p', '\0'};
+    const auto put = [&](std::uint64_t v, int bytes_wide) {
+        for (int i = 0; i < bytes_wide; ++i)
+            expected.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    put(kSnapshotFormatVersion, 4);
+    put(kHash, 8);
+    put(1, 4);   // section count
+    put(2, 4);   // name length
+    expected.push_back('l');
+    expected.push_back('e');
+    put(payload.size(), 8);
+    put(crc32(payload.data(), payload.size()), 4);
+    expected.insert(expected.end(), payload.begin(), payload.end());
+    EXPECT_EQ(bytes, expected);
+}
+
+/** Bit-at-a-time CRC-32 (reflected 0xEDB88320), the reference. */
+std::uint32_t
+crc32Bitwise(const std::uint8_t *data, std::size_t size)
+{
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= data[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotCrc, CheckValue)
+{
+    const std::string text = "123456789";
+    EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t *>(text.data()),
+                    text.size()),
+              0xCBF43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(SnapshotCrc, MatchesBitwiseReferenceAtEveryLengthAndOffset)
+{
+    // Lengths 0..200 cover the word loop and every tail length;
+    // starts 0..7 cover every alignment of the first word.
+    Rng rng(0xC0FFEEULL);
+    std::vector<std::uint8_t> buffer(8 + 200);
+    for (std::uint8_t &byte : buffer)
+        byte = static_cast<std::uint8_t>(rng.next());
+    for (std::size_t start = 0; start < 8; ++start) {
+        for (std::size_t len = 0; len <= 200; ++len) {
+            const std::uint8_t *data = buffer.data() + start;
+            ASSERT_EQ(crc32(data, len), crc32Bitwise(data, len))
+                << "start " << start << " length " << len;
+        }
+    }
 }
 
 TEST(SnapshotFormat, RejectsDamage)
