@@ -115,12 +115,12 @@ CacheHierarchy::fillPrefetchL2(LineAddr line)
     insertL2(line, false, true);
 }
 
-std::vector<LineAddr>
+const std::vector<LineAddr> &
 CacheHierarchy::drainWritebacks()
 {
-    std::vector<LineAddr> out;
-    out.swap(writebacks_);
-    return out;
+    drained_.clear();
+    drained_.swap(writebacks_);
+    return drained_;
 }
 
 bool

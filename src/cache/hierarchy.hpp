@@ -78,8 +78,12 @@ class CacheHierarchy : public Snapshottable
     /** Install a processor-side prefetch into L2 (and L3). */
     void fillPrefetchL2(LineAddr line);
 
-    /** Lines written back to memory since the last drain. */
-    std::vector<LineAddr> drainWritebacks();
+    /**
+     * Lines written back to memory since the last drain. The result
+     * is valid until the next drain; the two buffers swap roles, so
+     * neither gives up its capacity.
+     */
+    const std::vector<LineAddr> &drainWritebacks();
 
     /** Tag probe at one level (tests/prefetchers). */
     bool probe(HitLevel level, LineAddr line) const;
@@ -111,6 +115,8 @@ class CacheHierarchy : public Snapshottable
     SetAssocCache l2_;
     SetAssocCache l3_;
     std::vector<LineAddr> writebacks_;
+    // asdlint:allow(snapshot-field-coverage): the last drain's lines, handed to the caller at once; writebacks_ holds every undrained one
+    std::vector<LineAddr> drained_;
     Counter writebacks_generated_;
 };
 

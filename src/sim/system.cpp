@@ -287,6 +287,13 @@ System::busySkip(Cycle target) const
         return 0; // wedged: tick on toward max_cycles
     if (!mc_.prefetcherArmed() && config_.warmup_cycles > now_)
         next = std::min(next, config_.warmup_cycles - now_);
+    if (loop_due_) {
+        const Cycle due = loop_due_(now_);
+        if (due <= now_ + 1)
+            return 0;
+        if (due != kNoCycle)
+            next = std::min(next, due - now_);
+    }
     next = std::min(next, target - now_);
     return next - 1;
 }
@@ -298,9 +305,11 @@ System::setEpochEndHook(std::function<void(Cycle)> hook)
 }
 
 void
-System::setLoopHook(std::function<void(Cycle)> hook)
+System::setLoopHook(std::function<void(Cycle)> hook,
+                    std::function<Cycle(Cycle)> due)
 {
     loop_hook_ = std::move(hook);
+    loop_due_ = std::move(due);
 }
 
 void
@@ -335,7 +344,7 @@ System::runUntil(Cycle target)
         Cycles skip = 0;
         if (!mc_.hasWork() && pending_writebacks_.empty()) {
             skip = idleSkip();
-        } else if (!loop_hook_) {
+        } else if (!loop_hook_ || loop_due_) {
             skip = busySkip(target);
             if (skip > 0) {
                 mc_.skipQuietCycles(now_, skip);

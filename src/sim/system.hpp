@@ -141,8 +141,23 @@ class System : public MemPort
      * services a pending callback at the identical iteration an
      * uninterrupted run would — the tuner's reconfiguration point
      * depends on this for checkpoint determinism.
+     *
+     * A busy controller normally skips quiet cycles, and the hook
+     * fires only at the iterations the loop stops at. @p due states
+     * when the hook next has work: asked after the ticks of cycle
+     * `now`, it returns the earliest cycle at whose loop top the hook
+     * must fire (`now` or less: the next one; kNoCycle: never), and
+     * the busy skip stops there. Without @p due the hook may act at
+     * any iteration, so a busy controller ticks every cycle.
      */
-    void setLoopHook(std::function<void(Cycle)> hook);
+    void setLoopHook(std::function<void(Cycle)> hook,
+                     std::function<Cycle(Cycle)> due = nullptr);
+
+    /** The installed loop hook (empty when none). */
+    const std::function<void(Cycle)> &loopHook() const
+    {
+        return loop_hook_;
+    }
 
   private:
     void onReadDone(std::uint64_t id, Cycle done);
@@ -153,10 +168,11 @@ class System : public MemPort
      * Cycles the loop may skip after ticking now_. While the memory
      * side is idle: up to the earliest CPU event, whose ticks on the
      * way are not replayed. While it is busy and no loop hook is
-     * installed: up to, not past, the next MC or CPU event, the
-     * warm-up boundary and @p target; runUntil() then adds the
-     * skipped ticks' counts in closed form, so the machine is the
-     * one per-cycle stepping reaches.
+     * installed, or the hook states when it is due: up to, not past,
+     * the next MC or CPU event, the warm-up boundary, the hook's due
+     * cycle and @p target; runUntil() then adds the skipped ticks'
+     * counts in closed form, so the machine is the one per-cycle
+     * stepping reaches.
      */
     Cycles idleSkip() const;
     Cycles busySkip(Cycle target) const;
@@ -184,6 +200,7 @@ class System : public MemPort
     std::unique_ptr<TelemetryRecorder> telemetry_;
     std::function<void(Cycle)> epoch_hook_; //!< after telemetry
     std::function<void(Cycle)> loop_hook_;  //!< top of runUntil loop
+    std::function<Cycle(Cycle)> loop_due_;  //!< loop_hook_'s due cycle
 
     std::vector<std::unique_ptr<CpuPrefetcher>> ps_;
 

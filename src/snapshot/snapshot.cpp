@@ -47,39 +47,18 @@ buildCrcTables()
 
 constexpr CrcTables kCrcTables = buildCrcTables();
 
-/** The little-endian unsigned integer at @p p. */
-template <typename T>
-T
-getLe(const std::uint8_t *p)
-{
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        v |= static_cast<T>(static_cast<T>(p[i]) << (8 * i));
-    return v;
-}
-
-/** Append @p v little-endian, one word at a time. */
+/** Overwrite the little-endian @p v at @p at. */
 template <typename T>
 void
-putLe(std::vector<std::uint8_t> &out, T v)
+patchLe(std::vector<std::uint8_t> &out, std::size_t at, T v)
 {
-    std::array<std::uint8_t, sizeof(T)> bytes;
     for (std::size_t i = 0; i < sizeof(T); ++i)
-        bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    out.insert(out.end(), bytes.begin(), bytes.end());
+        out[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    putLe(out, v);
-}
-
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    putLe(out, v);
-}
+/** Where the header's config hash and section count sit. */
+constexpr std::size_t kHashAt = kMagic.size() + 4;
+constexpr std::size_t kCountAt = kHashAt + 8;
 
 /** Append @p size bytes of @p data. */
 void
@@ -98,8 +77,8 @@ crc32(const std::uint8_t *data, std::size_t size)
     const CrcTables &t = kCrcTables;
     std::uint32_t crc = 0xFFFFFFFFu;
     for (; size >= 8; data += 8, size -= 8) {
-        const std::uint32_t lo = crc ^ getLe<std::uint32_t>(data);
-        const std::uint32_t hi = getLe<std::uint32_t>(data + 4);
+        const std::uint32_t lo = crc ^ detail::loadLe<std::uint32_t>(data);
+        const std::uint32_t hi = detail::loadLe<std::uint32_t>(data + 4);
         crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
               t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
               t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
@@ -124,14 +103,29 @@ fnv1a64(std::string_view text)
 // --- SnapshotWriter ------------------------------------------------
 
 void
+SnapshotWriter::startImage()
+{
+    putBytes(image_, kMagic.data(), kMagic.size());
+    detail::appendLe<std::uint32_t>(image_, kSnapshotFormatVersion);
+    detail::appendLe<std::uint64_t>(image_, 0); // config hash
+    detail::appendLe<std::uint32_t>(image_, 0); // section count
+}
+
+void
 SnapshotWriter::beginSection(std::string_view name)
 {
     panicIfNot(!finished_, "SnapshotWriter: write after finish()");
     panicIfNot(!open_, "SnapshotWriter: nested beginSection");
-    for (const Section &section : sections_)
-        panicIfNot(section.name != name,
-                   "SnapshotWriter: duplicate section name");
-    sections_.push_back({std::string(name), {}});
+    for (const std::string &begun : names_)
+        panicIfNot(begun != name, "SnapshotWriter: duplicate section name");
+    if (image_.empty())
+        startImage();
+    names_.emplace_back(name);
+    detail::appendLe(image_, static_cast<std::uint32_t>(name.size()));
+    putBytes(image_, name.data(), name.size());
+    detail::appendLe<std::uint64_t>(image_, 0); // payload length
+    detail::appendLe<std::uint32_t>(image_, 0); // payload CRC
+    payload_at_ = image_.size();
     open_ = true;
 }
 
@@ -139,28 +133,26 @@ void
 SnapshotWriter::endSection()
 {
     panicIfNot(open_, "SnapshotWriter: endSection without begin");
+    // The payload length and CRC sit just ahead of the payload.
+    const std::size_t size = image_.size() - payload_at_;
+    patchLe<std::uint64_t>(image_, payload_at_ - 12, size);
+    patchLe(image_, payload_at_ - 4,
+            crc32(image_.data() + payload_at_, size));
     open_ = false;
 }
 
 void
-SnapshotWriter::u8(std::uint8_t v)
+SnapshotWriter::writeOutsideSection()
 {
-    panicIfNot(open_, "SnapshotWriter: write outside a section");
-    sections_.back().payload.push_back(v);
+    panic("SnapshotWriter: write outside a section");
 }
 
 void
 SnapshotWriter::u32(std::uint32_t v)
 {
-    panicIfNot(open_, "SnapshotWriter: write outside a section");
-    putU32(sections_.back().payload, v);
-}
-
-void
-SnapshotWriter::u64(std::uint64_t v)
-{
-    panicIfNot(open_, "SnapshotWriter: write outside a section");
-    putU64(sections_.back().payload, v);
+    if (!open_) [[unlikely]]
+        writeOutsideSection();
+    detail::appendLe<std::uint32_t>(image_, v);
 }
 
 void
@@ -176,16 +168,10 @@ SnapshotWriter::f64(double v)
 }
 
 void
-SnapshotWriter::b(bool v)
-{
-    u8(v ? 1 : 0);
-}
-
-void
 SnapshotWriter::str(std::string_view v)
 {
     u32(static_cast<std::uint32_t>(v.size()));
-    putBytes(sections_.back().payload, v.data(), v.size());
+    putBytes(image_, v.data(), v.size());
 }
 
 void
@@ -202,53 +188,51 @@ SnapshotWriter::finish(std::uint64_t config_hash)
     panicIfNot(!open_, "SnapshotWriter: finish with open section");
     panicIfNot(!finished_, "SnapshotWriter: double finish");
     finished_ = true;
-
-    std::size_t size = kMagic.size() + 4 + 8 + 4;
-    for (const Section &section : sections_)
-        size += 4 + section.name.size() + 8 + 4 + section.payload.size();
-    std::vector<std::uint8_t> out;
-    out.reserve(size);
-    putBytes(out, kMagic.data(), kMagic.size());
-    putU32(out, kSnapshotFormatVersion);
-    putU64(out, config_hash);
-    putU32(out, static_cast<std::uint32_t>(sections_.size()));
-    for (const Section &section : sections_) {
-        putU32(out, static_cast<std::uint32_t>(section.name.size()));
-        putBytes(out, section.name.data(), section.name.size());
-        putU64(out, section.payload.size());
-        putU32(out, crc32(section.payload.data(),
-                          section.payload.size()));
-        out.insert(out.end(), section.payload.begin(),
-                   section.payload.end());
-    }
-    return out;
+    if (image_.empty())
+        startImage();
+    patchLe(image_, kHashAt, config_hash);
+    patchLe(image_, kCountAt, static_cast<std::uint32_t>(names_.size()));
+    return std::move(image_);
 }
 
 // --- SnapshotReader ------------------------------------------------
 
-SnapshotReader::SnapshotReader(std::vector<std::uint8_t> bytes)
-    : bytes_(std::move(bytes))
+SnapshotReader::SnapshotReader(const std::vector<std::uint8_t> &bytes)
+    : data_(bytes.data()), size_(bytes.size())
+{
+    parse();
+}
+
+SnapshotReader::SnapshotReader(std::vector<std::uint8_t> &&bytes)
+    : owned_(std::move(bytes)), data_(owned_.data()),
+      size_(owned_.size())
+{
+    parse();
+}
+
+void
+SnapshotReader::parse()
 {
     // Parse with a local cursor; primitive reads reuse the member
     // cursor only after openSection().
     std::size_t pos = 0;
     const auto take = [&](std::size_t n, const char *what) {
-        if (pos + n > bytes_.size() || pos + n < pos)
+        if (pos + n > size_ || pos + n < pos)
             throw SnapshotError(std::string("snapshot truncated in ") +
                                 what);
         pos += n;
         return pos - n;
     };
     const auto takeU32 = [&](const char *what) {
-        return getLe<std::uint32_t>(bytes_.data() + take(4, what));
+        return detail::loadLe<std::uint32_t>(data_ + take(4, what));
     };
     const auto takeU64 = [&](const char *what) {
-        return getLe<std::uint64_t>(bytes_.data() + take(8, what));
+        return detail::loadLe<std::uint64_t>(data_ + take(8, what));
     };
 
     const std::size_t magic_at = take(kMagic.size(), "magic");
     for (std::size_t i = 0; i < kMagic.size(); ++i) {
-        if (bytes_[magic_at + i] !=
+        if (data_[magic_at + i] !=
             static_cast<std::uint8_t>(kMagic[i]))
             throw SnapshotError(
                 "not a snapshot: bad magic (expected asdsnap)");
@@ -267,7 +251,7 @@ SnapshotReader::SnapshotReader(std::vector<std::uint8_t> bytes)
         const std::size_t name_at = take(name_len, "section name");
         Section section;
         section.name.assign(
-            reinterpret_cast<const char *>(bytes_.data() + name_at),
+            reinterpret_cast<const char *>(data_ + name_at),
             name_len);
         const std::uint64_t payload_len =
             takeU64("section payload length");
@@ -278,7 +262,7 @@ SnapshotReader::SnapshotReader(std::vector<std::uint8_t> bytes)
                                    ? "section payload"
                                    : section.name.c_str());
         const std::uint32_t actual_crc =
-            crc32(bytes_.data() + section.offset, section.size);
+            crc32(data_ + section.offset, section.size);
         if (actual_crc != stored_crc)
             throw SnapshotError("snapshot section \"" + section.name +
                                 "\" is corrupt (CRC mismatch)");
@@ -287,7 +271,7 @@ SnapshotReader::SnapshotReader(std::vector<std::uint8_t> bytes)
                                 section.name + "\"");
         sections_.push_back(std::move(section));
     }
-    if (pos != bytes_.size())
+    if (pos != size_)
         throw SnapshotError("snapshot has trailing garbage after "
                             "the last section");
 }
@@ -351,36 +335,31 @@ SnapshotReader::endSection()
 }
 
 void
-SnapshotReader::need(std::size_t n)
+SnapshotReader::readOutsideSection()
 {
-    panicIfNot(open_, "SnapshotReader: read outside a section");
-    if (cursor_ + n > end_)
-        throw SnapshotError("snapshot section \"" + open_name_ +
-                            "\" is too short (layout mismatch)");
+    panic("SnapshotReader: read outside a section");
 }
 
-std::uint8_t
-SnapshotReader::u8()
+void
+SnapshotReader::sectionTooShort() const
 {
-    need(1);
-    return bytes_[cursor_++];
+    throw SnapshotError("snapshot section \"" + open_name_ +
+                        "\" is too short (layout mismatch)");
+}
+
+void
+SnapshotReader::malformedBool() const
+{
+    throw SnapshotError("snapshot section \"" + open_name_ +
+                        "\" has a malformed bool");
 }
 
 std::uint32_t
 SnapshotReader::u32()
 {
     need(4);
-    const std::uint32_t v = getLe<std::uint32_t>(bytes_.data() + cursor_);
+    const auto v = detail::loadLe<std::uint32_t>(data_ + cursor_);
     cursor_ += 4;
-    return v;
-}
-
-std::uint64_t
-SnapshotReader::u64()
-{
-    need(8);
-    const std::uint64_t v = getLe<std::uint64_t>(bytes_.data() + cursor_);
-    cursor_ += 8;
     return v;
 }
 
@@ -396,23 +375,13 @@ SnapshotReader::f64()
     return std::bit_cast<double>(u64());
 }
 
-bool
-SnapshotReader::b()
-{
-    const std::uint8_t v = u8();
-    if (v > 1)
-        throw SnapshotError("snapshot section \"" + open_name_ +
-                            "\" has a malformed bool");
-    return v != 0;
-}
-
 std::string
 SnapshotReader::str()
 {
     const std::uint32_t len = u32();
     need(len);
     std::string v(
-        reinterpret_cast<const char *>(bytes_.data() + cursor_), len);
+        reinterpret_cast<const char *>(data_ + cursor_), len);
     cursor_ += len;
     return v;
 }
@@ -463,24 +432,6 @@ SnapshotIo::endSection()
         reader_->endSection();
     else
         writer_->endSection();
-}
-
-void
-SnapshotIo::u8(std::uint8_t &v)
-{
-    if (reader_)
-        v = reader_->u8();
-    else
-        writer_->u8(v);
-}
-
-void
-SnapshotIo::b(bool &v)
-{
-    if (reader_)
-        v = reader_->b();
-    else
-        writer_->b(v);
 }
 
 void

@@ -88,6 +88,33 @@ class SnapshotError : public std::runtime_error
     }
 };
 
+namespace detail
+{
+
+/** The little-endian unsigned integer at @p p. */
+template <typename T>
+T
+loadLe(const std::uint8_t *p)
+{
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        v |= static_cast<T>(static_cast<T>(p[i]) << (8 * i));
+    return v;
+}
+
+/** Append @p v to @p out little-endian, one word at a time. */
+template <typename T>
+void
+appendLe(std::vector<std::uint8_t> &out, T v)
+{
+    std::uint8_t bytes[sizeof(T)];
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    out.insert(out.end(), bytes, bytes + sizeof(T));
+}
+
+} // namespace detail
+
 /** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of @p size bytes. */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t size);
 
@@ -95,9 +122,12 @@ std::uint32_t crc32(const std::uint8_t *data, std::size_t size);
 std::uint64_t fnv1a64(std::string_view text);
 
 /**
- * Serializes primitive values into named sections and assembles the
- * final snapshot image. Usage: beginSection/primitives/endSection per
- * component, then finish(config_hash) exactly once.
+ * Serializes primitive values into named sections of one image
+ * buffer. Usage: beginSection/primitives/endSection per component,
+ * then finish(config_hash) exactly once. Each section is framed in
+ * place: beginSection reserves its length and CRC, endSection fills
+ * them in, and finish() patches the header and hands the buffer over
+ * without copying a payload.
  */
 class SnapshotWriter
 {
@@ -108,12 +138,27 @@ class SnapshotWriter
     /** Close the currently open section. */
     void endSection();
 
-    void u8(std::uint8_t v);
+    void
+    u8(std::uint8_t v)
+    {
+        if (!open_) [[unlikely]]
+            writeOutsideSection();
+        image_.push_back(v);
+    }
+
     void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
+
+    void
+    u64(std::uint64_t v)
+    {
+        if (!open_) [[unlikely]]
+            writeOutsideSection();
+        detail::appendLe(image_, v);
+    }
+
     void i64(std::int64_t v);
     void f64(double v);
-    void b(bool v);
+    void b(bool v) { u8(v ? 1 : 0); }
     void str(std::string_view v);
     void vecU64(const std::vector<std::uint64_t> &v);
 
@@ -121,13 +166,14 @@ class SnapshotWriter
     std::vector<std::uint8_t> finish(std::uint64_t config_hash);
 
   private:
-    struct Section
-    {
-        std::string name;
-        std::vector<std::uint8_t> payload;
-    };
+    /** Start the image with a header whose hash and count finish()
+     *  fills in. */
+    void startImage();
+    [[noreturn]] static void writeOutsideSection();
 
-    std::vector<Section> sections_;
+    std::vector<std::uint8_t> image_;
+    std::vector<std::string> names_; //!< sections begun so far
+    std::size_t payload_at_ = 0;     //!< the open section's payload
     bool open_ = false;
     bool finished_ = false;
 };
@@ -137,12 +183,24 @@ class SnapshotWriter
  * framing, every section CRC), then serves bounds-checked primitive
  * reads from one open section at a time. Every malformed input throws
  * SnapshotError with a message naming what was wrong.
+ *
+ * An lvalue image is borrowed: the reader keeps a pointer into it, so
+ * the image must outlive the reader and stay unmodified while it
+ * reads. An rvalue image (a moved vector, a function's result) is
+ * owned. Either way no byte is copied.
  */
 class SnapshotReader
 {
   public:
-    /** Parse @p bytes; throws SnapshotError on any defect. */
-    explicit SnapshotReader(std::vector<std::uint8_t> bytes);
+    /** Parse @p bytes, borrowed; throws SnapshotError on any defect. */
+    explicit SnapshotReader(const std::vector<std::uint8_t> &bytes);
+
+    /** Parse @p bytes, owned; throws SnapshotError on any defect. */
+    explicit SnapshotReader(std::vector<std::uint8_t> &&bytes);
+
+    // A copy would point into the original's owned image.
+    SnapshotReader(const SnapshotReader &) = delete;
+    SnapshotReader &operator=(const SnapshotReader &) = delete;
 
     /** Config hash recorded in the header. */
     std::uint64_t configHash() const { return config_hash_; }
@@ -158,12 +216,36 @@ class SnapshotReader
     /** Close the section; throws if payload bytes remain unread. */
     void endSection();
 
-    std::uint8_t u8();
+    std::uint8_t
+    u8()
+    {
+        need(1);
+        return data_[cursor_++];
+    }
+
     std::uint32_t u32();
-    std::uint64_t u64();
+
+    std::uint64_t
+    u64()
+    {
+        need(8);
+        const auto v = detail::loadLe<std::uint64_t>(data_ + cursor_);
+        cursor_ += 8;
+        return v;
+    }
+
     std::int64_t i64();
     double f64();
-    bool b();
+
+    bool
+    b()
+    {
+        const std::uint8_t v = u8();
+        if (v > 1) [[unlikely]]
+            malformedBool();
+        return v != 0;
+    }
+
     std::string str();
     std::vector<std::uint64_t> vecU64();
 
@@ -186,14 +268,32 @@ class SnapshotReader
     struct Section
     {
         std::string name;
-        std::size_t offset = 0; //!< payload start within bytes_
+        std::size_t offset = 0; //!< payload start within the image
         std::size_t size = 0;
     };
 
+    /** Validate the image and index its sections. */
+    void parse();
     const Section *find(std::string_view name) const;
-    void need(std::size_t n);
 
-    std::vector<std::uint8_t> bytes_;
+    /** Throw unless @p n more bytes remain in the open section. */
+    void
+    need(std::size_t n) const
+    {
+        if (!open_) [[unlikely]]
+            readOutsideSection();
+        if (n > end_ - cursor_) [[unlikely]]
+            sectionTooShort();
+    }
+
+    // The failure paths of need() and b(), kept out of line.
+    [[noreturn]] static void readOutsideSection();
+    [[noreturn]] void sectionTooShort() const;
+    [[noreturn]] void malformedBool() const;
+
+    std::vector<std::uint8_t> owned_; //!< the image when owned
+    const std::uint8_t *data_ = nullptr;
+    std::size_t size_ = 0;
     std::vector<Section> sections_;
     std::uint64_t config_hash_ = 0;
     std::string open_name_;
@@ -263,7 +363,15 @@ class SnapshotIo
             writer_->i64(static_cast<std::int64_t>(v));
     }
 
-    void b(bool &v);
+    void
+    b(bool &v)
+    {
+        if (reader_)
+            v = reader_->b();
+        else
+            writer_->b(v);
+    }
+
     void vecU64(std::vector<std::uint64_t> &v);
     /**
      * Same layout for a vector whose length is geometry: on load the
@@ -359,7 +467,14 @@ class SnapshotIo
     }
 
   private:
-    void u8(std::uint8_t &v);
+    void
+    u8(std::uint8_t &v)
+    {
+        if (reader_)
+            v = reader_->u8();
+        else
+            writer_->u8(v);
+    }
 
     SnapshotWriter *writer_ = nullptr;
     SnapshotReader *reader_ = nullptr;

@@ -59,7 +59,8 @@ BenchmarkRun::buildSystem()
         return;
     system_->setEpochEndHook(
         [this](Cycle now) { onEpochEnd(now); });
-    system_->setLoopHook([this](Cycle now) { onLoopTop(now); });
+    system_->setLoopHook([this](Cycle now) { onLoopTop(now); },
+                         [this](Cycle now) { return loopDue(now); });
 }
 
 void
@@ -98,6 +99,15 @@ BenchmarkRun::onLoopTop(Cycle now)
         pending_decision_ = false;
         decide(now);
     }
+}
+
+Cycle
+BenchmarkRun::loopDue(Cycle now) const
+{
+    // The epoch-end hook may have set a decision during this tick.
+    if (pending_decision_)
+        return now;
+    return realize_queue_.empty() ? kNoCycle : realize_queue_.front().due;
 }
 
 void

@@ -18,11 +18,14 @@
  * tick) but *applied* at the top of the next runUntil iteration via
  * the System loop hook — a clean cycle boundary that a checkpointed
  * run resumes at exactly, so tuned runs checkpoint/restore
- * byte-identically. One shadow horizon after each decision the
- * realized live progress is recorded against the winner's prediction
- * (TunerDecision::realized_accesses). Telemetry is forced on
- * internally — the recorder only reads the machine, so results are
- * unchanged — but the caller's RunOptions are reported unmodified.
+ * byte-identically. The hook states when it is next due (a pending
+ * decision, else the oldest awaited realization), so the live
+ * machine keeps the busy-controller skip between them. One shadow
+ * horizon after each decision the realized live progress is recorded
+ * against the winner's prediction (TunerDecision::realized_accesses).
+ * Telemetry is forced on internally — the recorder only reads the
+ * machine, so results are unchanged — but the caller's RunOptions are
+ * reported unmodified.
  * An untuned run has no shadow pool, no hooks and no forced
  * telemetry: it is exactly a System over the benchmark's trace.
  */
@@ -107,6 +110,8 @@ class BenchmarkRun
     void snapshotController(SnapshotIo &io);
     void onEpochEnd(Cycle now);
     void onLoopTop(Cycle now);
+    /** The next loop top onLoopTop() acts at (System::setLoopHook). */
+    Cycle loopDue(Cycle now) const;
     void decide(Cycle now);
     std::uint64_t liveAccesses() const;
 

@@ -7,9 +7,10 @@
  * The pins: a check that passes (panicIfNot, checkThat, the snapshot
  * reader's bounds checks) allocates nothing, so random draws allocate
  * nothing, a snapshot field costs no allocation beyond the image's
- * vector growth, and a whole run allocates well under one block per
- * simulated access. Building a check's message eagerly costs one
- * allocation per call and fails every pin here.
+ * vector growth, a reader never copies the image it parses, cache
+ * writebacks reuse their buffers, and a whole run allocates well
+ * under one block per simulated access. Building a check's message
+ * eagerly costs one allocation per call and fails every pin here.
  */
 
 #include <atomic>
@@ -22,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/hierarchy.hpp"
 #include "common/random.hpp"
 #include "snapshot/snapshot.hpp"
 #include "tuner/run.hpp"
@@ -32,12 +34,19 @@ namespace
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::size_t> g_largest{0}; //!< bytes of the largest block
 
 void *
 countedAlloc(std::size_t size)
 {
-    if (g_counting.load(std::memory_order_relaxed))
+    if (g_counting.load(std::memory_order_relaxed)) {
         g_allocations.fetch_add(1, std::memory_order_relaxed);
+        std::size_t largest = g_largest.load(std::memory_order_relaxed);
+        while (size > largest &&
+               !g_largest.compare_exchange_weak(
+                   largest, size, std::memory_order_relaxed)) {
+        }
+    }
     if (void *p = std::malloc(size == 0 ? 1 : size))
         return p;
     throw std::bad_alloc();
@@ -49,6 +58,7 @@ std::uint64_t
 allocationsIn(Body &&body)
 {
     g_allocations.store(0);
+    g_largest.store(0);
     g_counting.store(true);
     body();
     g_counting.store(false);
@@ -159,6 +169,70 @@ TEST(AllocCount, SnapshotFieldsAllocateOnlyForGrowth)
                 static_cast<unsigned long long>(written),
                 static_cast<unsigned long long>(read),
                 static_cast<unsigned long long>(bound));
+}
+
+TEST(AllocCount, ReadersNeverCopyTheImage)
+{
+    constexpr std::uint64_t kFields = 100'000;
+    SnapshotWriter writer;
+    writer.beginSection("fields");
+    for (std::uint64_t i = 0; i < kFields; ++i)
+        writer.u64(i);
+    writer.endSection();
+    std::vector<std::uint8_t> image = writer.finish(7);
+    // The section index is the largest block a reader may need.
+    constexpr std::size_t kIndexBytes = 1024;
+    ASSERT_GT(image.size(), 100 * kIndexBytes);
+
+    const auto readAll = [](SnapshotReader &reader) {
+        reader.openSection("fields");
+        std::uint64_t sum = 0;
+        for (std::uint64_t i = 0; i < kFields; ++i)
+            sum += reader.u64();
+        reader.endSection();
+        return sum;
+    };
+    const std::uint64_t want = kFields * (kFields - 1) / 2;
+    std::uint64_t borrowed = 0;
+    allocationsIn([&] {
+        SnapshotReader reader(image);
+        borrowed = readAll(reader);
+    });
+    EXPECT_LT(g_largest.load(), kIndexBytes) << "borrowing reader";
+    EXPECT_EQ(borrowed, want);
+
+    std::uint64_t owned = 0;
+    allocationsIn([&] {
+        SnapshotReader reader(std::move(image));
+        owned = readAll(reader);
+    });
+    EXPECT_LT(g_largest.load(), kIndexBytes) << "owning reader";
+    EXPECT_EQ(owned, want);
+}
+
+TEST(AllocCount, SteadyStateWritebacksReuseTheirBuffers)
+{
+    // A small hierarchy, so that stores over a wide range evict dirty
+    // lines out of the L3 all the time.
+    HierarchyConfig config;
+    config.l1 = {2 * 128, 2, 128};
+    config.l2 = {8 * 128, 2, 128};
+    config.l3 = {16 * 128, 2, 128};
+    CacheHierarchy hierarchy(config);
+    std::uint64_t written_back = 0;
+    const auto storeRound = [&] {
+        for (LineAddr line = 0; line < 4096; line += 3) {
+            if (hierarchy.access(line, true).needs_memory)
+                hierarchy.fill(line, true);
+            // Drains of one, several or no lines in turn.
+            if (line % 4 == 0)
+                written_back += hierarchy.drainWritebacks().size();
+        }
+    };
+    storeRound(); // both buffers reach their working capacity
+    const std::uint64_t n = allocationsIn(storeRound);
+    EXPECT_EQ(n, 0u);
+    EXPECT_GT(written_back, 1000u);
 }
 
 struct RunCase

@@ -9,13 +9,15 @@
  * an uninterrupted run (VM off and on, telemetry on, splits before
  * and after the warm-up boundary), the component-presence rules
  * that warm-start forking relies on, and seeded mutations of saved
- * images (every corrupt payload must load or throw SnapshotError).
+ * images (every corrupt payload must load or throw SnapshotError,
+ * the same way through a borrowing and an owning reader).
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -512,23 +514,45 @@ reseal(std::vector<std::uint8_t> &image, const SectionSpan &span)
           crc32(image.data() + span.payload_at, span.size));
 }
 
-/** Restores a snapshot into a freshly built machine or run. */
-using Loader = std::function<void(SnapshotReader &)>;
+/**
+ * Restores a snapshot into a freshly built machine or run and
+ * returns what that machine saves in turn.
+ */
+using Loader = std::function<std::vector<std::uint8_t>(SnapshotReader &)>;
 
 /**
- * Load @p image with @p load. @return true when it loads, false on
- * SnapshotError; any other exception escapes and fails the test.
+ * What reading @p image with @p load gave: "loaded:" and the re-saved
+ * state, or "rejected:" and the SnapshotError's message. An lvalue
+ * image is read by a borrowing reader, an rvalue by an owning one.
+ */
+template <typename Image>
+std::string
+outcomeOf(const Loader &load, Image &&image)
+{
+    try {
+        SnapshotReader reader(std::forward<Image>(image));
+        const std::vector<std::uint8_t> state = load(reader);
+        return "loaded:" + std::string(state.begin(), state.end());
+    } catch (const SnapshotError &e) {
+        return std::string("rejected:") + e.what();
+    }
+}
+
+/**
+ * Load @p image with @p load through a borrowing and an owning
+ * reader, which must agree byte for byte. @return true when it loads,
+ * false on SnapshotError; any other exception escapes and fails the
+ * test.
  */
 bool
 loadsWith(const Loader &load, std::vector<std::uint8_t> image)
 {
-    try {
-        SnapshotReader reader(std::move(image));
-        load(reader);
-        return true;
-    } catch (const SnapshotError &) {
-        return false;
-    }
+    const std::string borrowed = outcomeOf(load, image);
+    const std::string owned = outcomeOf(load, std::move(image));
+    EXPECT_TRUE(borrowed == owned)
+        << "borrowing reader: " << borrowed.substr(0, 80)
+        << "\nowning reader: " << owned.substr(0, 80);
+    return owned.starts_with("loaded:");
 }
 
 /** Restore into a fresh System built from @p config. */
@@ -539,6 +563,7 @@ systemLoader(const SystemConfig &config)
         SyntheticTraceGenerator trace(testTrace());
         System system(config, {&trace});
         system.loadSnapshot(reader);
+        return snapshotOf(system);
     };
 }
 
@@ -691,6 +716,9 @@ tunedCase()
             [options](SnapshotReader &reader) {
                 BenchmarkRun run(findBenchmark("tpcc"), options);
                 run.loadSnapshot(reader);
+                SnapshotWriter resaved;
+                run.saveSnapshot(resaved);
+                return resaved.finish(kHash);
             }};
 }
 
@@ -820,6 +848,17 @@ TEST(SnapshotMutation, FramingLengthEditsLoadOrThrow)
     }
 }
 
+/** @p component saved alone, in a section named @p name. */
+std::vector<std::uint8_t>
+imageOf(const char *name, const Snapshottable &component)
+{
+    SnapshotWriter writer;
+    writer.beginSection(name);
+    component.saveState(writer);
+    writer.endSection();
+    return writer.finish(kHash);
+}
+
 TEST(SnapshotMutation, CorruptSlhHistoryCapIsNotAnAllocationFailure)
 {
     // ASD's SLH-history cap comes from the snapshot. An absurd cap
@@ -829,11 +868,7 @@ TEST(SnapshotMutation, CorruptSlhHistoryCapIsNotAnAllocationFailure)
     config.epoch_reads = 4;
     AsdPrefetcher saver(config);
     saver.enableSlhHistory(8);
-    SnapshotWriter writer;
-    writer.beginSection("ms");
-    saver.saveState(writer);
-    writer.endSection();
-    std::vector<std::uint8_t> image = writer.finish(kHash);
+    std::vector<std::uint8_t> image = imageOf("ms", saver);
     const SectionSpan span = sectionNamed(sectionsOf(image), "ms");
     // The cap precedes the (empty) history's count and five counters.
     const std::size_t cap_at = span.payload_at + span.size - 7 * 8;
@@ -841,12 +876,13 @@ TEST(SnapshotMutation, CorruptSlhHistoryCapIsNotAnAllocationFailure)
     putLe(image, cap_at, 8, 1ULL << 62);
     reseal(image, span);
 
-    AsdPrefetcher loader(config);
     loadsWith(
-        [&loader](SnapshotReader &reader) {
+        [&config](SnapshotReader &reader) {
+            AsdPrefetcher loader(config);
             reader.openSection("ms");
             loader.loadState(reader);
             reader.endSection();
+            return imageOf("ms", loader);
         },
         image);
 }
@@ -857,11 +893,7 @@ TEST(SnapshotMutation, SyntheticStreamDirectionIsRangeChecked)
     MemAccess access;
     for (int i = 0; i < 100; ++i)
         ASSERT_TRUE(saver.next(access));
-    SnapshotWriter writer;
-    writer.beginSection("trace");
-    saver.saveState(writer);
-    writer.endSection();
-    std::vector<std::uint8_t> image = writer.finish(kHash);
+    std::vector<std::uint8_t> image = imageOf("trace", saver);
     const SectionSpan span = sectionNamed(sectionsOf(image), "trace");
     // The last live stream's direction is the payload's last byte.
     const std::size_t dir_at = span.payload_at + span.size - 1;
@@ -871,6 +903,7 @@ TEST(SnapshotMutation, SyntheticStreamDirectionIsRangeChecked)
         reader.openSection("trace");
         loader.loadState(reader);
         reader.endSection();
+        return imageOf("trace", loader);
     };
     ASSERT_TRUE(loadsWith(load, image));
     image[dir_at] = 7;

@@ -1,18 +1,25 @@
 /**
  * @file
- * Stepping oracle. While a loop hook is installed the System ticks
- * every cycle in which the memory controller is busy; without one it
- * skips to the next MC, CPU or prefetcher event and adds the skipped
- * ticks' counters in closed form. Across the mode matrix (NP, PS,
- * every memory-side contender, PMS; plain, random VM placement, OS +
- * tenants; with and without warm-up; sampled schedulers and fixed
- * LPQ policies; an SMT pair) both ways must give the same statistics,
- * the same metrics JSON, and the same snapshot bytes at a cycle
- * inside a busy-controller window.
+ * Stepping oracle. While a bare loop hook is installed the System
+ * ticks every cycle in which the memory controller is busy; without
+ * one it skips to the next MC, CPU or prefetcher event and adds the
+ * skipped ticks' counters in closed form. Across the mode matrix
+ * (NP, PS, every memory-side contender, PMS; plain, random VM
+ * placement, OS + tenants; with and without warm-up; sampled
+ * schedulers and fixed LPQ policies; an SMT pair) both ways must give
+ * the same statistics, the same metrics JSON, and the same snapshot
+ * bytes at a cycle inside a busy-controller window.
+ *
+ * Tuned runs install a hook that states when it is next due, so they
+ * keep the busy skip. For every mode the tuner accepts, the tuner's
+ * hook is compared with the same hook re-installed bare, which ticks
+ * every busy cycle: statistics, metrics JSON, snapshot bytes and the
+ * decision log must match.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <ostream>
 #include <memory>
@@ -26,6 +33,7 @@
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
 #include "trace/synthetic.hpp"
+#include "tuner/run.hpp"
 #include "workloads/profiles.hpp"
 
 namespace asd
@@ -188,6 +196,110 @@ TEST_P(SteppingOracle, SkippingMatchesPerCycleStepping)
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, SteppingOracle, testing::ValuesIn(cells()),
+    [](const testing::TestParamInfo<Cell> &param) {
+        return param.param.name;
+    });
+
+// --- tuned runs -----------------------------------------------------
+
+constexpr std::uint64_t kTunedAccesses = 30000;
+
+/** Every mode the tuner accepts: ASD in MS or PMS, each translation. */
+std::vector<Cell>
+tunedCells()
+{
+    std::vector<Cell> out;
+    for (const PrefetchMode mode : {PrefetchMode::MS, PrefetchMode::PMS}) {
+        for (const std::string translation : {"plain", "vm", "os"}) {
+            Cell cell;
+            RunOptions &o = cell.options;
+            o.mode = mode;
+            o.tuner.enabled = true;
+            o.tuner.phase_window = 1;
+            o.tuner.min_epochs_between = 1;
+            o.tuner.shadow_horizon = 20000;
+            o.tuner.phase_threshold_milli_pct = 5000;
+            if (translation == "vm") {
+                o.vm.enabled = true;
+                o.vm.policy = FrameAllocPolicy::RandomShuffle;
+            } else if (translation == "os") {
+                o.os.enabled = true;
+                o.tenants.enabled = true;
+                o.tenants.slots = 4;
+            }
+            // With the low threshold, tpcc's phases trigger several
+            // decisions within the short trace.
+            cell.bench = "tpcc";
+            cell.name = "Tuned_" + toString(mode) + "_" + translation;
+            out.push_back(cell);
+        }
+    }
+    return out;
+}
+
+std::vector<std::uint8_t>
+snapshotOf(const BenchmarkRun &run)
+{
+    SnapshotWriter writer;
+    run.saveSnapshot(writer);
+    return writer.finish(0);
+}
+
+class TunedStepping : public testing::TestWithParam<Cell>
+{};
+
+/** Re-install @p run's loop hook bare: every busy cycle ticks. */
+void
+stepEveryCycle(BenchmarkRun &run)
+{
+    System &system = run.system();
+    system.setLoopHook(system.loopHook());
+}
+
+TEST_P(TunedStepping, StatedDueMatchesEveryCycleHook)
+{
+    const Cell &cell = GetParam();
+    const Benchmark &bench = findBenchmark(cell.bench);
+
+    BenchmarkRun reference(bench, cell.options, kTunedAccesses);
+    stepEveryCycle(reference);
+    const RunResult want = reference.run();
+    ASSERT_GE(want.decisions.size(), 2u) << "too few decisions fired";
+
+    // Split just after each decision, with its realization pending,
+    // and just after the cycle its realization is due: a skip that
+    // passed either would leave a different "tun" section.
+    std::vector<Cycle> splits;
+    for (const TunerDecision &d : want.decisions) {
+        splits.push_back(d.cycle + 1);
+        splits.push_back(d.cycle + cell.options.tuner.shadow_horizon + 1);
+    }
+    std::sort(splits.begin(), splits.end());
+
+    BenchmarkRun stated(bench, cell.options, kTunedAccesses);
+    BenchmarkRun stepped(bench, cell.options, kTunedAccesses);
+    stepEveryCycle(stepped);
+    for (const Cycle split : splits) {
+        stepped.runUntil(split);
+        if (stepped.system().nowCycle() < split)
+            break; // the run ended first
+        stated.runUntil(split);
+        // An idle skip may pass the target; both runs pass it alike.
+        EXPECT_EQ(stated.system().nowCycle(), stepped.system().nowCycle());
+        EXPECT_TRUE(snapshotOf(stated) == snapshotOf(stepped))
+            << "snapshot bytes differ at cycle " << split;
+    }
+
+    const RunResult got = stated.run();
+    EXPECT_EQ(stated.system().stats().dump(),
+              reference.system().stats().dump());
+    EXPECT_EQ(toJson(got.metrics), toJson(want.metrics));
+    EXPECT_TRUE(snapshotOf(stated) == snapshotOf(reference));
+    EXPECT_EQ(tunerJson(got.decisions), tunerJson(want.decisions));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, TunedStepping, testing::ValuesIn(tunedCells()),
     [](const testing::TestParamInfo<Cell> &param) {
         return param.param.name;
     });
