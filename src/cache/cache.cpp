@@ -102,13 +102,6 @@ SetAssocCache::insert(LineAddr line, bool dirty, bool prefetch)
     return evicted;
 }
 
-void
-SetAssocCache::markDirty(LineAddr line)
-{
-    if (Way *way = find(line))
-        way->dirty = true;
-}
-
 std::optional<Eviction>
 SetAssocCache::invalidate(LineAddr line)
 {

@@ -72,9 +72,6 @@ class SetAssocCache : public Snapshottable
     std::optional<Eviction> insert(LineAddr line, bool dirty,
                                    bool prefetch = false);
 
-    /** Set the dirty bit of a resident line; misses are ignored. */
-    void markDirty(LineAddr line);
-
     /**
      * Remove @p line if resident.
      * @return the line's eviction record when it was resident.

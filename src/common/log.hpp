@@ -4,8 +4,8 @@
 /**
  * @file
  * gem5-style status/error helpers: panic() for internal invariant
- * violations, fatal() for user-caused configuration errors, warn() and
- * inform() for status messages that never stop the simulation.
+ * violations, fatal() for user-caused configuration errors, warn() for
+ * status messages that never stop the simulation.
  *
  * The rule for checks: a check that passes costs one branch. So
  * panicIfNot() (and checkThat() in common/check.hpp) take a string
@@ -66,13 +66,6 @@ inline void
 warn(const std::string &msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-/** Normal operating status message. */
-inline void
-inform(const std::string &msg)
-{
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 /** panic() unless @p cond holds; @p msg is a string literal. */

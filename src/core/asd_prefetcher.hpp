@@ -95,9 +95,6 @@ class AsdPrefetcher : public BufferedMcPrefetcher
      */
     void applyTuning(const AsdTuning &tuning);
 
-    /** The tuning currently in force. */
-    AsdTuning currentTuning() const { return tuningOf(config_); }
-
   protected:
     void snapshot(SnapshotIo &io) override;
 

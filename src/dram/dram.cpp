@@ -9,19 +9,12 @@ namespace asd
 
 Dram::Dram(const DramConfig &config)
     : config_(config),
-      banks_(static_cast<std::size_t>(config.totalBanks()) *
-             config.channels),
-      next_refresh_(static_cast<std::size_t>(config.ranks) *
-                        config.channels,
-                    config.t_refi * config.cpu_per_dram_clk),
-      rank_blocked_to_(static_cast<std::size_t>(config.ranks) *
-                           config.channels,
-                       0),
-      bus_free_at_(config.channels, 0)
+      banks_(config.totalBanks()),
+      next_refresh_(config.ranks, config.t_refi * config.cpu_per_dram_clk),
+      rank_blocked_to_(config.ranks, 0)
 {
     panicIfNot(config_.ranks > 0 && config_.banks_per_rank > 0,
                "Dram: need at least one rank and bank");
-    panicIfNot(config_.channels > 0, "Dram: need at least one channel");
     panicIfNot(config_.row_bytes % config_.line_bytes == 0,
                "Dram: row size must be a multiple of the line size");
 }
@@ -36,27 +29,17 @@ DramCoord
 Dram::decode(LineAddr line) const
 {
     const std::uint32_t lines_per_row = config_.linesPerRow();
-    const std::uint32_t total_banks =
-        config_.totalBanks() * config_.channels;
+    const std::uint32_t total_banks = config_.totalBanks();
     DramCoord coord;
-
-    // Bank indices stripe channel-major so consecutive bank units hit
-    // alternate channels (and with them, independent data buses).
-    const auto split = [&](std::uint32_t bank_global) {
-        coord.bank = bank_global;
-        coord.channel = bank_global % config_.channels;
-        const std::uint32_t in_channel =
-            bank_global / config_.channels;
-        coord.rank = in_channel / config_.banks_per_rank;
-    };
 
     switch (config_.addr_map) {
       case AddrMap::LineInterleaved: {
-        // Consecutive lines stripe across all banks and channels.
-        split(narrow<std::uint32_t>(line % total_banks));
+        // Consecutive lines stripe across all banks.
+        coord.bank = narrow<std::uint32_t>(line % total_banks);
         const std::uint64_t unit = line / total_banks;
         coord.col = narrow<std::uint32_t>(unit % lines_per_row);
         coord.row = unit / lines_per_row;
+        coord.rank = coord.bank / config_.banks_per_rank;
         return coord;
       }
       case AddrMap::PageInterleaved:
@@ -65,16 +48,15 @@ Dram::decode(LineAddr line) const
         // open-page mapping the Power5+ controller uses.
         coord.col = narrow<std::uint32_t>(line % lines_per_row);
         const std::uint64_t row_unit = line / lines_per_row;
-        std::uint32_t bank_global =
-            narrow<std::uint32_t>(row_unit % total_banks);
+        coord.bank = narrow<std::uint32_t>(row_unit % total_banks);
         coord.row = row_unit / total_banks;
         if (config_.addr_map == AddrMap::XorPage) {
             // Permutation-based interleaving: fold low row bits into
             // the bank index.
-            bank_global = narrow<std::uint32_t>(
-                (bank_global ^ coord.row) % total_banks);
+            coord.bank = narrow<std::uint32_t>(
+                (coord.bank ^ coord.row) % total_banks);
         }
-        split(bank_global);
+        coord.rank = coord.bank / config_.banks_per_rank;
         return coord;
       }
     }
@@ -85,19 +67,9 @@ bool
 Dram::canIssue(LineAddr line, Cycle now) const
 {
     const DramCoord coord = decode(line);
-    const std::size_t refresh_unit =
-        coord.channel * config_.ranks + coord.rank;
-    if (config_.refresh_enabled && rank_blocked_to_[refresh_unit] > now)
+    if (config_.refresh_enabled && rank_blocked_to_[coord.rank] > now)
         return false;
     return banks_[coord.bank].ready_at <= now;
-}
-
-bool
-Dram::bankConflict(LineAddr a, LineAddr b) const
-{
-    const DramCoord ca = decode(a);
-    const DramCoord cb = decode(b);
-    return ca.bank == cb.bank && ca.row != cb.row;
 }
 
 BankOccupant
@@ -123,9 +95,7 @@ Dram::issuableAt(LineAddr line) const
     const Cycle ready = banks_[coord.bank].ready_at;
     if (!config_.refresh_enabled)
         return ready;
-    return std::max(ready,
-                    rank_blocked_to_[coord.channel * config_.ranks +
-                                     coord.rank]);
+    return std::max(ready, rank_blocked_to_[coord.rank]);
 }
 
 bool
@@ -137,23 +107,21 @@ Dram::rowOpen(LineAddr line) const
 }
 
 Cycle
-Dram::applyRefresh(std::uint32_t refresh_unit, Cycle start)
+Dram::applyRefresh(std::uint32_t rank, Cycle start)
 {
     if (!config_.refresh_enabled)
         return start;
     // Lazy refresh: when a command finds the rank past its refresh
     // deadline, charge the refresh first and push the command behind
     // the tRFC window.
-    while (start >= next_refresh_[refresh_unit]) {
+    while (start >= next_refresh_[rank]) {
         const Cycle refresh_start =
-            std::max(next_refresh_[refresh_unit],
-                     rank_blocked_to_[refresh_unit]);
-        rank_blocked_to_[refresh_unit] =
-            refresh_start + inCpu(config_.t_rfc);
-        next_refresh_[refresh_unit] += inCpu(config_.t_refi);
+            std::max(next_refresh_[rank], rank_blocked_to_[rank]);
+        rank_blocked_to_[rank] = refresh_start + inCpu(config_.t_rfc);
+        next_refresh_[rank] += inCpu(config_.t_refi);
         refreshes_.inc();
     }
-    return std::max(start, rank_blocked_to_[refresh_unit]);
+    return std::max(start, rank_blocked_to_[rank]);
 }
 
 Cycle
@@ -163,8 +131,7 @@ Dram::issue(LineAddr line, bool is_write, bool is_prefetch, Cycle now)
     Bank &bank = banks_[coord.bank];
 
     Cycle start = std::max(now, bank.ready_at);
-    start = applyRefresh(coord.channel * config_.ranks + coord.rank,
-                         start);
+    start = applyRefresh(coord.rank, start);
 
     Cycle col_start;
     if (!bank.open) {
@@ -191,10 +158,9 @@ Dram::issue(LineAddr line, bool is_write, bool is_prefetch, Cycle now)
     }
 
     const Cycles access = inCpu(is_write ? config_.t_cwl : config_.t_cl);
-    Cycle &bus_free = bus_free_at_[coord.channel];
-    Cycle data_start = std::max(col_start + access, bus_free);
+    const Cycle data_start = std::max(col_start + access, bus_free_at_);
     const Cycle done = data_start + inCpu(config_.t_burst);
-    bus_free = done;
+    bus_free_at_ = done;
 
     // Column commands to the same open row pipeline at the CAS-to-CAS
     // gap (one burst), not at the full data-return latency; the data
@@ -206,15 +172,6 @@ Dram::issue(LineAddr line, bool is_write, bool is_prefetch, Cycle now)
         bank.ready_at = std::max(bank.ready_at,
                                  done + inCpu(config_.t_wr));
 
-    if (config_.page_policy == PagePolicy::Closed) {
-        // Auto-precharge: the row closes after the access; the bank
-        // accepts a fresh ACT once tRAS and tRP are honored.
-        bank.open = false;
-        bank.ready_at = std::max(
-            bank.ready_at,
-            bank.activated_at + inCpu(config_.t_ras) +
-                inCpu(config_.t_rp));
-    }
     bank.occupant = is_prefetch ? BankOccupant::Prefetch
                                 : BankOccupant::Regular;
 
@@ -239,7 +196,7 @@ Dram::snapshot(SnapshotIo &io)
     }
     io.vecU64(next_refresh_, "dram refresh-unit count mismatch");
     io.vecU64(rank_blocked_to_, "dram rank count mismatch");
-    io.vecU64(bus_free_at_, "dram channel count mismatch");
+    io.u64(bus_free_at_);
     io.counter(activates_);
     io.counter(reads_);
     io.counter(writes_);

@@ -25,9 +25,8 @@ enum class BankOccupant : std::uint8_t { None, Regular, Prefetch };
 /** Decoded DRAM coordinates of a line address. */
 struct DramCoord
 {
-    std::uint32_t channel = 0;
-    std::uint32_t rank = 0;   //!< rank within the channel
-    std::uint32_t bank = 0;   //!< global bank index (channel+rank folded)
+    std::uint32_t rank = 0;
+    std::uint32_t bank = 0;   //!< global bank index (rank-major)
     std::uint64_t row = 0;
     std::uint32_t col = 0;    //!< line-within-row
 
@@ -54,9 +53,6 @@ class Dram : public Snapshottable
      * predicate used by the reorder-queue schedulers.
      */
     bool canIssue(LineAddr line, Cycle now) const;
-
-    /** True when the two lines target the same bank but another row. */
-    bool bankConflict(LineAddr a, LineAddr b) const;
 
     /**
      * Occupant of the line's bank at @p now; BankOccupant::None when
@@ -112,16 +108,16 @@ class Dram : public Snapshottable
         BankOccupant occupant = BankOccupant::None;
     };
 
-    /** Advance the refresh machinery for one rank of one channel. */
-    Cycle applyRefresh(std::uint32_t refresh_unit, Cycle start);
+    /** Advance the refresh machinery for one rank. */
+    Cycle applyRefresh(std::uint32_t rank, Cycle start);
 
     Cycles inCpu(std::uint32_t dram_clocks) const;
 
     DramConfig config_;
     std::vector<Bank> banks_;
-    std::vector<Cycle> next_refresh_;     //!< per (channel, rank)
-    std::vector<Cycle> rank_blocked_to_;  //!< per (channel, rank)
-    std::vector<Cycle> bus_free_at_;      //!< per channel
+    std::vector<Cycle> next_refresh_;     //!< per rank
+    std::vector<Cycle> rank_blocked_to_;  //!< per rank
+    Cycle bus_free_at_ = 0;               //!< the shared data bus
 
     Counter activates_;
     Counter reads_;

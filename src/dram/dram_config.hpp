@@ -41,32 +41,14 @@ enum class AddrMap : std::uint8_t
     XorPage,
 };
 
-/** Row-buffer management policy. */
-enum class PagePolicy : std::uint8_t
-{
-    /** Keep rows open until a conflicting access (default). */
-    Open,
-
-    /**
-     * Auto-precharge after every column access: every access pays
-     * activation, none pays a precharge-on-conflict. Better for
-     * low-locality access streams.
-     */
-    Closed,
-};
-
-/** DDR2 geometry, timing and energy parameters. */
+/**
+ * DDR2 geometry, timing and energy parameters of the one ganged
+ * channel. Rows stay open until a conflicting access (the open-page
+ * policy of the Power5+ controller).
+ */
 struct DramConfig
 {
     AddrMap addr_map = AddrMap::PageInterleaved;
-    PagePolicy page_policy = PagePolicy::Open;
-
-    /**
-     * Independent memory channels; lines interleave across channels
-     * at page granularity. Each channel has its own data bus and
-     * banks (the Power5+ SMI interface aggregates two).
-     */
-    std::uint32_t channels = 1;
 
     /** CPU cycles per DRAM clock (2.132 GHz / 266 MHz = 8). */
     std::uint32_t cpu_per_dram_clk = 8;

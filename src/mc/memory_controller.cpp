@@ -159,8 +159,10 @@ MemoryController::enqueueRead(LineAddr line, std::uint64_t id,
     }
 
     // A prefetch still waiting in the LPQ is superseded by the read
-    // itself (demand or processor-side prefetch).
-    if (prefetcher && config_.cancel_lpq_on_demand)
+    // itself (demand or processor-side prefetch). Unlike the in-flight
+    // merge, this CAM check over the LPQ saves the wasted DRAM access
+    // before it happens.
+    if (prefetcher)
         cancelLpqEntry(line);
 
     McCommand cmd;

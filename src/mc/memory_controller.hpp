@@ -66,14 +66,6 @@ struct McConfig
      * it exists for the what-if ablation.
      */
     bool merge_inflight_prefetch = false;
-
-    /**
-     * Cancel a prefetch still waiting in the LPQ when the same line
-     * arrives as a read (a 3-entry CAM check). Unlike the in-flight
-     * merge this saves the wasted DRAM access before it happens;
-     * enabled by default.
-     */
-    bool cancel_lpq_on_demand = true;
 };
 
 /**

@@ -68,8 +68,11 @@ class Snapshottable;
  * v7: every memory-side contender saves the shared buffer/scheduler
  * state with its epochs completed (the "ms" section of the non-ASD
  * contenders gains one u64; ASD's bytes are unchanged).
+ * v8: one DRAM channel. The "dram" section stores the data bus's
+ * free cycle as a bare u64 instead of a one-element vector (8 bytes
+ * fewer).
  */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 7;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 8;
 
 /**
  * Any way a snapshot can be unusable: truncated or corrupt bytes,

@@ -232,7 +232,7 @@ TEST(Mc, DemandMergesOntoInFlightPrefetch)
 
 TEST(Mc, DemandCancelsQueuedLpqEntry)
 {
-    Harness h; // cancel_lpq_on_demand defaults on
+    Harness h;
 
     FakePrefetcher pf;
     pf.policy = 1; // most conservative: LPQ blocked while MC busy
@@ -477,8 +477,7 @@ TEST(McStepping, RefreshBlockedRankWaitsInOneStep)
     const LineAddr first = 0;
     LineAddr second = 1;
     while (dram.decode(second).bank == dram.decode(first).bank ||
-           dram.decode(second).rank != dram.decode(first).rank ||
-           dram.decode(second).channel != dram.decode(first).channel)
+           dram.decode(second).rank != dram.decode(first).rank)
         ++second;
     p.runTo(deadline - McConfig{}.command_overhead);
     p.enqueueRead(first, 1);

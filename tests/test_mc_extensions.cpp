@@ -1,11 +1,8 @@
 /**
  * @file
- * Tests for the extended substrate features: multi-channel DRAM,
- * closed-page policy, the write-drain watermark machinery, and the
- * drain-aware scheduler behaviors.
+ * Tests for the write-drain watermark machinery and the drain-aware
+ * scheduler behaviors.
  */
-
-#include <set>
 
 #include <gtest/gtest.h>
 
@@ -19,76 +16,11 @@ namespace
 {
 
 DramConfig
-quiet(std::uint32_t channels = 1,
-      PagePolicy policy = PagePolicy::Open)
+quiet()
 {
     DramConfig config;
     config.refresh_enabled = false;
-    config.channels = channels;
-    config.page_policy = policy;
     return config;
-}
-
-TEST(DramChannels, DecodeSpreadsChannels)
-{
-    Dram dram(quiet(2));
-    std::set<std::uint32_t> channels;
-    for (LineAddr line = 0; line < 64ULL * 64; line += 64)
-        channels.insert(dram.decode(line).channel);
-    EXPECT_EQ(channels.size(), 2u);
-    // Banks are globally unique across channels.
-    EXPECT_LT(dram.decode(0).bank, 32u);
-}
-
-TEST(DramChannels, IndependentDataBuses)
-{
-    // Two same-cycle reads to different channels must not serialize
-    // on a shared bus; to the same channel they must.
-    // Page-interleaved, 2 channels: line 0 -> bank 0 (ch 0),
-    // line 64 -> bank 1 (ch 1), line 128 -> bank 2 (ch 0).
-    Dram two(quiet(2));
-    const LineAddr ch0_a = 0;
-    const LineAddr ch1 = 64;
-    const LineAddr ch0_b = 128;
-    ASSERT_EQ(two.decode(ch0_a).channel, 0u);
-    ASSERT_EQ(two.decode(ch1).channel, 1u);
-    ASSERT_EQ(two.decode(ch0_b).channel, 0u);
-    ASSERT_NE(two.decode(ch0_a).bank, two.decode(ch0_b).bank);
-
-    const Cycle same_a = two.issue(ch0_a, false, false, 0);
-    const Cycle same_b = two.issue(ch0_b, false, false, 0);
-    EXPECT_GT(same_b, same_a); // shared bus serializes
-
-    Dram fresh(quiet(2));
-    const Cycle cross_a = fresh.issue(ch0_a, false, false, 0);
-    const Cycle cross_b = fresh.issue(ch1, false, false, 0);
-    EXPECT_EQ(cross_a, cross_b); // independent buses overlap fully
-}
-
-TEST(DramClosedPage, NoRowHits)
-{
-    Dram dram(quiet(1, PagePolicy::Closed));
-    Cycle now = 0;
-    for (LineAddr line = 0; line < 8; ++line)
-        now = dram.issue(line, false, false, now);
-    EXPECT_EQ(dram.rowHits(), 0u);
-    EXPECT_EQ(dram.rowMisses(), 8u);
-    EXPECT_FALSE(dram.rowOpen(0));
-}
-
-TEST(DramClosedPage, AvoidsConflictPrecharge)
-{
-    // Under closed page, a same-bank different-row sequence never
-    // pays the conflict (precharge-then-activate) path: each access
-    // costs the same.
-    DramConfig config = quiet(1, PagePolicy::Closed);
-    Dram dram(config);
-    const LineAddr conflict = static_cast<LineAddr>(
-        config.linesPerRow()) * config.totalBanks();
-    const Cycle first = dram.issue(0, false, false, 0);
-    const Cycle ready = dram.bankReadyAt(0);
-    const Cycle second = dram.issue(conflict, false, false, ready);
-    EXPECT_EQ(second - ready, first - 0);
 }
 
 TEST(McWriteDrain, WatermarkHysteresis)

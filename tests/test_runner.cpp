@@ -613,6 +613,23 @@ TEST(WarmStart, DiskCachePersistsAndRejectsDamage)
         cache.obtain("k1", make);
     }
     EXPECT_EQ(made.load(), 2);
+
+    // A file from the previous snapshot format (its little-endian
+    // version word, after the 8-byte magic, patched back) is
+    // re-simulated, not served.
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir)) {
+        std::fstream file(entry.path(), std::ios::in | std::ios::out |
+                                            std::ios::binary);
+        file.seekp(8);
+        file.put(static_cast<char>(kSnapshotFormatVersion - 1));
+    }
+    {
+        WarmupCache cache(dir.string());
+        const auto bytes = cache.obtain("k1", make);
+        EXPECT_NO_THROW(SnapshotReader{*bytes});
+    }
+    EXPECT_EQ(made.load(), 3);
 }
 
 TEST(WarmStart, SweepWithDiskCacheMatchesColdStart)
